@@ -15,20 +15,19 @@ from .data import (BinningSpec, DiscreteDataset, RawTable, SplitSpec,
                    make_splits, make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext, shrinkage_pmf
 from .evaluate import EvalReport, average_ranks, benchmark, error_curve, knn_classify
-from .hocmim import (HocmimParams, RedundancyTrace, greedy_representative_set,
-                     hocmim_score, hocmim_score_exhaustive, run_hocmim,
-                     total_redundancy)
+from .hocmim import (RedundancyTrace, greedy_representative_set, hocmim_score,
+                     hocmim_score_exhaustive, total_redundancy)
 from .oracle import run_oracle_checks
 from .selection import SelectionResult, predicted_mi_calls, run_sfs
 
 __all__ = [
     "BinningSpec", "Criterion", "DiscreteDataset", "EstimatorContext",
-    "EvalReport", "HocmimParams", "RawTable", "RedundancyTrace",
+    "EvalReport", "RawTable", "RedundancyTrace",
     "SelectionResult", "SplitSpec", "TARGET", "apply_binning",
     "average_ranks", "benchmark", "discretize", "error_curve", "fit_binning",
     "greedy_representative_set", "hocmim_score", "hocmim_score_exhaustive",
     "knn_classify", "load_csv", "make_splits", "make_xor_table",
-    "parse_criterion", "predicted_mi_calls", "run_hocmim",
+    "parse_criterion", "predicted_mi_calls",
     "run_oracle_checks", "run_sfs", "shrinkage_pmf", "toy_dataset",
     "toy_table", "total_redundancy",
 ]

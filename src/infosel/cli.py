@@ -6,12 +6,12 @@ import argparse
 import sys
 
 from . import __version__
-from .criteria import CriterionError, parse_criterion
+from .criteria import Criterion, CriterionError, parse_criterion
 from .data import (DataError, SplitSpec, discretize, load_csv, make_xor_table,
                    toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import benchmark
-from .hocmim import HocmimParams, greedy_representative_set, hocmim_score
+from .hocmim import greedy_representative_set, hocmim_score
 from .oracle import run_oracle_checks
 from .selection import run_sfs
 
@@ -40,8 +40,7 @@ def _load_table(args):
 def _parse_criterion(args, name=None):
     try:
         return parse_criterion(name or args.criterion, beta=args.beta, n=args.n,
-                               epsilon_star=args.epsilon, n_max=args.nmax,
-                               adaptive=args.adaptive)
+                               epsilon_star=args.epsilon, n_max=args.nmax)
     except CriterionError as e:
         raise StageError("selection", str(e)) from e
 
@@ -55,16 +54,13 @@ def _write(path, text):
 
 
 def cmd_select(args) -> int:
-    if args.gamma is not None:
-        raise StageError("selection", "gamma is fixed by the named criteria; "
-                         "the free-weight family is available via the Python API")
     table, label = _load_table(args)
     try:
         ds = discretize(table, n_bins=args.bins)
     except DataError as e:
         raise StageError("binning", str(e)) from e
     crit = _parse_criterion(args)
-    k = args.k or min(50, ds.n_features)
+    k = min(50, ds.n_features) if args.k is None else args.k
     try:
         result = run_sfs(ds, crit, k, estimator=args.estimator,
                          collect_traces=bool(args.traces))
@@ -103,7 +99,7 @@ def cmd_benchmark(args) -> int:
     if len(names) < 2:
         raise StageError("selection", "benchmark needs at least two --criterion names")
     criteria = [_parse_criterion(args, name) for name in names]
-    k_max = args.k or min(50, len(table.feature_names))
+    k_max = min(50, len(table.feature_names)) if args.k is None else args.k
     split = SplitSpec(train_fraction=args.train_fraction, seed=args.seed,
                       n_repeats=args.repeats)
     try:
@@ -161,18 +157,20 @@ def _toy_computed() -> dict[str, float]:
         vals[f"I(X{j + 1};Y)"] = ctx.mutual_information([j], [TARGET])
 
     def greedy(k, S, n):
-        return greedy_representative_set(ctx, k, S, HocmimParams(n=n))
+        return greedy_representative_set(ctx, k, S, Criterion("hocmim", n=n))
+
+    def score(k, S, n):
+        return hocmim_score(ctx, k, S, Criterion("hocmim", n=n))[0]
 
     for k in (0, 1, 3, 4):
         vals[f"R1(X{k + 1}|{{X3}})"] = greedy(k, [2], 1).redundancy
-    vals["score(X2|{X3})"] = hocmim_score(ctx, 1, [2], HocmimParams(n=1))[0]
-    vals["score_n1(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], HocmimParams(n=1))[0]
+    vals["score(X2|{X3})"] = score(1, [2], 1)
+    vals["score_n1(X4|{X2,X3})"] = score(3, [1, 2], 1)
     vals["R2(X4|{X2,X3})"] = greedy(3, [1, 2], 2).redundancy
-    vals["score_n2(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], HocmimParams(n=2))[0]
+    vals["score_n2(X4|{X2,X3})"] = score(3, [1, 2], 2)
     for k, tag in ((0, "X1"), (4, "X5")):
         for n in (1, 2):
-            vals[f"score_n{n}({tag}|{{X2,X3,X4}})"] = \
-                hocmim_score(ctx, k, [1, 2, 3], HocmimParams(n=n))[0]
+            vals[f"score_n{n}({tag}|{{X2,X3,X4}})"] = score(k, [1, 2, 3], n)
     return vals
 
 
@@ -220,11 +218,7 @@ def _add_common(p):
     p.add_argument("--epsilon", type=float, default=0.01,
                    help="adaptive stopping threshold (default 0.01)")
     p.add_argument("--nmax", type=int, default=15, help="order cap (default 15)")
-    p.add_argument("--adaptive", action="store_true",
-                   help="adaptive order selection (default when --n is absent)")
     p.add_argument("--beta", type=float, help="MIFS redundancy weight")
-    p.add_argument("--gamma", type=float,
-                   help="reserved; the free-weight score family is API-only")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the result to this path")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")

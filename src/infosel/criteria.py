@@ -1,26 +1,26 @@
-"""Scoring functions for sequential forward selection.
+"""Scoring functions for sequential forward selection, and the criterion table.
 
 Each score is a pure function of (candidate k, selected set S, target) over an
 EstimatorContext.  With an empty S every criterion falls back to the plain
 relevance I(Xk;Y), so all criteria agree on the first selected feature.
 High-order variants fall back down the chain (e.g. JMI-4 -> JMI-3 -> JMI ->
 relevance) while S is too small for their sums to be nonempty.
+
+``CRITERIA`` maps every criterion kind to one row: its scorer and its exact
+MI-term cost per candidate.  MIM, MIFS, mRMR and JMI are points of the
+beta/gamma family of ``score_generic`` (Brown et al., Conditional Likelihood
+Maximisation, JMLR 13, 2012).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import comb
+from typing import Callable
 
 from .estimators import TARGET, EstimatorContext
-
-KINDS = ("mim", "mifs", "mrmr", "jmi", "disr", "cmim", "relax-mrmr",
-         "jmi3", "jmi4", "cmim3", "cmim4", "hocmim")
-
-#: criteria that accept a beta override (MIFS weight)
-_BETA_KINDS = ("mifs",)
-#: criteria that accept the order/epsilon/nmax/adaptive knobs
-_HOCMIM_KINDS = ("hocmim",)
+from .hocmim import hocmim_score
 
 
 class CriterionError(ValueError):
@@ -29,8 +29,6 @@ class CriterionError(ValueError):
 
 def score_generic(ctx: EstimatorContext, k: int, S, beta: float, gamma: float) -> float:
     """I(Xk;Y) - beta * sum I(Xj;Xk) + gamma * sum I(Xj;Xk|Y) over j in S."""
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
     score = ctx.mutual_information([k], [TARGET])
     if beta != 0.0:
         score -= beta * sum(ctx.mutual_information([j], [k]) for j in S)
@@ -40,30 +38,13 @@ def score_generic(ctx: EstimatorContext, k: int, S, beta: float, gamma: float) -
     return score
 
 
-def score_mim(ctx, k, S) -> float:
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    return ctx.mutual_information([k], [TARGET])
-
-
-def score_mifs(ctx, k, S, beta: float = 1.0) -> float:
-    return score_generic(ctx, k, S, beta=beta, gamma=0.0)
-
-
-def score_mrmr(ctx, k, S) -> float:
-    b = 1.0 / len(S) if S else 0.0
-    return score_generic(ctx, k, S, beta=b, gamma=0.0)
-
-
-def score_jmi(ctx, k, S) -> float:
-    w = 1.0 / len(S) if S else 0.0
-    return score_generic(ctx, k, S, beta=w, gamma=w)
+def _mean_weight(S) -> float:
+    """1/|S|, the averaging weight of mRMR and JMI (0 for an empty S)."""
+    return 1.0 / len(S) if S else 0.0
 
 
 def score_disr(ctx, k, S) -> float:
     """Sum over S of I(Xk,Xj;Y) / H(Xk,Xj,Y); 0/0 terms contribute 0."""
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
     if not S:
         return ctx.mutual_information([k], [TARGET])
     total = 0.0
@@ -77,8 +58,6 @@ def score_disr(ctx, k, S) -> float:
 
 def score_cmim(ctx, k, S) -> float:
     """min over j in S of I(Xk;Y|Xj)."""
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
     if not S:
         return ctx.mutual_information([k], [TARGET])
     return min(ctx.conditional_mutual_information([k], [TARGET], [j]) for j in S)
@@ -86,9 +65,8 @@ def score_cmim(ctx, k, S) -> float:
 
 def score_relax_mrmr(ctx, k, S) -> float:
     """JMI-weighted generic score minus the averaged triple interaction term."""
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    score = score_jmi(ctx, k, S)
+    w = _mean_weight(S)
+    score = score_generic(ctx, k, S, w, w)
     if len(S) >= 2:
         eta = 1.0 / (len(S) * (len(S) - 1))
         score -= eta * sum(ctx.conditional_mutual_information([k], [i], [j])
@@ -104,12 +82,11 @@ def score_jmi_high(ctx, k, S, order: int) -> float:
     """
     if order not in (3, 4):
         raise ValueError("order must be 3 or 4")
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
     if len(S) < order - 1:
-        if order == 4:
-            return score_jmi_high(ctx, k, S, 3) if len(S) >= 2 else score_jmi(ctx, k, S)
-        return score_jmi(ctx, k, S)
+        if order == 4 and len(S) >= 2:
+            return score_jmi_high(ctx, k, S, 3)
+        w = _mean_weight(S)
+        return score_generic(ctx, k, S, w, w)
     return sum(ctx.mutual_information(list(tup) + [k], [TARGET])
                for tup in permutations(S, order - 1))
 
@@ -118,23 +95,79 @@ def score_cmim_high(ctx, k, S, order: int) -> float:
     """min over (order-1)-subsets Z of S of I(Xk;Y|Z), with fallback chain."""
     if order not in (3, 4):
         raise ValueError("order must be 3 or 4")
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
     if len(S) < order - 1:
-        if order == 4:
-            return score_cmim_high(ctx, k, S, 3) if len(S) >= 2 else score_cmim(ctx, k, S)
+        if order == 4 and len(S) >= 2:
+            return score_cmim_high(ctx, k, S, 3)
         return score_cmim(ctx, k, S)
     return min(ctx.conditional_mutual_information([k], [TARGET], list(z))
                for z in combinations(S, order - 1))
 
 
 @dataclass(frozen=True)
-class Criterion:
-    """A named score function plus its parameters.
+class Kind:
+    """One row of the criterion table.
 
-    ``beta`` applies to MIFS only.  ``n`` (fixed order), ``epsilon_star``,
-    ``n_max``, and ``adaptive`` apply to HOCMIM only; kinds that take no
-    parameters reject overrides.
+    ``score(criterion, ctx, k, S)`` returns ``(score, RedundancyTrace | None)``.
+    ``calls(criterion, s)`` is the exact number of MI terms that score asks
+    for with s >= 1 features selected; for the adaptive order search it is the
+    bound at ``n_max``.  ``takes`` names the optional parameters the kind
+    accepts: "beta" (the MIFS weight) or "n" (the order search: ``n``,
+    ``epsilon_star`` and ``n_max``).
+    """
+
+    score: Callable
+    calls: Callable
+    takes: str | None = None
+
+
+def _jmi_calls(s: int) -> int:
+    return 1 + 3 * s
+
+
+CRITERIA: dict[str, Kind] = {
+    "mim": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, 0.0, 0.0), None),
+                lambda c, s: 1),
+    "mifs": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, 1.0 if c.beta is None else c.beta,
+                                                     0.0), None),
+                 lambda c, s: 1 + s if c.beta != 0.0 else 1, takes="beta"),
+    "mrmr": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, _mean_weight(S), 0.0), None),
+                 lambda c, s: 1 + s),
+    "jmi": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, _mean_weight(S),
+                                                    _mean_weight(S)), None),
+                lambda c, s: _jmi_calls(s)),
+    "disr": Kind(lambda c, ctx, k, S: (score_disr(ctx, k, S), None),
+                 lambda c, s: s),
+    "cmim": Kind(lambda c, ctx, k, S: (score_cmim(ctx, k, S), None),
+                 lambda c, s: 2 * s),
+    "relax-mrmr": Kind(lambda c, ctx, k, S: (score_relax_mrmr(ctx, k, S), None),
+                       lambda c, s: _jmi_calls(s) + 2 * s * (s - 1)),
+    "jmi3": Kind(lambda c, ctx, k, S: (score_jmi_high(ctx, k, S, 3), None),
+                 lambda c, s: s * (s - 1) if s >= 2 else _jmi_calls(s)),
+    "jmi4": Kind(lambda c, ctx, k, S: (score_jmi_high(ctx, k, S, 4), None),
+                 lambda c, s: (s * (s - 1) * (s - 2) if s >= 3
+                               else s * (s - 1) if s == 2 else _jmi_calls(s))),
+    "cmim3": Kind(lambda c, ctx, k, S: (score_cmim_high(ctx, k, S, 3), None),
+                  lambda c, s: 2 * comb(s, 2) if s >= 2 else 2 * s),
+    "cmim4": Kind(lambda c, ctx, k, S: (score_cmim_high(ctx, k, S, 4), None),
+                  lambda c, s: (2 * comb(s, 3) if s >= 3
+                                else 2 * comb(s, 2) if s == 2 else 2 * s)),
+    # fixed order n: 1 relevance term plus n sweeps over all of S at 4 MI terms each
+    "hocmim": Kind(lambda c, ctx, k, S: hocmim_score(ctx, k, S, c),
+                   lambda c, s: 1 + 4 * (c.n if c.n is not None else min(c.n_max, s)) * s,
+                   takes="n"),
+}
+
+KINDS = tuple(CRITERIA)
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A criterion kind from ``CRITERIA`` plus its parameters.
+
+    ``beta`` is the MIFS weight (1 when None).  ``n`` fixes the order of the
+    high-order search; without it the search is adaptive and stops at the
+    relative threshold ``epsilon_star`` or at ``n_max``.  Kinds reject the
+    parameters they do not take.
     """
 
     kind: str
@@ -142,18 +175,18 @@ class Criterion:
     n: int | None = None
     epsilon_star: float = 0.01
     n_max: int = 15
-    adaptive: bool = field(default=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        row = CRITERIA.get(self.kind)
+        if row is None:
             raise CriterionError(f"unknown criterion {self.kind!r} (choose from {', '.join(KINDS)})")
-        if self.beta is not None and self.kind not in _BETA_KINDS:
+        if self.beta is not None and row.takes != "beta":
             raise CriterionError(f"{self.kind} does not take beta")
         if self.beta is not None and not 0.0 <= self.beta:
             raise CriterionError("beta must be >= 0")
-        if self.kind not in _HOCMIM_KINDS and (self.n is not None or self.adaptive):
+        if row.takes != "n" and self.n is not None:
             raise CriterionError(f"{self.kind} does not take order parameters")
-        if self.kind in _HOCMIM_KINDS:
+        if row.takes == "n":
             if not 0.0 <= self.epsilon_star <= 1.0:
                 raise CriterionError("epsilon must be in [0, 1]")
             if self.n_max < 1:
@@ -162,45 +195,27 @@ class Criterion:
                 raise CriterionError(f"fixed order must be in [1, {self.n_max}]")
 
     @property
+    def adaptive(self) -> bool:
+        """Whether the order search picks its own order (no fixed ``n``)."""
+        return self.n is None
+
+    @property
     def label(self) -> str:
-        if self.kind == "hocmim":
-            return f"hocmim-n{self.n}" if self.n is not None else "hocmim"
-        if self.kind == "mifs" and self.beta is not None:
-            return f"mifs-b{self.beta:g}"
+        if self.n is not None:
+            return f"{self.kind}-n{self.n}"
+        if self.beta is not None:
+            return f"{self.kind}-b{self.beta:g}"
         return self.kind
 
-    def score(self, ctx: EstimatorContext, k: int, S) -> float:
-        kind = self.kind
-        if kind == "mim":
-            return score_mim(ctx, k, S)
-        if kind == "mifs":
-            return score_mifs(ctx, k, S, beta=1.0 if self.beta is None else self.beta)
-        if kind == "mrmr":
-            return score_mrmr(ctx, k, S)
-        if kind == "jmi":
-            return score_jmi(ctx, k, S)
-        if kind == "disr":
-            return score_disr(ctx, k, S)
-        if kind == "cmim":
-            return score_cmim(ctx, k, S)
-        if kind == "relax-mrmr":
-            return score_relax_mrmr(ctx, k, S)
-        if kind == "jmi3":
-            return score_jmi_high(ctx, k, S, 3)
-        if kind == "jmi4":
-            return score_jmi_high(ctx, k, S, 4)
-        if kind == "cmim3":
-            return score_cmim_high(ctx, k, S, 3)
-        if kind == "cmim4":
-            return score_cmim_high(ctx, k, S, 4)
-        # hocmim dispatches through the selection engine (it needs a trace)
-        from .hocmim import HocmimParams, hocmim_score
-        return hocmim_score(ctx, k, S, HocmimParams.from_criterion(self))[0]
+    def score(self, ctx: EstimatorContext, k: int, S) -> tuple:
+        """(score, RedundancyTrace or None) of candidate k against the selected set S."""
+        if k in S:
+            raise ValueError(f"candidate {k} already selected")
+        return CRITERIA[self.kind].score(self, ctx, k, S)
 
 
 def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
-                    epsilon_star: float = 0.01, n_max: int = 15,
-                    adaptive: bool = False) -> Criterion:
+                    epsilon_star: float = 0.01, n_max: int = 15) -> Criterion:
     """Build a Criterion from a CLI-style name.
 
     Accepts the plain kind names plus an inline fixed-order suffix for the
@@ -219,7 +234,4 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
         except ValueError:
             raise CriterionError(f"bad fixed-order suffix in {name!r}") from None
         key = "hocmim"
-    if key == "hocmim" and n is None and not adaptive:
-        adaptive = True          # the adaptive order search is the default
-    return Criterion(kind=key, beta=beta, n=n, epsilon_star=epsilon_star,
-                     n_max=n_max, adaptive=adaptive)
+    return Criterion(kind=key, beta=beta, n=n, epsilon_star=epsilon_star, n_max=n_max)

@@ -127,13 +127,13 @@ class SplitSpec:
 
 
 def load_csv(path, target_name: str) -> RawTable:
-    """Load a UTF-8, comma-separated file with a header row.
+    """Load a UTF-8 (optionally BOM-prefixed), comma-separated file with a header row.
 
     Column types are inferred: numeric if every cell parses as a float,
-    categorical otherwise.  Missing cells, ragged rows, and empty tables are
-    hard errors.
+    categorical otherwise.  Missing cells, ragged rows, duplicate header
+    names, and empty tables are hard errors.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -143,6 +143,9 @@ def load_csv(path, target_name: str) -> RawTable:
     if not rows:
         raise DataError("empty table (header only)")
     header = [h.strip() for h in header]
+    dupes = sorted({h for h in header if header.count(h) > 1})
+    if dupes:
+        raise DataError(f"duplicate header names {dupes}")
     if target_name not in header:
         raise DataError(f"target column {target_name!r} not in header {header}")
     width = len(header)

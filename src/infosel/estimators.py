@@ -40,18 +40,12 @@ def shrinkage_pmf(counts, n_cells: int | None = None) -> np.ndarray:
     if total <= 0:
         raise ValueError("zero total count")
     m = float(n_cells if n_cells is not None else len(counts))
-    p = counts / total
-    u = 1.0 / m
-    var_target = np.sum((u - p) ** 2) + (m - len(counts)) * u ** 2
-    if total <= 1 or var_target <= 0:
-        lam = 1.0
-    else:
-        lam = (1.0 - float(np.sum(p ** 2))) / ((total - 1) * var_target)
-        lam = min(1.0, max(0.0, lam))
-    return lam * u + (1.0 - lam) * p
+    lam = _shrinkage_lambda(counts, m)
+    return lam * (1.0 / m) + (1.0 - lam) * (counts / total)
 
 
 def _shrinkage_lambda(counts: np.ndarray, m: float) -> float:
+    """The clipped James-Stein weight of the uniform target over m cells."""
     total = counts.sum()
     p = counts / total
     u = 1.0 / m

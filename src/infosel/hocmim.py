@@ -41,32 +41,6 @@ STOP_ORDER_LIMIT = "order_limit"
 STOP_EXHAUSTED = "s_exhausted"
 
 
-@dataclass(frozen=True)
-class HocmimParams:
-    """Search knobs: fixed order ``n``, or adaptive when ``n`` is None."""
-
-    n: int | None = None
-    epsilon_star: float = 0.01
-    n_max: int = 15
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon_star <= 1.0:
-            raise ValueError("epsilon_star must be in [0, 1]")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if self.n is not None and not 1 <= self.n <= self.n_max:
-            raise ValueError("fixed order must satisfy 1 <= n <= n_max")
-
-    @property
-    def adaptive(self) -> bool:
-        return self.n is None
-
-    @classmethod
-    def from_criterion(cls, criterion) -> "HocmimParams":
-        return cls(n=criterion.n, epsilon_star=criterion.epsilon_star,
-                   n_max=criterion.n_max)
-
-
 @dataclass
 class RedundancyTrace:
     """Record of one greedy search: picks, increments, running redundancy."""
@@ -103,10 +77,12 @@ def _increment(ctx, k, j, z_prefix) -> float:
             - ctx.conditional_mutual_information([k], [j], z_prefix + [TARGET]))
 
 
-def greedy_representative_set(ctx: EstimatorContext, k: int, S, params: HocmimParams,
+def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
                               relevance: float | None = None) -> RedundancyTrace:
     """Build the representative set for candidate k by greedy increments.
 
+    ``criterion`` (a ``hocmim`` Criterion) sets the order: its fixed ``n``,
+    or adaptive when ``n`` is None, with ``epsilon_star`` and ``n_max``.
     Ties in the argmax go to the lowest feature index.  Increments may be
     negative once the positive ones are exhausted; they are accepted as-is.
     """
@@ -115,17 +91,18 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, params: HocmimPa
         raise ValueError(f"candidate {k} already selected")
     if not S:
         raise ValueError("selected set is empty")
-    if params.adaptive and relevance is None:
+    adaptive = criterion.adaptive
+    if adaptive and relevance is None:
         relevance = ctx.mutual_information([k], [TARGET])
 
     z: list[int] = []
     increments: list[float] = []
     redundancy = 0.0
-    n_sweeps = params.n if not params.adaptive else min(params.n_max, len(S))
+    n_sweeps = criterion.n if not adaptive else min(criterion.n_max, len(S))
     threshold_fired = False
 
     for _ in range(n_sweeps):
-        pool = S if not params.adaptive else [j for j in S if j not in z]
+        pool = S if not adaptive else [j for j in S if j not in z]
         if not pool:
             break
         best_j, best_d = None, None
@@ -140,8 +117,8 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, params: HocmimPa
         z.append(best_j)
         increments.append(best_d)
         redundancy += best_d
-        if params.adaptive and relevance > ZERO_RELEVANCE:
-            if 1.0 - redundancy / relevance < params.epsilon_star:
+        if adaptive and relevance > ZERO_RELEVANCE:
+            if 1.0 - redundancy / relevance < criterion.epsilon_star:
                 threshold_fired = True
                 break
     if threshold_fired:
@@ -154,7 +131,7 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, params: HocmimPa
 
 
 def hocmim_score(ctx: EstimatorContext, k: int, S,
-                 params: HocmimParams) -> tuple[float, RedundancyTrace]:
+                 criterion) -> tuple[float, RedundancyTrace]:
     """Score = I(Xk;Y) - R_m from the greedy trace; plain relevance when S is empty."""
     S = list(S)
     if k in S:
@@ -162,7 +139,7 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     relevance = ctx.mutual_information([k], [TARGET])
     if not S:
         return relevance, RedundancyTrace(k, [], [], 0.0, STOP_EXHAUSTED)
-    trace = greedy_representative_set(ctx, k, S, params, relevance=relevance)
+    trace = greedy_representative_set(ctx, k, S, criterion, relevance=relevance)
     return relevance - trace.redundancy, trace
 
 
@@ -183,13 +160,3 @@ def hocmim_score_exhaustive(ctx: EstimatorContext, k: int, S, n: int) -> float:
     best = max(total_redundancy(ctx, k, list(z)) for z in combinations(S, n))
     return relevance - best
 
-
-def run_hocmim(dataset, K: int, params: HocmimParams | None = None,
-               rows=None, estimator: str = "plugin"):
-    """Select K features with the high-order criterion (see selection.run_sfs)."""
-    from .criteria import Criterion
-    from .selection import run_sfs
-    params = params or HocmimParams()
-    crit = Criterion(kind="hocmim", n=params.n, epsilon_star=params.epsilon_star,
-                     n_max=params.n_max, adaptive=params.adaptive)
-    return run_sfs(dataset, crit, K, rows=rows, estimator=estimator)

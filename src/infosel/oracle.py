@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import score_cmim, score_cmim_high
+from .criteria import Criterion, score_cmim, score_cmim_high
 from .data import DiscreteDataset
 from .estimators import TARGET, EstimatorContext
-from .hocmim import (HocmimParams, greedy_representative_set, hocmim_score,
-                     hocmim_score_exhaustive, total_redundancy)
+from .hocmim import (greedy_representative_set, hocmim_score, hocmim_score_exhaustive,
+                     total_redundancy)
 
 TOL = 1e-9
 
@@ -97,7 +97,8 @@ def check_instance(ctx: EstimatorContext, rng: np.random.Generator,
                   ctx.mutual_information(a, b) <= min(ctx.entropy(a), ctx.entropy(b)) + TOL)
 
     # greedy at n=|S| telescopes to the exact CMI
-    full = greedy_representative_set(ctx, k, S, HocmimParams(n=len(S), n_max=max(15, len(S))))
+    full = greedy_representative_set(ctx, k, S,
+                                     Criterion("hocmim", n=len(S), n_max=max(15, len(S))))
     exact_cmi = ctx.conditional_mutual_information([k], [TARGET], S)
     rel = ctx.mutual_information([k], [TARGET])
     report.record("greedy_full_equals_cmi",
@@ -110,7 +111,7 @@ def check_instance(ctx: EstimatorContext, rng: np.random.Generator,
                   <= total_redundancy(ctx, k, S) <= rel + TOL)
 
     # fixed n=1 equals the CMIM score
-    s1, _ = hocmim_score(ctx, k, S, HocmimParams(n=1))
+    s1, _ = hocmim_score(ctx, k, S, Criterion("hocmim", n=1))
     report.record("n1_equals_cmim", abs(s1 - score_cmim(ctx, k, S)) < TOL)
 
     # exhaustive order-2/3 search equals the high-order CMIM baselines
@@ -123,7 +124,7 @@ def check_instance(ctx: EstimatorContext, rng: np.random.Generator,
         report.record("exhaustive3_equals_cmim4",
                       abs(e3 - score_cmim_high(ctx, k, S, 4)) < TOL)
         # greedy search cannot beat the exhaustive max-redundancy
-        g2 = greedy_representative_set(ctx, k, S, HocmimParams(n=2))
+        g2 = greedy_representative_set(ctx, k, S, Criterion("hocmim", n=2))
         report.record("greedy_below_exhaustive",
                       rel - g2.redundancy >= e2 - TOL)
 
@@ -139,7 +140,7 @@ def check_statement_cases(report: OracleReport, seed: int = 7) -> None:
     ds = DiscreteDataset(np.column_stack([base, base, other]).astype(np.int64),
                          (2, 2, 2), target.astype(np.int64), 2, ("a", "a2", "b"))
     ctx = EstimatorContext(ds)
-    score, trace = hocmim_score(ctx, 0, [1, 2], HocmimParams())
+    score, trace = hocmim_score(ctx, 0, [1, 2], Criterion("hocmim"))
     report.record("statement1_zero_score", abs(score) < TOL, f"score={score}")
     report.record("statement1_threshold_stop",
                   trace.stop_reason == "threshold" and trace.redundancy <= ctx.mutual_information([0], [TARGET]) + TOL)

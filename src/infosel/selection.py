@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass, field, replace
 
+from .criteria import CRITERIA
 from .data import DiscreteDataset
 from .estimators import TARGET, EstimatorContext
-from .hocmim import HocmimParams, RedundancyTrace, hocmim_score
+from .hocmim import RedundancyTrace
 
 
 @dataclass
@@ -68,7 +68,7 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
             estimator: str = "plugin", collect_traces: bool = False,
             ctx: EstimatorContext | None = None) -> SelectionResult:
     """Select K features; ``criterion`` is a Criterion or any scorer with
-    ``.score(ctx, k, S)`` and a ``.label``/``.kind``.
+    ``.score(ctx, k, S) -> (score, trace or None)`` and a ``.label``/``.kind``.
     """
     D = dataset.n_features
     if not 1 <= K <= D:
@@ -77,8 +77,6 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
         ctx = EstimatorContext(dataset, rows=rows, estimator=estimator)
     kind = getattr(criterion, "kind", "custom")
     label = getattr(criterion, "label", kind)
-    is_hocmim = kind == "hocmim"
-    params = HocmimParams.from_criterion(criterion) if is_hocmim else None
 
     t0 = time.perf_counter()
     ctx.reset_and_read_counter()
@@ -107,12 +105,9 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
         for k in range(D):
             if k in order:
                 continue
-            if is_hocmim:
-                s, tr = hocmim_score(ctx, k, order, params)
-                if collect_traces:
-                    traces_here[k] = tr
-            else:
-                s, tr = criterion.score(ctx, k, order), None
+            s, tr = criterion.score(ctx, k, order)
+            if collect_traces and tr is not None:
+                traces_here[k] = tr
             if best_s is None or s > best_s:
                 best_k, best_s, best_tr = k, s, tr
         order.append(best_k)
@@ -128,59 +123,24 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
                            all_traces if collect_traces else None)
 
 
-def _per_candidate_calls(kind: str, s: int, n: int | None, n_max: int) -> int:
-    """Exact MI terms one candidate costs at a step with s features selected."""
-    if kind == "mim":
-        return 1
-    if kind in ("mifs", "mrmr"):
-        return 1 + s
-    if kind == "jmi":
-        return 1 + 3 * s
-    if kind == "disr":
-        return s
-    if kind == "cmim":
-        return 2 * s
-    if kind == "relax-mrmr":
-        return 1 + 3 * s + 2 * s * (s - 1)
-    if kind == "jmi3":
-        return s * (s - 1) if s >= 2 else 1 + 3 * s
-    if kind == "jmi4":
-        if s >= 3:
-            return s * (s - 1) * (s - 2)
-        return s * (s - 1) if s == 2 else 1 + 3 * s
-    if kind == "cmim3":
-        return 2 * comb(s, 2) if s >= 2 else 2 * s
-    if kind == "cmim4":
-        if s >= 3:
-            return 2 * comb(s, 3)
-        return 2 * comb(s, 2) if s == 2 else 2 * s
-    if kind == "hocmim":
-        order = n if n is not None else min(n_max, s)
-        return 1 + 4 * order * s
-    raise ValueError(f"no call model for criterion kind {kind!r}")
-
-
 def predicted_mi_calls(criterion, K: int, D: int, n: int | None = None) -> int:
     """Closed-form MI-term count for a K-step selection over D features.
 
     Mirrors the implementation exactly: step 1 costs D relevance terms; at the
     step with s features already selected, each of the D-s remaining
-    candidates costs the per-criterion amount (for the high-order search in
-    fixed-n mode: 1 relevance term plus n sweeps over all s selected features
-    at two CMI evaluations, 4 MI terms, per feature).  In adaptive mode the
-    search stops early, so the value returned (at n_max) is an upper bound
-    rather than an exact count.
+    candidates costs the ``calls`` of the criterion's row in
+    ``criteria.CRITERIA``.  ``n``, when given, replaces the criterion's fixed
+    order.  In adaptive mode the search stops early, so the value returned
+    (at n_max) is an upper bound rather than an exact count.
     """
     if K < 1 or D < 1 or K > D:
         raise ValueError("need 1 <= K <= D")
-    kind = getattr(criterion, "kind", criterion)
-    if n is None:
-        n = getattr(criterion, "n", None)
-    n_max = getattr(criterion, "n_max", 15)
-    total = D
-    for s in range(1, K):
-        total += (D - s) * _per_candidate_calls(kind, s, n, n_max)
-    return total
+    row = CRITERIA.get(getattr(criterion, "kind", None))
+    if row is None:
+        raise ValueError(f"no call model for criterion {criterion!r}")
+    if n is not None:
+        criterion = replace(criterion, n=n)
+    return D + sum((D - s) * row.calls(criterion, s) for s in range(1, K))
 
 
 def predicted_hocmim_split(K: int, D: int, n: int) -> tuple[int, int]:

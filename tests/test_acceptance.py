@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from infosel.cli import main
-from infosel.criteria import parse_criterion
+from infosel.criteria import Criterion, parse_criterion
 from infosel.data import make_xor_table, discretize, toy_dataset, write_toy_csv
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.evaluate import average_ranks
-from infosel.hocmim import HocmimParams, greedy_representative_set, hocmim_score
+from infosel.hocmim import greedy_representative_set, hocmim_score
 from infosel.oracle import random_dataset, run_oracle_checks
 from infosel.selection import predicted_hocmim_split, predicted_mi_calls, run_sfs
 
@@ -76,16 +76,16 @@ def _toy_values() -> dict[str, float]:
     vals = {f"I(X{j + 1};Y)": ctx.mutual_information([j], [TARGET]) for j in range(5)}
     for k in (0, 1, 3, 4):
         vals[f"R1(X{k + 1}|{{X3}})"] = \
-            greedy_representative_set(ctx, k, [2], HocmimParams(n=1)).redundancy
-    vals["score(X2|{X3})"] = hocmim_score(ctx, 1, [2], HocmimParams(n=1))[0]
-    vals["score_n1(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], HocmimParams(n=1))[0]
+            greedy_representative_set(ctx, k, [2], Criterion("hocmim", n=1)).redundancy
+    vals["score(X2|{X3})"] = hocmim_score(ctx, 1, [2], Criterion("hocmim", n=1))[0]
+    vals["score_n1(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=1))[0]
     vals["R2(X4|{X2,X3})"] = \
-        greedy_representative_set(ctx, 3, [1, 2], HocmimParams(n=2)).redundancy
-    vals["score_n2(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], HocmimParams(n=2))[0]
+        greedy_representative_set(ctx, 3, [1, 2], Criterion("hocmim", n=2)).redundancy
+    vals["score_n2(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))[0]
     for k, tag in ((0, "X1"), (4, "X5")):
         for n in (1, 2):
             vals[f"score_n{n}({tag}|{{X2,X3,X4}})"] = \
-                hocmim_score(ctx, k, [1, 2, 3], HocmimParams(n=n))[0]
+                hocmim_score(ctx, k, [1, 2, 3], Criterion("hocmim", n=n))[0]
     return vals
 
 

@@ -49,9 +49,25 @@ class TestSelect:
         assert "load" in capsys.readouterr().err
 
     def test_gamma_rejected(self, toy_csv, capsys):
+        # the free-weight family is API-only, so --gamma is an unknown flag
+        with pytest.raises(SystemExit):
+            main(["select", "--dataset", toy_csv, "--target", "Y",
+                  "--criterion", "jmi", "--gamma", "0.5"])
+
+    def test_k_zero_fails_in_selection(self, toy_csv, capsys):
         rc = main(["select", "--dataset", toy_csv, "--target", "Y",
-                   "--criterion", "jmi", "--gamma", "0.5"])
+                   "--criterion", "mim", "--k", "0"])
         assert rc != 0
+        assert "selection" in capsys.readouterr().err
+
+    def test_duplicate_header_names_load_stage(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("A,A,Y\n0,1,0\n1,1,1\n")
+        rc = main(["select", "--dataset", str(path), "--target", "Y",
+                   "--criterion", "mim", "--k", "2"])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "load" in err and "'A'" in err
 
     def test_csv_format_and_traces(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -82,6 +98,12 @@ class TestBenchmark:
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
                    "--criterion", "mim,cmim", "--repeats", "0"])
         assert rc != 0
+
+    def test_k_zero_fails_in_selection(self, toy_csv, capsys):
+        rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", "mim,cmim", "--repeats", "2", "--k", "0"])
+        assert rc != 0
+        assert "selection" in capsys.readouterr().err
 
     def test_single_criterion_rejected(self, toy_csv, capsys):
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",

@@ -43,6 +43,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="target column"):
             load_csv(toy_csv, "Z")
 
+    def test_duplicate_header_rejected(self, tmp_path):
+        p = tmp_path / "dup.csv"
+        p.write_text("A,A,Y\n0,1,0\n1,1,1\n")
+        with pytest.raises(DataError, match="duplicate header names \\['A'\\]"):
+            load_csv(p, "Y")
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfY,A\n0,1\n1,2\n")
+        table = load_csv(p, "Y")
+        assert table.names == ("Y", "A")
+        assert table.feature_names == ("A",)
+
     def test_categorical_inference(self, tmp_path):
         p = tmp_path / "cat.csv"
         p.write_text("a,Y\nred,0\nblue,1\nred,0\n")

@@ -172,6 +172,26 @@ class TestShrinkage:
         assert ctx.mutual_information([2], [TARGET]) == \
             ctx.mutual_information([TARGET], [2])
 
+    def test_context_entropy_matches_pmf(self):
+        # the context's entropy over observed cells plus the unobserved cells,
+        # each carrying an equal share of the mass the pmf leaves over; the
+        # skewed table has 0 < lambda < 1 and empty cells in every set
+        rng = np.random.default_rng(11)
+        codes = rng.choice(4, size=(60, 3), p=[0.6, 0.3, 0.1, 0.0]).astype(np.int64)
+        skewed = DiscreteDataset(codes, (4, 4, 4), (codes[:, 0] > 0).astype(np.int64), 2,
+                                 ("a", "b", "c"))
+        for ds in (toy_dataset(), skewed):
+            ctx = EstimatorContext(ds, estimator="shrinkage")
+            for cols in ([0], [0, 1], [0, 1, 2], [0, 1, 2, TARGET]):
+                counts, dense = ctx.joint_counts(cols)
+                q = shrinkage_pmf(counts, dense)
+                want = float(-(q * np.log2(q)).sum())
+                n_empty = dense - len(counts)
+                q0 = (1.0 - q.sum()) / n_empty if n_empty else 0.0
+                if q0 > 0:
+                    want -= n_empty * q0 * np.log2(q0)
+                assert ctx.entropy(cols) == pytest.approx(want, abs=1e-12), cols
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             EstimatorContext(toy_dataset(), estimator="knn")

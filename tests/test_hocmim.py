@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from infosel.criteria import score_cmim
+from infosel.criteria import Criterion, score_cmim
 from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD,
-                            HocmimParams, greedy_representative_set,
-                            hocmim_score, hocmim_score_exhaustive, run_hocmim,
-                            total_redundancy)
+                            greedy_representative_set, hocmim_score,
+                            hocmim_score_exhaustive, total_redundancy)
+from infosel.selection import run_sfs
 
 from util import ref_cmi, ref_mi, columns
 
@@ -73,7 +73,7 @@ def columns_of(ctx, idxs):
 
 class TestGreedySearch:
     def test_toy_pair_exhausts_s(self, ctx):
-        tr = greedy_representative_set(ctx, 3, [1, 2], HocmimParams(n=2))
+        tr = greedy_representative_set(ctx, 3, [1, 2], Criterion("hocmim", n=2))
         assert sorted(tr.z) == [1, 2]
         assert tr.redundancy == pytest.approx(-0.243220, abs=1e-5)
         assert tr.redundancy == pytest.approx(-0.24, abs=0.005)
@@ -82,7 +82,7 @@ class TestGreedySearch:
     def test_duplicate_stops_at_threshold(self):
         c = duplicated_ctx()
         rel = c.mutual_information([0], [TARGET])
-        tr = greedy_representative_set(c, 0, [1, 2], HocmimParams())
+        tr = greedy_representative_set(c, 0, [1, 2], Criterion("hocmim"))
         assert tr.stop_reason == STOP_THRESHOLD
         assert tr.z == [1]
         assert tr.redundancy == pytest.approx(rel, abs=TOL)
@@ -93,29 +93,29 @@ class TestGreedySearch:
         for _ in range(15):
             c = random_ctx(rng, d=int(rng.integers(3, 7)))
             S = list(range(1, c.n_features))
-            tr = greedy_representative_set(c, 0, S, HocmimParams(n=len(S)))
+            tr = greedy_representative_set(c, 0, S, Criterion("hocmim", n=len(S)))
             assert tr.redundancy == pytest.approx(total_redundancy(c, 0, S), abs=TOL)
 
     def test_chain_sum_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
             c = random_ctx(rng)
-            tr = greedy_representative_set(c, 0, [1, 2, 3], HocmimParams(n=2))
+            tr = greedy_representative_set(c, 0, [1, 2, 3], Criterion("hocmim", n=2))
             assert sum(tr.increments) == pytest.approx(tr.redundancy, abs=TOL)
             assert len(tr.z) == len(set(tr.z)) == len(tr.increments)
 
     def test_empty_s_rejected(self, ctx):
         with pytest.raises(ValueError):
-            greedy_representative_set(ctx, 0, [], HocmimParams(n=1))
+            greedy_representative_set(ctx, 0, [], Criterion("hocmim", n=1))
 
     def test_order_limit_stop(self, ctx):
-        tr = greedy_representative_set(ctx, 0, [1, 2, 3], HocmimParams(n=2))
+        tr = greedy_representative_set(ctx, 0, [1, 2, 3], Criterion("hocmim", n=2))
         assert tr.stop_reason == STOP_ORDER_LIMIT
         assert len(tr.z) == 2
 
     def test_fixed_order_above_s_size_exhausts(self, ctx):
         ctx.reset_and_read_counter()
-        tr = greedy_representative_set(ctx, 0, [1, 2], HocmimParams(n=4))
+        tr = greedy_representative_set(ctx, 0, [1, 2], Criterion("hocmim", n=4))
         assert sorted(tr.z) == [1, 2]
         assert tr.stop_reason == STOP_EXHAUSTED
         # fixed mode always performs n sweeps over all of S: 4 * 4 * 2 terms
@@ -134,33 +134,33 @@ class TestGreedySearch:
                              ("z", "a", "b"))
         c = EstimatorContext(ds)
         assert c.mutual_information([0], [TARGET]) == 0.0
-        tr = greedy_representative_set(c, 0, [1, 2], HocmimParams())
+        tr = greedy_representative_set(c, 0, [1, 2], Criterion("hocmim"))
         assert tr.stop_reason == STOP_EXHAUSTED
         assert sorted(tr.z) == [1, 2]
 
 
 class TestScores:
     def test_toy_third_iteration(self, ctx):
-        score, tr = hocmim_score(ctx, 3, [1, 2], HocmimParams(n=2))
+        score, tr = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))
         assert score == pytest.approx(0.249022, abs=1e-5)
         assert score == pytest.approx(0.25, abs=0.005)
 
     def test_toy_fourth_iteration_order_two(self, ctx):
-        s1, _ = hocmim_score(ctx, 0, [1, 2, 3], HocmimParams(n=2))
-        s5, _ = hocmim_score(ctx, 4, [1, 2, 3], HocmimParams(n=2))
+        s1, _ = hocmim_score(ctx, 0, [1, 2, 3], Criterion("hocmim", n=2))
+        s5, _ = hocmim_score(ctx, 4, [1, 2, 3], Criterion("hocmim", n=2))
         assert s1 == pytest.approx(0.085475, abs=1e-5)
         assert s1 == pytest.approx(0.09, abs=0.005)
         assert s5 == pytest.approx(0.049022, abs=1e-5)
         assert s1 > s5
 
     def test_empty_s_gives_relevance_and_empty_trace(self, ctx):
-        score, tr = hocmim_score(ctx, 2, [], HocmimParams())
+        score, tr = hocmim_score(ctx, 2, [], Criterion("hocmim"))
         assert score == pytest.approx(0.256426, abs=1e-5)
         assert tr.z == [] and tr.redundancy == 0.0
 
     def test_duplicate_candidate_scores_zero(self):
         c = duplicated_ctx()
-        score, _ = hocmim_score(c, 0, [1, 2], HocmimParams())
+        score, _ = hocmim_score(c, 0, [1, 2], Criterion("hocmim"))
         assert abs(score) <= TOL
 
 
@@ -188,7 +188,7 @@ class TestExhaustive:
             S = list(range(1, c.n_features))
             n = int(rng.integers(1, len(S) + 1))
             exh = hocmim_score_exhaustive(c, 0, S, n)
-            greedy, _ = hocmim_score(c, 0, S, HocmimParams(n=n))
+            greedy, _ = hocmim_score(c, 0, S, Criterion("hocmim", n=n))
             assert exh <= greedy + TOL
 
     def test_combinatorial_guard(self):
@@ -204,35 +204,39 @@ class TestExhaustive:
 
 
 class TestRunHocmim:
+    """High-order selection runs through run_sfs like every other criterion."""
+
     @pytest.mark.parametrize("n,expected", [
         (1, ("X3", "X2", "X4", "X5", "X1")),
         (2, ("X3", "X2", "X4", "X1", "X5")),
         (3, ("X3", "X2", "X4", "X1", "X5")),
     ])
     def test_toy_golden_ranks(self, n, expected):
-        res = run_hocmim(toy_dataset(), 5, HocmimParams(n=n))
+        res = run_sfs(toy_dataset(), Criterion("hocmim", n=n), 5)
         assert tuple(res.names) == expected
 
     def test_deterministic_including_traces(self):
         ds = toy_dataset()
-        a = run_hocmim(ds, 5, HocmimParams())
-        b = run_hocmim(ds, 5, HocmimParams())
+        a = run_sfs(ds, Criterion("hocmim"), 5)
+        b = run_sfs(ds, Criterion("hocmim"), 5)
         assert a.order == b.order and a.scores == b.scores
         assert [t.to_dict() if t else None for t in a.step_traces] == \
             [t.to_dict() if t else None for t in b.step_traces]
 
     def test_adaptive_defaults_run(self):
-        res = run_hocmim(toy_dataset(), 5)
+        res = run_sfs(toy_dataset(), Criterion("hocmim"), 5)
         assert len(res.order) == 5
         assert res.criterion == "hocmim"
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        HocmimParams(n=0)
+        Criterion("hocmim", n=0)
     with pytest.raises(ValueError):
-        HocmimParams(n=16, n_max=15)
+        Criterion("hocmim", n=16, n_max=15)
     with pytest.raises(ValueError):
-        HocmimParams(epsilon_star=-0.1)
-    assert HocmimParams().adaptive
-    assert not HocmimParams(n=3).adaptive
+        Criterion("hocmim", epsilon_star=-0.1)
+    assert Criterion("hocmim").adaptive
+    assert not Criterion("hocmim", n=3).adaptive
+    with pytest.raises(TypeError):
+        Criterion("hocmim", adaptive=True)     # derived from n, not a field

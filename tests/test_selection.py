@@ -3,15 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from infosel.criteria import parse_criterion
+from infosel.criteria import KINDS, parse_criterion
 from infosel.data import toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import random_dataset
 from infosel.selection import (predicted_hocmim_split, predicted_mi_calls,
                                run_sfs)
 
-ALL_KINDS = ("mim", "mifs", "mrmr", "jmi", "disr", "cmim", "relax-mrmr",
-             "jmi3", "jmi4", "cmim3", "cmim4")
+
+def fixed_order(name):
+    """The table's criterion, with the high-order search at fixed order 2."""
+    return parse_criterion(name, n=2 if name == "hocmim" else None)
 
 
 class TestRunSfs:
@@ -55,19 +57,25 @@ class TestRunSfs:
 
 class TestPredictedCalls:
     def test_k_one_is_relevance_pass(self):
-        for name in ALL_KINDS + ("hocmim",):
-            crit = parse_criterion(name, n=2 if name == "hocmim" else None)
-            assert predicted_mi_calls(crit, 1, 7) == 7
+        for name in KINDS:
+            assert predicted_mi_calls(fixed_order(name), 1, 7) == 7
 
-    @pytest.mark.parametrize("name", ALL_KINDS)
+    @pytest.mark.parametrize("name", KINDS)
     def test_baselines_exact_on_random_data(self, name):
         rng = np.random.default_rng(42)
         for _ in range(3):
             ds = random_dataset(rng, d_max=7, n_max=40)
             K = int(rng.integers(2, ds.n_features + 1))
-            crit = parse_criterion(name)
+            crit = fixed_order(name)
             res = run_sfs(ds, crit, K)
             assert res.total_mi_calls == predicted_mi_calls(crit, K, ds.n_features)
+
+    def test_mifs_zero_beta_is_relevance_only(self):
+        rng = np.random.default_rng(43)
+        ds = random_dataset(rng, d_max=7, n_max=40)
+        crit = parse_criterion("mifs", beta=0.0)
+        res = run_sfs(ds, crit, ds.n_features)
+        assert res.total_mi_calls == predicted_mi_calls(crit, ds.n_features, ds.n_features)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_fixed_order_search_exact(self, n):
@@ -122,7 +130,8 @@ class TestRankStability:
                 self.inner, self.factor = inner, factor
 
             def score(self, ctx, k, S):
-                return self.factor * self.inner.score(ctx, k, S)
+                s, trace = self.inner.score(ctx, k, S)
+                return self.factor * s, trace
 
         rng = np.random.default_rng(10)
         ds = random_dataset(rng)
