@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from . import __version__
-from .criteria import Criterion, CriterionError, parse_criterion
+from .criteria import CRITERIA, Criterion, CriterionError, parse_criterion
 from .data import (DataError, SplitSpec, discretize, load_csv, make_xor_table,
                    toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
@@ -37,10 +37,24 @@ def _load_table(args):
         raise StageError("load", str(e)) from e
 
 
-def _parse_criterion(args, name=None):
+def _parse_criteria(args, names) -> list[Criterion]:
+    """Criteria by name; --beta and --n go only to the kinds that take them.
+
+    A flag that none of the named kinds takes is an error.
+    """
+    flags = {"beta": args.beta, "n": args.n}
     try:
-        return parse_criterion(name or args.criterion, beta=args.beta, n=args.n,
-                               epsilon_star=args.epsilon, n_max=args.nmax)
+        kinds = [parse_criterion(name, epsilon_star=args.epsilon, n_max=args.nmax).kind
+                 for name in names]
+        for flag, value in flags.items():
+            if value is not None and all(CRITERIA[kind].takes != flag for kind in kinds):
+                raise CriterionError(f"no criterion in [{', '.join(names)}] takes --{flag}")
+        criteria = []
+        for name, kind in zip(names, kinds):
+            taken = {flag: value for flag, value in flags.items() if CRITERIA[kind].takes == flag}
+            criteria.append(parse_criterion(name, epsilon_star=args.epsilon, n_max=args.nmax,
+                                            **taken))
+        return criteria
     except CriterionError as e:
         raise StageError("selection", str(e)) from e
 
@@ -59,7 +73,7 @@ def cmd_select(args) -> int:
         ds = discretize(table, n_bins=args.bins)
     except DataError as e:
         raise StageError("binning", str(e)) from e
-    crit = _parse_criterion(args)
+    crit = _parse_criteria(args, [args.criterion])[0]
     k = min(50, ds.n_features) if args.k is None else args.k
     try:
         result = run_sfs(ds, crit, k, estimator=args.estimator,
@@ -98,7 +112,7 @@ def cmd_benchmark(args) -> int:
         names += [s for s in spec.split(",") if s]
     if len(names) < 2:
         raise StageError("selection", "benchmark needs at least two --criterion names")
-    criteria = [_parse_criterion(args, name) for name in names]
+    criteria = _parse_criteria(args, names)
     k_max = min(50, len(table.feature_names)) if args.k is None else args.k
     split = SplitSpec(train_fraction=args.train_fraction, seed=args.seed,
                       n_repeats=args.repeats)

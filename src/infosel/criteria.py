@@ -166,8 +166,9 @@ class Criterion:
 
     ``beta`` is the MIFS weight (1 when None).  ``n`` fixes the order of the
     high-order search; without it the search is adaptive and stops at the
-    relative threshold ``epsilon_star`` or at ``n_max``.  Kinds reject the
-    parameters they do not take.
+    relative threshold ``epsilon_star`` or at ``n_max``.  Kinds reject a
+    ``beta`` or ``n`` they do not take; ``epsilon_star`` and ``n_max`` are
+    range-checked for every kind.
     """
 
     kind: str
@@ -186,13 +187,12 @@ class Criterion:
             raise CriterionError("beta must be >= 0")
         if row.takes != "n" and self.n is not None:
             raise CriterionError(f"{self.kind} does not take order parameters")
-        if row.takes == "n":
-            if not 0.0 <= self.epsilon_star <= 1.0:
-                raise CriterionError("epsilon must be in [0, 1]")
-            if self.n_max < 1:
-                raise CriterionError("nmax must be >= 1")
-            if self.n is not None and not 1 <= self.n <= self.n_max:
-                raise CriterionError(f"fixed order must be in [1, {self.n_max}]")
+        if not 0.0 <= self.epsilon_star <= 1.0:
+            raise CriterionError("epsilon must be in [0, 1]")
+        if self.n_max < 1:
+            raise CriterionError("nmax must be >= 1")
+        if self.n is not None and not 1 <= self.n <= self.n_max:
+            raise CriterionError(f"fixed order must be in [1, {self.n_max}]")
 
     @property
     def adaptive(self) -> bool:
@@ -219,8 +219,9 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
     """Build a Criterion from a CLI-style name.
 
     Accepts the plain kind names plus an inline fixed-order suffix for the
-    high-order search, e.g. ``hocmim-n2``.  Dashless spellings of the
-    high-order baselines (``cmim-3`` for ``cmim3``) are normalized.
+    high-order search, e.g. ``hocmim-n2``; giving ``n`` as well is an error.
+    Dashless spellings of the high-order baselines (``cmim-3`` for
+    ``cmim3``) are normalized.
     """
     key = name.strip().lower()
     for alias, canon in (("cmim-3", "cmim3"), ("cmim-4", "cmim4"),
@@ -229,6 +230,8 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
         if key == alias:
             key = canon
     if key.startswith("hocmim-n"):
+        if n is not None:
+            raise CriterionError(f"{name!r} fixes the order already; n={n} given as well")
         try:
             n = int(key[len("hocmim-n"):])
         except ValueError:

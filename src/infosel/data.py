@@ -244,7 +244,8 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
         if table.kind(name) != cspec.kind:
             raise DataError(f"column {name!r} changed type since fitting")
         cols.append(cspec.encode(table.column(name)))
-    codes = np.column_stack(cols) if cols else np.zeros((table.n_rows, 0), np.int64)
+    # column-major, so that each feature column is one contiguous run of memory
+    codes = np.array(cols).T if cols else np.zeros((table.n_rows, 0), np.int64)
 
     tcol = table.column(spec.target_name)
     if table.kind(spec.target_name) == "numeric":

@@ -1,9 +1,15 @@
 """Plug-in and shrinkage estimators of entropy, MI, and conditional MI.
 
-All quantities are in bits (log base 2).  Column sets are joint-encoded to a
-single integer state per row: mixed-radix when the dense state space is small
-enough, dictionary compression over observed tuples otherwise, so conditioning
-sets of any size cost O(N) per evaluation.
+All quantities are in bits (log base 2).  A column set is joint-encoded to
+one integer state per row, incrementally: the code of a sorted column set
+extends the code of the set without its last column, mixed-radix
+(``prefix * arity + column``), and is relabelled densely, in order, once its
+range exceeds the row count.  The searches grow column sets one column at a
+time, so the codes of prefixes are kept in a small least-recently-used cache
+and conditioning sets of any size cost O(N) per evaluation.  Every code
+preserves the lexicographic order of the joint states, so the counts, and
+the entropies computed from them, do not depend on which prefixes were
+cached.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -14,6 +20,8 @@ still reflects what the algorithms ask for.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .data import DiscreteDataset
@@ -21,8 +29,20 @@ from .data import DiscreteDataset
 #: pseudo-column index addressing the target/class column
 TARGET = -1
 
-#: switch to dictionary compression once the dense joint space exceeds this
-_DENSE_LIMIT = 2 ** 62
+#: joint codes kept for reuse as prefixes of later column sets
+_CODE_CACHE_SIZE = 64
+
+#: count through a table while the code range is at most this many times the rows
+_TABLE_ROWS = 4
+
+
+def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]:
+    """Dense, order-preserving relabel of codes in [0, size): the new codes and their range."""
+    if size <= _TABLE_ROWS * n_rows:
+        seen = np.bincount(code, minlength=size) > 0
+        return (np.cumsum(seen) - 1)[code], int(seen.sum())
+    uniq, dense = np.unique(code, return_inverse=True)
+    return dense, len(uniq)
 
 
 def shrinkage_pmf(counts, n_cells: int | None = None) -> np.ndarray:
@@ -70,7 +90,8 @@ class EstimatorContext:
         target = dataset.target if rows is None else dataset.target[np.asarray(rows)]
         if len(target) == 0:
             raise ValueError("row subset is empty")
-        self._codes = codes
+        # one contiguous run of memory per feature column
+        self._codes = np.asfortranarray(codes)
         self._target = target
         self._arities = dataset.arities
         self._n_classes = dataset.n_classes
@@ -79,6 +100,7 @@ class EstimatorContext:
         self.estimator = estimator
         self.mi_calls = 0
         self._entropy_cache: dict[tuple[int, ...], float] = {}
+        self._code_cache: OrderedDict[tuple[int, ...], tuple[np.ndarray, int]] = OrderedDict()
 
     # -- column plumbing ----------------------------------------------------
 
@@ -99,24 +121,54 @@ class EstimatorContext:
         return key
 
     def joint_counts(self, cols) -> tuple[np.ndarray, float]:
-        """Observed joint-state counts and the dense cell count of the set."""
+        """Observed joint-state counts and the dense cell count of the set.
+
+        Counts come in lexicographic order of the joint states (columns in
+        sorted index order, the first most significant), as ``np.unique``
+        over the stacked columns' rows would give them.
+        """
         key = self._key(cols)
         dense = 1.0
         for c in key:
             dense *= self._arity(c)
-        if len(key) == 1:
-            col = self._column(key[0])
-            counts = np.bincount(col, minlength=self._arity(key[0]))
+        code, size = self._extend(key)
+        if size <= _TABLE_ROWS * self.n_rows:
+            counts = np.bincount(code, minlength=size)
             return counts[counts > 0], dense
-        if dense <= _DENSE_LIMIT:
-            code = np.zeros(self.n_rows, dtype=np.int64)
-            for c in key:
-                code = code * self._arity(c) + self._column(c)
-            _, counts = np.unique(code, return_counts=True)
-        else:
-            mat = np.column_stack([self._column(c) for c in key])
-            _, counts = np.unique(mat, axis=0, return_counts=True)
-        return counts, dense
+        return np.unique(code, return_counts=True)[1], dense
+
+    def _extend(self, key: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Order-preserving codes of the key's joint states, all below the returned size.
+
+        The code of a multi-column key extends the code of ``key[:-1]`` by its
+        last column, mixed-radix: ``prefix * arity + column``.
+        """
+        if len(key) == 1:
+            return self._column(key[0]), self._arity(key[0])
+        prefix, n = self._prefix_code(key[:-1])
+        last, m = self._prefix_code(key[-1:])
+        return prefix * m + last, n * m
+
+    def _prefix_code(self, key: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """``_extend`` of a prefix, relabelled densely once its size exceeds the row count.
+
+        Keeping prefix sizes at most N keeps every extended size below N**2,
+        within int64.  Prefixes are cached (least recently used out first),
+        since the searches grow column sets one column at a time.
+        """
+        if len(key) == 1 and self._arity(key[0]) <= self.n_rows:
+            return self._column(key[0]), self._arity(key[0])
+        hit = self._code_cache.get(key)
+        if hit is not None:
+            self._code_cache.move_to_end(key)
+            return hit
+        code, size = self._extend(key)
+        if size > self.n_rows:
+            code, size = _relabel(code, size, self.n_rows)
+        self._code_cache[key] = code, size
+        if len(self._code_cache) > _CODE_CACHE_SIZE:
+            self._code_cache.popitem(last=False)
+        return code, size
 
     # -- entropies (not counted as MI terms) ---------------------------------
 

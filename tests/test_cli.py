@@ -69,6 +69,24 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "load" in err and "'A'" in err
 
+    def test_inline_order_with_n_fails_in_selection(self, toy_csv, capsys):
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", "hocmim-n2", "--n", "3", "--k", "5"])
+        assert rc != 0
+        assert "selection" in capsys.readouterr().err
+
+    def test_out_of_range_epsilon_nmax_fail_for_any_kind(self, toy_csv, capsys):
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", "mim", "--epsilon", "5", "--nmax", "0", "--k", "2"])
+        assert rc != 0
+        assert "selection" in capsys.readouterr().err
+
+    def test_beta_for_a_kind_without_it_fails(self, toy_csv, capsys):
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", "mim", "--beta", "0.5", "--k", "2"])
+        assert rc != 0
+        assert "selection" in capsys.readouterr().err
+
     def test_csv_format_and_traces(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "r.csv"
         traces = tmp_path / "t.json"
@@ -109,6 +127,25 @@ class TestBenchmark:
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
                    "--criterion", "mim", "--repeats", "2"])
         assert rc != 0
+
+    @pytest.mark.parametrize("names, flag, value, label", [
+        ("mifs,mim", "--beta", "0.5", "mifs-b0.5"),
+        ("hocmim,mim", "--n", "2", "hocmim-n2"),
+    ])
+    def test_flag_goes_to_kinds_that_take_it(self, toy_csv, capsys, names, flag, value, label):
+        rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", names, flag, value, "--repeats", "2", "--k", "2"])
+        assert rc == 0
+        rows = [ln.split()[0] for ln in capsys.readouterr().out.splitlines() if ln]
+        assert label in rows and "mim" in rows
+
+    @pytest.mark.parametrize("names, flag", [("cmim,mim", "--n"), ("jmi,mim", "--beta"),
+                                             ("hocmim-n2,mim", "--n")])
+    def test_flag_no_kind_can_take_fails(self, toy_csv, capsys, names, flag):
+        rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", names, flag, "2", "--repeats", "2", "--k", "2"])
+        assert rc != 0
+        assert "selection" in capsys.readouterr().err
 
     def test_xor_source(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -202,6 +202,19 @@ class TestCriterionObject:
         with pytest.raises(CriterionError):
             Criterion(kind="hocmim", epsilon_star=1.5)
 
+    def test_epsilon_and_nmax_checked_for_every_kind(self):
+        for kind in KINDS:
+            with pytest.raises(CriterionError, match="epsilon"):
+                Criterion(kind=kind, epsilon_star=5.0)
+            with pytest.raises(CriterionError, match="nmax"):
+                Criterion(kind=kind, n_max=0)
+
+    def test_inline_order_conflicts_with_n(self):
+        with pytest.raises(CriterionError, match="fixes the order"):
+            parse_criterion("hocmim-n2", n=3)
+        with pytest.raises(CriterionError, match="fixes the order"):
+            parse_criterion("hocmim-n2", n=2)
+
     def test_parse_names_and_suffix(self):
         assert parse_criterion("cmim-3").kind == "cmim3"
         assert parse_criterion("JMI").kind == "jmi"

@@ -1,6 +1,11 @@
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from infosel import estimators
 from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext, shrinkage_pmf
 from infosel.selection import predicted_mi_calls, run_sfs
@@ -50,6 +55,100 @@ class TestEntropy:
             cols = sorted(set(rng.choice(4, rng.integers(1, 4), replace=False).tolist()))
             assert ctx.entropy(cols) == pytest.approx(
                 ref_entropy(*columns(ds, cols)), abs=TOL)
+
+
+#: column arities: small ones are counted through a table, while 1500 and 2**40,
+#: far above the row counts drawn, force the sort; seven columns of 1500 exceed
+#: 2**62 states
+ARITIES = (1, 2, 3, 5, 1500, 2 ** 40)
+
+
+@st.composite
+def tables(draw):
+    """A random table whose columns each repeat a few values of their arity."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    arities, cols = [], []
+    for _ in range(d):
+        arity = draw(st.sampled_from(ARITIES))
+        levels = draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=4, unique=True))
+        cols.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+        arities.append(arity)
+    target = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return DiscreteDataset(np.array(cols, dtype=np.int64).T, tuple(arities),
+                           np.array(target, dtype=np.int64), 3,
+                           tuple(f"f{i}" for i in range(d)))
+
+
+@st.composite
+def tables_and_sets(draw):
+    ds = draw(tables())
+    pool = st.sampled_from(range(TARGET, ds.n_features))
+    sets = draw(st.lists(st.lists(pool, min_size=1, max_size=ds.n_features + 1),
+                         min_size=1, max_size=8))
+    return ds, sets
+
+
+def _pre_encoded(ds, key):
+    """The key's columns as one column of np.unique row ranks, over the same cells."""
+    _, rank = np.unique(np.column_stack(columns(ds, key)), axis=0, return_inverse=True)
+    cells = 1.0
+    for c in key:
+        cells *= ds.n_classes if c == TARGET else ds.arities[c]
+    return DiscreteDataset(rank.reshape(-1, 1).astype(np.int64), (int(cells),),
+                           np.zeros(ds.n_rows, np.int64), 1, ("joint",))
+
+
+class TestJointEncoder:
+    """Counts and entropies of every path equal those of np.unique over the rows."""
+
+    def _check(self, ctx, ds, cols):
+        key = sorted(set(cols))
+        stacked = np.column_stack(columns(ds, key))
+        want = np.unique(stacked, axis=0, return_counts=True)[1]
+        assert np.array_equal(ctx.joint_counts(cols)[0], want), key
+        # the same counts in the same order give the same floats, for both estimators
+        single = EstimatorContext(_pre_encoded(ds, key), estimator=ctx.estimator)
+        assert ctx.entropy(cols) == single.entropy([0]), key
+        if ctx.estimator == "plugin":
+            assert ctx.entropy(cols) == ref_entropy(*columns(ds, key)), key
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=tables_and_sets())
+    def test_matches_row_unique(self, estimator, case):
+        ds, sets = case
+        cold = EstimatorContext(ds, estimator=estimator)
+        for cols in sets:
+            self._check(cold, ds, cols)
+        for cols in sets:                      # warm: prefixes cached
+            self._check(cold, ds, cols)
+        with mock.patch.object(estimators, "_CODE_CACHE_SIZE", 1):
+            evicting = EstimatorContext(ds, estimator=estimator)
+            for cols in sets + sets[::-1]:
+                self._check(evicting, ds, cols)
+                assert len(evicting._code_cache) <= 1
+
+    def test_dense_product_above_2_pow_62(self):
+        rng = np.random.default_rng(12)
+        codes = rng.integers(0, 1500, size=(64, 7)).astype(np.int64) % 4 * 311
+        ds = DiscreteDataset(codes, (1500,) * 7, (codes[:, 0] > 0).astype(np.int64), 2,
+                             tuple(f"f{i}" for i in range(7)))
+        ctx = EstimatorContext(ds)
+        cols = list(range(7)) + [TARGET]
+        assert ctx.joint_counts(cols)[1] > 2 ** 62
+        self._check(ctx, ds, cols)
+
+    def test_code_cache_never_exceeds_its_bound(self):
+        rng = np.random.default_rng(13)
+        ds = random_ds(rng, d=8, n=50)
+        ctx = EstimatorContext(ds)
+        sizes = []
+        for r in range(2, 6):
+            for cols in combinations(range(8), r):
+                ctx.entropy(list(cols) + [TARGET])
+                sizes.append(len(ctx._code_cache))
+        assert max(sizes) == estimators._CODE_CACHE_SIZE
 
 
 class TestConditionalEntropy:
