@@ -101,6 +101,27 @@ class DiscreteDataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
+        # a code outside [0, arity) would make the joint encoder merge
+        # distinct states without a word, so reject it here
+        codes, target = self.codes, self.target
+        width = len(self.arities)
+        if codes.ndim != 2 or codes.shape[1] != width or len(self.feature_names) != width \
+                or target.shape != (codes.shape[0],):
+            raise DataError(f"codes {codes.shape}, {len(self.arities)} arities, "
+                            f"{len(self.feature_names)} names and target {target.shape} "
+                            "do not fit together")
+        if not (np.issubdtype(codes.dtype, np.integer)
+                and np.issubdtype(target.dtype, np.integer)):
+            raise DataError("codes and target must be integers")
+        # arities are Python ints and may exceed int64, so compare as such
+        for name, arity, low, high in zip(self.feature_names, self.arities,
+                                          codes.min(axis=0, initial=0).tolist(),
+                                          codes.max(axis=0, initial=-1).tolist()):
+            if low < 0 or high >= arity:
+                raise DataError(f"feature {name!r}: code {low if low < 0 else high} "
+                                f"outside [0, {arity})")
+        if target.min(initial=0) < 0 or target.max(initial=-1) >= self.n_classes:
+            raise DataError(f"target codes outside [0, {self.n_classes})")
         self.codes.setflags(write=False)
         self.target.setflags(write=False)
 

@@ -5,6 +5,14 @@ on the training half, then score every prefix of the selected order on the
 test half with a K-nearest-neighbour vote over the integer codes.  Errors are
 averaged over splits; criteria are compared by average rank (1 = best, ties
 share the mean of their positions).
+
+``knn_classify`` and ``error_curve`` share one kernel, ``_knn_predict``.  It
+ranks test rows in blocks of ``_BLOCK`` rows, so no array larger than
+``_BLOCK x n_train`` is made.  Squared distances are exact integers: each
+column is shifted to start at 0, and the distances are held in int16 when the
+sum of the squared column spans fits in it, in int64 otherwise.  The k nearest
+rows come from a stable argsort (a radix sort on int16), so a distance tie
+keeps the lower training index; a vote tie keeps the lowest class label.
 """
 
 from __future__ import annotations
@@ -18,14 +26,23 @@ from .data import RawTable, SplitSpec, apply_binning, fit_binning, make_splits
 from .selection import run_sfs
 
 
+# Test rows are ranked this many at a time, so the distance work is bounded
+# by a (_BLOCK x n_train) array whatever the size of the test set.
+_BLOCK = 256
+_INT16_MAX = int(np.iinfo(np.int16).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
-                 feature_subset=None, n_classes: int | None = None,
-                 one_hot: bool = False) -> np.ndarray:
+                 feature_subset=None, n_classes: int | None = None) -> np.ndarray:
     """Majority vote among the k nearest training rows by Euclidean distance.
 
-    Distance ties prefer the lower training-row index; vote ties prefer the
-    lowest class label.  Distances are computed on the integer codes (or on
-    their one-hot expansion when ``one_hot`` is set).
+    Distances are exact squared Euclidean distances between the integer codes
+    of ``feature_subset`` (every column when None); a repeated column counts
+    once per repetition.  Distance ties prefer the lower training-row index and
+    vote ties the lowest class label.  Codes must be integers and labels must
+    lie in [0, n_classes) (default: the largest training label plus one);
+    anything else raises ``ValueError``.  See ``_knn_predict`` for the kernel.
     """
     train_codes = np.asarray(train_codes)
     test_codes = np.asarray(test_codes)
@@ -34,38 +51,97 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
         raise ValueError("empty training set")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if feature_subset is not None:
-        feature_subset = list(feature_subset)
-        if not feature_subset:
+    for name, arr in (("training codes", train_codes), ("test codes", test_codes),
+                      ("training labels", train_labels)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    if train_codes.ndim != 2 or test_codes.ndim != 2 or train_labels.ndim != 1:
+        raise ValueError("codes must be 2-D and labels 1-D")
+    if train_codes.shape[1] != test_codes.shape[1]:
+        raise ValueError(f"training codes have {train_codes.shape[1]} columns, "
+                         f"test codes {test_codes.shape[1]}")
+    if len(train_codes) != len(train_labels):
+        raise ValueError(f"{len(train_codes)} training rows but {len(train_labels)} labels")
+    if feature_subset is None:
+        columns = list(range(train_codes.shape[1]))
+    else:
+        columns = list(feature_subset)
+        if not columns:
             raise ValueError("feature subset is empty")
-        train_codes = train_codes[:, feature_subset]
-        test_codes = test_codes[:, feature_subset]
-    if one_hot:
-        train_codes, test_codes = _one_hot_pair(train_codes, test_codes)
     if n_classes is None:
         n_classes = int(train_labels.max()) + 1
-    k = min(k, len(train_labels))
+    return _knn_predict(train_codes, train_labels, test_codes, [columns], k, n_classes)[0]
 
-    diff = test_codes[:, None, :].astype(float) - train_codes[None, :, :].astype(float)
-    dist = (diff ** 2).sum(axis=2)
-    preds = np.empty(len(test_codes), dtype=np.int64)
-    for i in range(len(test_codes)):
-        nearest = np.argsort(dist[i], kind="stable")[:k]
-        votes = np.bincount(train_labels[nearest], minlength=n_classes)
-        preds[i] = int(np.argmax(votes))
+
+def _shift_and_narrow(train_codes, test_codes, columns):
+    """The listed columns as (len(columns), n) arrays, shifted to start at 0.
+
+    Each column is shifted by its minimum over train and test, so its codes
+    lie in [0, span].  A squared distance summed over the columns is then at
+    most the sum of the squared spans: int16 holds every intermediate value
+    exactly when that sum fits in it, int64 otherwise.
+    """
+    lows, spans = [], []
+    for j in columns:
+        a, b = train_codes[:, j], test_codes[:, j]
+        low = min(int(a.min()), int(b.min()))
+        lows.append(low)
+        spans.append(max(int(a.max()), int(b.max())) - low)
+    reach = sum(s * s for s in spans)
+    if reach > _INT64_MAX:
+        raise ValueError("code spans too wide for exact int64 distances")
+    dtype = np.int16 if reach <= _INT16_MAX else np.int64
+
+    def shifted(codes):
+        out = np.empty((len(columns), len(codes)), dtype=dtype)
+        for c, (j, low) in enumerate(zip(columns, lows)):
+            # exact modulo 2**64 for any integer dtype, and the result lies in [0, span]
+            out[c] = codes[:, j].astype(np.uint64) - np.uint64(low % 2**64)
+        return out
+
+    return shifted(train_codes), shifted(test_codes)
+
+
+def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
+    """KNN predictions after each group of columns: shape (len(groups), n_test).
+
+    The distance to every training row accumulates one column at a time;
+    after the last column of group g the k nearest rows vote, so row g of the
+    result uses the columns of groups 0..g.  Test rows go through in blocks of
+    ``_BLOCK``.  The nearest rows come from a stable argsort of the exact
+    integer distances (a radix sort on int16), so a distance tie keeps the
+    lower training index; ``argmax`` over the vote counts keeps the lowest
+    label on a vote tie.  Labels must lie in [0, n_classes).
+    """
+    n_train, n_test = len(train_labels), len(test_codes)
+    if train_labels.min() < 0 or train_labels.max() >= n_classes:
+        raise ValueError(f"training labels must lie in [0, {n_classes})")
+    k = min(k, n_train)
+    preds = np.empty((len(groups), n_test), dtype=np.int64)
+    if n_test == 0:
+        return preds
+    columns = [j for group in groups for j in group]
+    train, test = _shift_and_narrow(train_codes, test_codes, columns)
+    block = min(_BLOCK, n_test)
+    dist = np.empty((block, n_train), dtype=train.dtype)
+    sq = np.empty_like(dist)
+    for start in range(0, n_test, block):
+        stop = min(start + block, n_test)
+        d, s = dist[:stop - start], sq[:stop - start]
+        d.fill(0)
+        offsets = np.arange(stop - start)[:, None] * n_classes
+        c = 0
+        for g, group in enumerate(groups):
+            for _ in group:
+                np.subtract(test[c, start:stop, None], train[c], out=s)
+                np.multiply(s, s, out=s)
+                d += s
+                c += 1
+            nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+            votes = np.bincount((offsets + train_labels[nearest]).ravel(),
+                                minlength=(stop - start) * n_classes)
+            preds[g, start:stop] = votes.reshape(-1, n_classes).argmax(axis=1)
     return preds
-
-
-def _one_hot_pair(train_codes, test_codes):
-    widths = [int(max(train_codes[:, j].max(), test_codes[:, j].max())) + 1
-              for j in range(train_codes.shape[1])]
-
-    def expand(mat):
-        blocks = [np.eye(w, dtype=float)[np.clip(mat[:, j], 0, w - 1)]
-                  for j, w in enumerate(widths)]
-        return np.hstack(blocks)
-
-    return expand(train_codes), expand(test_codes)
 
 
 def average_ranks(errors) -> np.ndarray:
@@ -104,23 +180,10 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
             order = run_sfs(train_ds, selector, k_max, estimator=estimator).order
         if len(order) < k_max:
             raise ValueError("selector returned fewer features than k_max")
-        test_codes = ds.codes[test_rows]
-        test_y = ds.target[test_rows]
-        # prefixes share distance work: accumulate one feature at a time
-        dist = np.zeros((len(test_rows), len(train_rows)), dtype=float)
-        train_codes = train_ds.codes
-        train_y = train_ds.target
-        kk = min(knn_k, len(train_rows))
-        for size in range(1, k_max + 1):
-            j = order[size - 1]
-            diff = test_codes[:, j, None].astype(float) - train_codes[None, :, j].astype(float)
-            dist += diff ** 2
-            wrong = 0
-            for i in range(len(test_rows)):
-                nearest = np.argsort(dist[i], kind="stable")[:kk]
-                votes = np.bincount(train_y[nearest], minlength=ds.n_classes)
-                wrong += int(np.argmax(votes)) != test_y[i]
-            errors[r, size - 1] = wrong / len(test_rows)
+        preds = _knn_predict(train_ds.codes, train_ds.target, ds.codes[test_rows],
+                             [[j] for j in order], knn_k, ds.n_classes)
+        wrong = np.count_nonzero(preds != ds.target[test_rows], axis=1)
+        errors[r] = wrong / len(test_rows)
     return errors
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from infosel.data import (DataError, SplitSpec, apply_binning, discretize,
-                          equal_width_edges, fit_binning, load_csv,
+from infosel.data import (DataError, DiscreteDataset, SplitSpec, apply_binning,
+                          discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
 
@@ -185,6 +185,44 @@ class TestProperties:
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.target, b.target)
         assert a.arities == b.arities
+
+
+class TestDiscreteDataset:
+    """Codes outside their declared range fail at construction."""
+
+    def _make(self, codes, arities=(2, 2), target=(0, 1), n_classes=2):
+        return DiscreteDataset(np.array(codes), tuple(arities), np.array(target),
+                               n_classes, tuple(f"f{j}" for j in range(len(arities))))
+
+    def test_code_at_arity_rejected(self):
+        # (0, 2) and (1, 0) under arities (2, 2) once encoded to the same joint
+        # state, giving a joint entropy of 0 instead of 1 bit
+        with pytest.raises(DataError, match=r"feature 'f1': code 2 outside \[0, 2\)"):
+            self._make([[0, 2], [1, 0]])
+
+    def test_negative_code_rejected(self):
+        with pytest.raises(DataError, match=r"feature 'f0': code -1 outside"):
+            self._make([[-1, 0], [1, 0]])
+
+    @pytest.mark.parametrize("target", [(0, 2), (-1, 0)])
+    def test_target_outside_classes_rejected(self, target):
+        with pytest.raises(DataError, match=r"target codes outside \[0, 2\)"):
+            self._make([[0, 1], [1, 0]], target=target)
+
+    def test_float_codes_rejected(self):
+        with pytest.raises(DataError, match="integers"):
+            self._make([[0.0, 1.0], [1.0, 0.0]])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DataError, match="do not fit together"):
+            self._make([[0, 1], [1, 0]], arities=(2, 2, 2))
+        with pytest.raises(DataError, match="do not fit together"):
+            self._make([[0, 1], [1, 0]], target=(0, 1, 1))
+
+    def test_in_range_and_empty_accepted(self):
+        ds = self._make([[0, 1], [1, 0]])
+        assert ds.n_rows == 2
+        assert self._make(np.zeros((0, 2), np.int64), target=np.zeros(0, np.int64)).n_rows == 0
 
 
 def test_toy_dataset_matches_table_path():

@@ -1,8 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from infosel import evaluate
 from infosel.criteria import parse_criterion
-from infosel.data import SplitSpec, make_splits, toy_dataset, toy_table
+from infosel.data import (SplitSpec, apply_binning, fit_binning, make_splits,
+                          make_xor_table, toy_dataset, toy_table)
 from infosel.evaluate import (average_ranks, benchmark, error_curve,
                               knn_classify)
 
@@ -50,12 +57,6 @@ class TestKnn:
         assert errs[(4,)] == pytest.approx(0.8)
         assert errs[(0, 1, 2, 3)] < errs[(4,)]
 
-    def test_one_hot_option(self):
-        train = np.array([[0, 2], [1, 0]])
-        labels = np.array([0, 1])
-        preds = knn_classify(train, labels, np.array([[0, 2]]), k=1, one_hot=True)
-        assert preds.tolist() == [0]
-
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             knn_classify(np.zeros((0, 2)), np.zeros(0, int), np.zeros((1, 2)), k=1)
@@ -64,6 +65,134 @@ class TestKnn:
         with pytest.raises(ValueError):
             knn_classify(np.zeros((2, 2), int), np.array([0, 1]),
                          np.zeros((1, 2), int), k=1, feature_subset=[])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k": 0}, "k must be >= 1"),
+        ({"train_codes": np.array([[0.4, 0], [2.0, 1]])}, "training codes must be integers"),
+        ({"test_codes": np.array([[1.0, 0]])}, "test codes must be integers"),
+        ({"train_labels": np.array([0.0, 1.0])}, "training labels must be integers"),
+        ({"test_codes": np.array([[1, 0, 0]])}, "training codes have 2 columns, test codes 3"),
+        ({"train_labels": np.array([0, 1, 1])}, "2 training rows but 3 labels"),
+        ({"train_labels": np.array([0, -1]), "n_classes": 2},
+         r"training labels must lie in \[0, 2\)"),
+        ({"n_classes": 1}, r"training labels must lie in \[0, 1\)"),
+    ], ids=["k-zero", "float-train", "float-test",
+            "float-labels", "column-mismatch", "label-count", "negative-label",
+            "label-above-classes"])
+    def test_malformed_input_rejected(self, change, message):
+        args = {"train_codes": np.array([[0, 0], [2, 1]]), "train_labels": np.array([0, 1]),
+                "test_codes": np.array([[1, 0]]), "k": 1}
+        with pytest.raises(ValueError, match=message):
+            knn_classify(**{**args, **change})
+
+
+def brute_knn(train, labels, test, k, n_classes):
+    """Float squared distances, (distance, index) order by lexsort, one vote per row."""
+    k = min(k, len(labels))
+    preds = []
+    for row in np.asarray(test, dtype=float):
+        dist = ((np.asarray(train, dtype=float) - row) ** 2).sum(axis=1)
+        nearest = np.lexsort((np.arange(len(labels)), dist))[:k]
+        preds.append(np.bincount(labels[nearest], minlength=n_classes).argmax())
+    return np.array(preds, dtype=np.int64)
+
+
+#: column spans: 181**2 is the largest square within int16 and 182**2 the
+#: smallest above it; 2**20 sends any column set to the int64 path
+SPANS = (0, 1, 2, 3, 181, 182, 2 ** 20)
+
+
+@st.composite
+def knn_cases(draw):
+    # above 16 rows an unstable sort would reorder distance ties
+    n_train = draw(st.integers(1, 40))
+    n_test = draw(st.integers(1, 7))          # the block is patched to 3 rows
+    n_classes = draw(st.integers(2, 5))
+    train_cols, test_cols = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.integers(-1000, 1000))
+        span = draw(st.sampled_from(SPANS))
+        values = st.integers(low, low + span)
+        train_cols.append(draw(st.lists(values, min_size=n_train, max_size=n_train)))
+        test_cols.append(draw(st.lists(values, min_size=n_test, max_size=n_test)))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_train, max_size=n_train))
+    k = draw(st.integers(1, n_train + 3))
+    return (np.array(train_cols, np.int64).T, np.array(labels, np.int64),
+            np.array(test_cols, np.int64).T, k, n_classes)
+
+
+def _case(train_cols, test_cols, labels, k, n_classes=2):
+    return (np.array(train_cols, np.int64).T, np.array(labels, np.int64),
+            np.array(test_cols, np.int64).T, k, n_classes)
+
+
+class TestKnnKernel:
+    """The blocked kernel against a brute-force KNN, prefix by prefix."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=knn_cases())
+    # the sum of squared spans at the int16 limit (32,767) and one above it
+    @example(case=_case([[0, 181], [0, 2], [0, 1], [0, 1]], [[90], [1], [0], [1]],
+                        [0, 1], 1))
+    @example(case=_case([[0, 181], [0, 2], [0, 1], [0, 1], [0, 1]],
+                        [[90], [1], [0], [1], [1]], [0, 1], 1))
+    def test_matches_brute_force(self, case):
+        train, labels, test, k, n_classes = case
+        d = train.shape[1]
+        both = np.vstack([train, test])
+        reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
+        narrowed, _ = evaluate._shift_and_narrow(train, test, list(range(d)))
+        assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
+        with mock.patch.object(evaluate, "_BLOCK", 3):
+            got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
+            prefixes = evaluate._knn_predict(train, labels, test, [[j] for j in range(d)],
+                                             k, n_classes)
+        assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes))
+        for size in range(1, d + 1):
+            want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
+            assert np.array_equal(prefixes[size - 1], want), size
+
+    def test_empty_test_set(self):
+        preds = knn_classify(np.array([[0], [1]]), np.array([0, 1]), np.zeros((0, 1), int), k=1)
+        assert preds.shape == (0,)
+
+    def test_narrow_dtype_codes(self):
+        # int8 codes whose differences leave the int8 range
+        train = np.array([[-100], [100]], np.int8)
+        preds = knn_classify(train, np.array([0, 1]), np.array([[99]], np.int8), k=1)
+        assert preds.tolist() == [1]
+
+    def test_span_beyond_int64_rejected(self):
+        train = np.array([[0], [2 ** 62]])
+        with pytest.raises(ValueError, match="too wide"):
+            knn_classify(train, np.array([0, 1]), np.array([[1]]), k=1)
+
+    def test_memory_bounded_by_block(self):
+        # ranking all 2,048 x 512 pairs at once needs 8 MiB for the argsort
+        # indices alone; a block of 256 rows needs 1 MiB
+        rng = np.random.default_rng(0)
+        train, test = rng.integers(0, 5, (512, 3)), rng.integers(0, 5, (2048, 3))
+        labels = rng.integers(0, 3, 512)
+        tracemalloc.start()
+        try:
+            knn_classify(train, labels, test, k=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 512 * 8 / 2
+
+    def test_error_curve_is_knn_classify_per_prefix(self):
+        table = make_xor_table(seed=2, n_rows=80)
+        splits = make_splits(table.n_rows, SplitSpec(0.6, seed=4, n_repeats=3))
+        order = [3, 0, 7, 1, 2]
+        with mock.patch.object(evaluate, "_BLOCK", 3):
+            curve = error_curve(table, lambda ds: order, splits, k_max=5, knn_k=3)
+        for r, (train, test) in enumerate(splits):
+            ds = apply_binning(table, fit_binning(table, 5, train))
+            for size in range(1, 6):
+                pred = knn_classify(ds.codes[train], ds.target[train], ds.codes[test], k=3,
+                                    feature_subset=order[:size], n_classes=ds.n_classes)
+                assert curve[r, size - 1] == np.mean(pred != ds.target[test])
 
 
 class TestAverageRanks:
