@@ -23,9 +23,9 @@ class StageError(RuntimeError):
 
 
 def _load_table(args):
-    if getattr(args, "xor", False):
+    if args.xor:
         return make_xor_table(seed=args.seed), "xor-synthetic"
-    if getattr(args, "toy", False) or args.dataset == "toy":
+    if args.dataset == "toy":
         return toy_table(), "toy"
     if not args.dataset:
         raise StageError("load", "no dataset given (use --dataset PATH, --dataset toy, or --xor)")

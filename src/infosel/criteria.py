@@ -3,8 +3,9 @@
 Each score is a pure function of (candidate k, selected set S, target) over an
 EstimatorContext.  With an empty S every criterion falls back to the plain
 relevance I(Xk;Y), so all criteria agree on the first selected feature.
-High-order variants fall back down the chain (e.g. JMI-4 -> JMI-3 -> JMI ->
-relevance) while S is too small for their sums to be nonempty.
+The CMIM and JMI families of order 2, 3 and 4 condition on, or join,
+m = min(order - 1, |S|) selected features at a time, so while S is small an
+order-4 score is the order-|S|+1 score; JMI scores with m < 2 are plain JMI.
 
 ``CRITERIA`` maps every criterion kind to one row: its scorer and its exact
 MI-term cost per candidate.  MIM, MIFS, mRMR and JMI are points of the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import comb
+from math import comb, perm
 from typing import Callable
 
 from .estimators import TARGET, EstimatorContext
@@ -56,11 +57,17 @@ def score_disr(ctx, k, S) -> float:
     return total
 
 
-def score_cmim(ctx, k, S) -> float:
-    """min over j in S of I(Xk;Y|Xj)."""
-    if not S:
+def score_cmim(ctx, k, S, order: int = 2) -> float:
+    """min over the m-subsets Z of S of I(Xk;Y|Z), m = min(order-1, |S|).
+
+    Order 2 is CMIM (single conditioners); orders 3 and 4 condition on pairs
+    and triples.  An empty S gives the relevance I(Xk;Y).
+    """
+    m = min(order - 1, len(S))
+    if m == 0:
         return ctx.mutual_information([k], [TARGET])
-    return min(ctx.conditional_mutual_information([k], [TARGET], [j]) for j in S)
+    return min(ctx.conditional_mutual_information([k], [TARGET], list(z))
+               for z in combinations(S, m))
 
 
 def score_relax_mrmr(ctx, k, S) -> float:
@@ -75,32 +82,17 @@ def score_relax_mrmr(ctx, k, S) -> float:
 
 
 def score_jmi_high(ctx, k, S, order: int) -> float:
-    """Unnormalized ordered-tuple sums of joint MI with the target.
+    """Unnormalized sum of I(Xj..,Xk;Y) over ordered m-tuples of S, m = min(order-1, |S|).
 
-    order 3 sums I(Xj,Xi,Xk;Y) over ordered distinct pairs, order 4 sums over
-    ordered distinct triples.  Falls back one order down while |S| < order-1.
+    Order 3 sums over ordered distinct pairs, order 4 over ordered distinct
+    triples; while m < 2 the score is JMI.
     """
-    if order not in (3, 4):
-        raise ValueError("order must be 3 or 4")
-    if len(S) < order - 1:
-        if order == 4 and len(S) >= 2:
-            return score_jmi_high(ctx, k, S, 3)
+    m = min(order - 1, len(S))
+    if m < 2:
         w = _mean_weight(S)
         return score_generic(ctx, k, S, w, w)
     return sum(ctx.mutual_information(list(tup) + [k], [TARGET])
-               for tup in permutations(S, order - 1))
-
-
-def score_cmim_high(ctx, k, S, order: int) -> float:
-    """min over (order-1)-subsets Z of S of I(Xk;Y|Z), with fallback chain."""
-    if order not in (3, 4):
-        raise ValueError("order must be 3 or 4")
-    if len(S) < order - 1:
-        if order == 4 and len(S) >= 2:
-            return score_cmim_high(ctx, k, S, 3)
-        return score_cmim(ctx, k, S)
-    return min(ctx.conditional_mutual_information([k], [TARGET], list(z))
-               for z in combinations(S, order - 1))
+               for tup in permutations(S, m))
 
 
 @dataclass(frozen=True)
@@ -120,8 +112,18 @@ class Kind:
     takes: str | None = None
 
 
-def _jmi_calls(s: int) -> int:
-    return 1 + 3 * s
+def _cmim_row(order: int) -> Kind:
+    """CMIM of the given order: one CMI (two MI terms) per m-subset of S."""
+    return Kind(lambda c, ctx, k, S: (score_cmim(ctx, k, S, order), None),
+                lambda c, s: 2 * comb(s, min(order - 1, s)))
+
+
+def _jmi_row(order: int) -> Kind:
+    """JMI of the given order: one MI term per ordered m-tuple, or JMI's 1 + 3s while m < 2."""
+    def calls(c, s):
+        m = min(order - 1, s)
+        return perm(s, m) if m >= 2 else 1 + 3 * s
+    return Kind(lambda c, ctx, k, S: (score_jmi_high(ctx, k, S, order), None), calls)
 
 
 CRITERIA: dict[str, Kind] = {
@@ -132,25 +134,16 @@ CRITERIA: dict[str, Kind] = {
                  lambda c, s: 1 + s if c.beta != 0.0 else 1, takes="beta"),
     "mrmr": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, _mean_weight(S), 0.0), None),
                  lambda c, s: 1 + s),
-    "jmi": Kind(lambda c, ctx, k, S: (score_generic(ctx, k, S, _mean_weight(S),
-                                                    _mean_weight(S)), None),
-                lambda c, s: _jmi_calls(s)),
+    "jmi": _jmi_row(2),
     "disr": Kind(lambda c, ctx, k, S: (score_disr(ctx, k, S), None),
                  lambda c, s: s),
-    "cmim": Kind(lambda c, ctx, k, S: (score_cmim(ctx, k, S), None),
-                 lambda c, s: 2 * s),
+    "cmim": _cmim_row(2),
     "relax-mrmr": Kind(lambda c, ctx, k, S: (score_relax_mrmr(ctx, k, S), None),
-                       lambda c, s: _jmi_calls(s) + 2 * s * (s - 1)),
-    "jmi3": Kind(lambda c, ctx, k, S: (score_jmi_high(ctx, k, S, 3), None),
-                 lambda c, s: s * (s - 1) if s >= 2 else _jmi_calls(s)),
-    "jmi4": Kind(lambda c, ctx, k, S: (score_jmi_high(ctx, k, S, 4), None),
-                 lambda c, s: (s * (s - 1) * (s - 2) if s >= 3
-                               else s * (s - 1) if s == 2 else _jmi_calls(s))),
-    "cmim3": Kind(lambda c, ctx, k, S: (score_cmim_high(ctx, k, S, 3), None),
-                  lambda c, s: 2 * comb(s, 2) if s >= 2 else 2 * s),
-    "cmim4": Kind(lambda c, ctx, k, S: (score_cmim_high(ctx, k, S, 4), None),
-                  lambda c, s: (2 * comb(s, 3) if s >= 3
-                                else 2 * comb(s, 2) if s == 2 else 2 * s)),
+                       lambda c, s: 1 + 3 * s + 2 * s * (s - 1)),
+    "jmi3": _jmi_row(3),
+    "jmi4": _jmi_row(4),
+    "cmim3": _cmim_row(3),
+    "cmim4": _cmim_row(4),
     # fixed order n: 1 relevance term plus n sweeps over all of S at 4 MI terms each
     "hocmim": Kind(lambda c, ctx, k, S: hocmim_score(ctx, k, S, c),
                    lambda c, s: 1 + 4 * (c.n if c.n is not None else min(c.n_max, s)) * s,

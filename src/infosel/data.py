@@ -85,10 +85,6 @@ class BinningSpec:
     target_name: str
     target_labels: dict = field(default_factory=dict)   # class value -> code
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.target_labels)
-
 
 @dataclass(frozen=True)
 class DiscreteDataset:
@@ -134,10 +130,11 @@ class DiscreteDataset:
         return self.codes.shape[1]
 
     def restrict(self, rows) -> "DiscreteDataset":
+        """The dataset on the given rows, in that order, with column-major codes."""
         rows = np.asarray(rows, dtype=np.int64)
-        return DiscreteDataset(self.codes[rows].copy(), self.arities,
-                               self.target[rows].copy(), self.n_classes,
-                               self.feature_names)
+        # taking along the rows of the transpose copies once, straight into column-major
+        return DiscreteDataset(self.codes.T.take(rows, axis=1).T, self.arities,
+                               self.target[rows], self.n_classes, self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -209,6 +206,14 @@ def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
+def _integer_target(values) -> np.ndarray:
+    """Numeric target values as floats, checked to be integer-valued."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(values == np.round(values)):
+        raise DataError("target column must be categorical or integer-valued")
+    return values
+
+
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     """Fit per-column transforms on ``fit_rows`` (all rows when None)."""
     if n_bins < 1:
@@ -242,9 +247,7 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
 
     tcol = table.column(table.target_name)
     if table.kind(table.target_name) == "numeric":
-        tvals = np.asarray(tcol, dtype=float)[fit_rows]
-        if not np.all(tvals == np.round(tvals)):
-            raise DataError("target column must be categorical or integer-valued")
+        tvals = _integer_target(np.asarray(tcol)[fit_rows])
         target_labels = {v: i for i, v in enumerate(sorted(set(int(v) for v in tvals)))}
     else:
         target_labels = {}
@@ -270,7 +273,7 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
 
     tcol = table.column(spec.target_name)
     if table.kind(spec.target_name) == "numeric":
-        raw = [int(v) for v in np.asarray(tcol, dtype=float)]
+        raw = [int(v) for v in _integer_target(tcol)]
     else:
         raw = list(tcol)
     n_fit = len(spec.target_labels)
@@ -280,9 +283,9 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
                            target, n_classes, spec.feature_names)
 
 
-def discretize(table: RawTable, n_bins: int = 5, fit_rows=None) -> DiscreteDataset:
-    """fit_binning + apply_binning in one step (one-shot selection runs)."""
-    return apply_binning(table, fit_binning(table, n_bins, fit_rows))
+def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
+    """fit_binning + apply_binning on all rows in one step (one-shot selection runs)."""
+    return apply_binning(table, fit_binning(table, n_bins))
 
 
 def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:

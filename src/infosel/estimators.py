@@ -77,26 +77,27 @@ def _shrinkage_lambda(counts: np.ndarray, m: float) -> float:
 
 
 class EstimatorContext:
-    """Counted, memoized estimator view over a dataset (optionally row-restricted).
+    """Counted, memoized estimator view over a dataset.
 
     Feature columns are addressed by index 0..D-1; the target column by
-    ``TARGET``.  The underlying dataset is treated as read-only.
+    ``TARGET``.  The underlying dataset is treated as read-only, and its codes
+    are used in place when they are column-major (as ``apply_binning`` and
+    ``DiscreteDataset.restrict`` make them).  To estimate on a subset of the
+    rows, build the context over ``dataset.restrict(rows)``.
     """
 
-    def __init__(self, dataset: DiscreteDataset, rows=None, estimator: str = "plugin"):
+    def __init__(self, dataset: DiscreteDataset, estimator: str = "plugin"):
         if estimator not in ("plugin", "shrinkage"):
             raise ValueError(f"unknown estimator kind {estimator!r}")
-        codes = dataset.codes if rows is None else dataset.codes[np.asarray(rows)]
-        target = dataset.target if rows is None else dataset.target[np.asarray(rows)]
-        if len(target) == 0:
-            raise ValueError("row subset is empty")
+        if dataset.n_rows == 0:
+            raise ValueError("dataset has no rows")
         # one contiguous run of memory per feature column
-        self._codes = np.asfortranarray(codes)
-        self._target = target
+        self._codes = np.asfortranarray(dataset.codes)
+        self._target = dataset.target
         self._arities = dataset.arities
         self._n_classes = dataset.n_classes
-        self.n_rows = len(target)
-        self.n_features = codes.shape[1]
+        self.n_rows = dataset.n_rows
+        self.n_features = dataset.n_features
         self.estimator = estimator
         self.mi_calls = 0
         self._entropy_cache: dict[tuple[int, ...], float] = {}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .criteria import Criterion, score_cmim, score_cmim_high
+from .criteria import Criterion, score_cmim
 from .data import DiscreteDataset
 from .estimators import TARGET, EstimatorContext
 from .hocmim import (greedy_representative_set, hocmim_score, hocmim_score_exhaustive,
@@ -118,11 +118,11 @@ def check_instance(ctx: EstimatorContext, rng: np.random.Generator,
     if len(S) >= 2:
         e2 = hocmim_score_exhaustive(ctx, k, S, 2)
         report.record("exhaustive2_equals_cmim3",
-                      abs(e2 - score_cmim_high(ctx, k, S, 3)) < TOL)
+                      abs(e2 - score_cmim(ctx, k, S, 3)) < TOL)
     if len(S) >= 3:
         e3 = hocmim_score_exhaustive(ctx, k, S, 3)
         report.record("exhaustive3_equals_cmim4",
-                      abs(e3 - score_cmim_high(ctx, k, S, 4)) < TOL)
+                      abs(e3 - score_cmim(ctx, k, S, 4)) < TOL)
         # greedy search cannot beat the exhaustive max-redundancy
         g2 = greedy_representative_set(ctx, k, S, Criterion("hocmim", n=2))
         report.record("greedy_below_exhaustive",

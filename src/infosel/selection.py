@@ -1,18 +1,19 @@
 """Sequential forward selection driving any criterion, with instrumentation.
 
-The first feature is always the relevance argmax (one MI term per feature);
-every later step scores all remaining candidates and takes the best, breaking
-ties toward the lowest feature index.  MI-term counts are read off the
-estimator counter per step, and ``predicted_mi_calls`` gives the exact
-closed-form count for every criterion so the instrumentation can be verified
-call-for-call in fixed-order mode.
+Every step scores all remaining candidates and takes the best, breaking ties
+toward the lowest feature index.  Step 1 scores by relevance alone (one MI
+term per feature), which every criterion reduces to on an empty selected set.
+MI-term counts are read off the estimator counter per step, and
+``predicted_mi_calls`` gives the exact closed-form count for every criterion
+from the ``calls`` of its ``criteria.CRITERIA`` row, so the instrumentation
+can be verified call-for-call in fixed-order mode.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .criteria import CRITERIA
 from .data import DiscreteDataset
@@ -64,17 +65,17 @@ class SelectionResult:
         return json.dumps({"criterion": self.criterion, "steps": steps}, indent=indent)
 
 
-def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
-            estimator: str = "plugin", collect_traces: bool = False,
-            ctx: EstimatorContext | None = None) -> SelectionResult:
+def run_sfs(dataset: DiscreteDataset, criterion, K: int, estimator: str = "plugin",
+            collect_traces: bool = False) -> SelectionResult:
     """Select K features; ``criterion`` is a Criterion or any scorer with
     ``.score(ctx, k, S) -> (score, trace or None)`` and a ``.label``/``.kind``.
+
+    To select on a subset of the rows, pass ``dataset.restrict(rows)``.
     """
     D = dataset.n_features
     if not 1 <= K <= D:
         raise ValueError(f"K must be in [1, {D}], got {K}")
-    if ctx is None:
-        ctx = EstimatorContext(dataset, rows=rows, estimator=estimator)
+    ctx = EstimatorContext(dataset, estimator=estimator)
     kind = getattr(criterion, "kind", "custom")
     label = getattr(criterion, "label", kind)
 
@@ -86,26 +87,17 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
     step_traces: list[RedundancyTrace | None] = []
     all_traces: list[dict[int, RedundancyTrace]] = []
 
-    # step 1: relevance argmax, shared by every criterion
-    best_k, best_s = None, None
-    for k in range(D):
-        s = ctx.mutual_information([k], [TARGET])
-        if best_s is None or s > best_s:
-            best_k, best_s = k, s
-    order.append(best_k)
-    scores.append(best_s)
-    step_calls.append(ctx.reset_and_read_counter())
-    step_traces.append(None)
-    if collect_traces:
-        all_traces.append({})
-
     while len(order) < K:
         best_k, best_s, best_tr = None, None, None
         traces_here: dict[int, RedundancyTrace] = {}
         for k in range(D):
             if k in order:
                 continue
-            s, tr = criterion.score(ctx, k, order)
+            if order:
+                s, tr = criterion.score(ctx, k, order)
+            else:
+                # step 1: relevance, shared by every criterion
+                s, tr = ctx.mutual_information([k], [TARGET]), None
             if collect_traces and tr is not None:
                 traces_here[k] = tr
             if best_s is None or s > best_s:
@@ -123,28 +115,18 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, rows=None,
                            all_traces if collect_traces else None)
 
 
-def predicted_mi_calls(criterion, K: int, D: int, n: int | None = None) -> int:
+def predicted_mi_calls(criterion, K: int, D: int) -> int:
     """Closed-form MI-term count for a K-step selection over D features.
 
     Mirrors the implementation exactly: step 1 costs D relevance terms; at the
     step with s features already selected, each of the D-s remaining
     candidates costs the ``calls`` of the criterion's row in
-    ``criteria.CRITERIA``.  ``n``, when given, replaces the criterion's fixed
-    order.  In adaptive mode the search stops early, so the value returned
-    (at n_max) is an upper bound rather than an exact count.
+    ``criteria.CRITERIA``.  In adaptive mode the search stops early, so the
+    value returned (at n_max) is an upper bound rather than an exact count.
     """
     if K < 1 or D < 1 or K > D:
         raise ValueError("need 1 <= K <= D")
     row = CRITERIA.get(getattr(criterion, "kind", None))
     if row is None:
         raise ValueError(f"no call model for criterion {criterion!r}")
-    if n is not None:
-        criterion = replace(criterion, n=n)
     return D + sum((D - s) * row.calls(criterion, s) for s in range(1, K))
-
-
-def predicted_hocmim_split(K: int, D: int, n: int) -> tuple[int, int]:
-    """(relevance part, greedy-search part) of the fixed-n count."""
-    relevance = D + sum(D - s for s in range(1, K))
-    search = sum((D - s) * 4 * n * s for s in range(1, K))
-    return relevance, search

@@ -18,7 +18,7 @@ from infosel.estimators import TARGET, EstimatorContext
 from infosel.evaluate import average_ranks
 from infosel.hocmim import greedy_representative_set, hocmim_score
 from infosel.oracle import random_dataset, run_oracle_checks
-from infosel.selection import predicted_hocmim_split, predicted_mi_calls, run_sfs
+from infosel.selection import predicted_mi_calls, run_sfs
 
 
 def _report(num: int, name: str, t0: float, budget: float):
@@ -139,7 +139,7 @@ def test_criterion_4_complexity_accounting(capsys):
     # instrumented count is affine in the order with zero residual
     ds = random_dataset(np.random.default_rng(5), d_max=10, n_max=32)
     D, K = ds.n_features, min(6, ds.n_features)
-    rel, _ = predicted_hocmim_split(K, D, 1)
+    rel = predicted_mi_calls(parse_criterion("mim"), K, D)
     red = {}
     for n in (1, 2, 4):
         red[n] = run_sfs(ds, parse_criterion("hocmim", n=n), K).total_mi_calls - rel

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infosel.criteria import (KINDS, Criterion, CriterionError, parse_criterion,
-                              score_cmim, score_cmim_high, score_disr,
+                              score_cmim, score_disr,
                               score_generic, score_jmi_high, score_relax_mrmr)
 from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
@@ -163,13 +163,13 @@ class TestJmiHigh:
 
 class TestCmimHigh:
     def test_fallback_chain(self, ctx):
-        assert score_cmim_high(ctx, 4, [2], 3) == pytest.approx(
+        assert score_cmim(ctx, 4, [2], 3) == pytest.approx(
             score_cmim(ctx, 4, [2]), abs=TOL)
-        assert score_cmim_high(ctx, 4, [1, 2], 4) == pytest.approx(
-            score_cmim_high(ctx, 4, [1, 2], 3), abs=TOL)
+        assert score_cmim(ctx, 4, [1, 2], 4) == pytest.approx(
+            score_cmim(ctx, 4, [1, 2], 3), abs=TOL)
 
     def test_toy_pair_conditioner(self, ctx):
-        got = score_cmim_high(ctx, 3, [1, 2], 3)
+        got = score_cmim(ctx, 3, [1, 2], 3)
         assert got == pytest.approx(0.249022, abs=1e-5)
         assert got == pytest.approx(0.25, abs=0.005)
 
@@ -179,7 +179,7 @@ class TestCmimHigh:
         # structure of the demonstration table exhibits exactly that
         k, S = 0, [1, 2, 3]
         c1 = score_cmim(ctx, k, S)
-        c3 = score_cmim_high(ctx, k, S, 3)
+        c3 = score_cmim(ctx, k, S, 3)
         assert c1 == pytest.approx(0.049022, abs=1e-5)
         assert c3 == pytest.approx(0.085475, abs=1e-5)
         assert c3 > c1

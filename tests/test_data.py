@@ -130,6 +130,15 @@ class TestBinning:
         with pytest.raises(DataError, match="integer-valued"):
             fit_binning(load_csv(p, "Y"), 5)
 
+    def test_non_integer_target_rejected_outside_fit_rows(self, tmp_path):
+        # the fractional value sits on a row the spec was not fitted on
+        p = tmp_path / "t.csv"
+        p.write_text("A,Y\n0,0\n1,1\n0,0\n1,1.7\n")
+        table = load_csv(p, "Y")
+        spec = fit_binning(table, 5, fit_rows=[0, 1, 2])
+        with pytest.raises(DataError, match="integer-valued"):
+            apply_binning(table, spec)
+
 
 class TestSplits:
     def test_even_split(self):
@@ -223,6 +232,15 @@ class TestDiscreteDataset:
         ds = self._make([[0, 1], [1, 0]])
         assert ds.n_rows == 2
         assert self._make(np.zeros((0, 2), np.int64), target=np.zeros(0, np.int64)).n_rows == 0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_restrict_copies_rows_column_major(self, order):
+        ds = self._make(np.array([[0, 1], [1, 0], [1, 1]], order=order), target=(0, 1, 1))
+        sub = ds.restrict([2, 0])
+        assert np.array_equal(sub.codes, [[1, 1], [0, 1]])
+        assert np.array_equal(sub.target, [1, 0])
+        assert sub.codes.flags["F_CONTIGUOUS"]
+        assert not np.shares_memory(sub.codes, ds.codes)
 
 
 def test_toy_dataset_matches_table_path():

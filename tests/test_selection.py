@@ -2,13 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from infosel.criteria import KINDS, parse_criterion
+from infosel.criteria import CRITERIA, KINDS, parse_criterion
 from infosel.data import toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import random_dataset
-from infosel.selection import (predicted_hocmim_split, predicted_mi_calls,
-                               run_sfs)
+from infosel.selection import predicted_mi_calls, run_sfs
 
 
 def fixed_order(name):
@@ -51,7 +51,7 @@ class TestRunSfs:
 
     def test_row_restriction(self):
         ds = toy_dataset()
-        res = run_sfs(ds, parse_criterion("mim"), 2, rows=np.arange(6))
+        res = run_sfs(ds.restrict(np.arange(6)), parse_criterion("mim"), 2)
         assert len(res.order) == 2
 
 
@@ -91,8 +91,7 @@ class TestPredictedCalls:
         ds = random_dataset(rng, d_max=8, n_max=48)
         crit = parse_criterion("hocmim")
         res = run_sfs(ds, crit, ds.n_features)
-        bound = predicted_mi_calls(crit, ds.n_features, ds.n_features,
-                                   n=min(crit.n_max, ds.n_features - 1))
+        bound = predicted_mi_calls(crit, ds.n_features, ds.n_features)
         assert res.total_mi_calls <= bound
 
     def test_search_cost_linear_in_order(self):
@@ -102,7 +101,7 @@ class TestPredictedCalls:
         ds = random_dataset(rng, d_max=10, n_max=32)
         D = ds.n_features
         K = min(6, D)
-        rel, _ = predicted_hocmim_split(K, D, 1)
+        rel = predicted_mi_calls(parse_criterion("mim"), K, D)
         totals = {}
         for n in (1, 2, 4):
             res = run_sfs(ds, parse_criterion("hocmim", n=n), K)
@@ -112,6 +111,23 @@ class TestPredictedCalls:
         assert red[4] == red[1] + 3 * slope          # zero-residual affine fit
         assert red[2] == 2 * red[1]                  # search portion doubles
         assert totals[2] < 2 * totals[1]             # total grows sublinearly
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_per_step_counts_match_row(self, kind, data):
+        # step s+1 scores the D-s remaining candidates at the row's cost each
+        beta = data.draw(st.sampled_from([None, 0.0, 0.5])) if kind == "mifs" else None
+        n = data.draw(st.integers(1, 6)) if kind == "hocmim" else None
+        ds = random_dataset(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                            d_max=7, n_max=40)
+        D = ds.n_features
+        K = data.draw(st.integers(1, D))
+        crit = parse_criterion(kind, beta=beta, n=n)
+        res = run_sfs(ds, crit, K)
+        assert res.step_mi_calls[0] == D
+        for s in range(1, K):
+            assert res.step_mi_calls[s] == (D - s) * CRITERIA[kind].calls(crit, s), s
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
