@@ -23,6 +23,8 @@ class StageError(RuntimeError):
 
 
 def _load_table(args):
+    if args.xor and args.dataset:
+        raise StageError("load", "--xor and --dataset both given; use one of them")
     if args.xor:
         return make_xor_table(seed=args.seed), "xor-synthetic"
     if args.dataset == "toy":

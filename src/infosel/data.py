@@ -9,8 +9,12 @@ benchmark harness) and can then be applied to any table with the same schema.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,7 +76,7 @@ class ColumnSpec:
             take_left = np.abs(self.occupied[left] - raw) <= np.abs(self.occupied[pos] - raw)
             return np.where(take_left, left, pos).astype(np.int64)
         unknown = len(self.labels)
-        return np.array([self.labels.get(v, unknown) for v in values], dtype=np.int64)
+        return np.fromiter(map(self.labels.get, values, repeat(unknown)), np.int64, len(values))
 
 
 @dataclass(frozen=True)
@@ -144,51 +148,147 @@ class SplitSpec:
     n_repeats: int = 30
 
 
+#: rows that ``load_csv`` holds and converts at a time
+_CHUNK_ROWS = 4096
+
+
 def load_csv(path, target_name: str) -> RawTable:
     """Load a UTF-8 (optionally BOM-prefixed), comma-separated file with a header row.
 
-    Column types are inferred: numeric if every cell parses as a float,
-    categorical otherwise.  Missing cells, ragged rows, duplicate header
-    names, and empty tables are hard errors.
+    Column types are inferred: numeric if every cell parses as a finite
+    float, categorical otherwise.  Missing cells, ragged rows, duplicate header
+    names, and empty tables are hard errors; the first one row by row is
+    reported, once the whole file has parsed as CSV.
+
+    The file is read in one pass, ``_CHUNK_ROWS`` rows at a time, and no row
+    list is kept, so memory is bounded by one chunk of cells plus the typed
+    columns.  A numeric column grows by one float64 array per chunk.  A
+    categorical column holds its stripped labels, one shared ``str`` per
+    distinct label; a column that turns categorical after the first chunk
+    re-reads only its own earlier cells from the file.  Input that cannot be
+    read twice, such as a pipe, is held as text first.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty file (no header row)") from None
-        rows = list(reader)
-    if not rows:
+        if fh.seekable():
+            return _read_table(fh, target_name,
+                               partial(open, path, newline="", encoding="utf-8-sig"))
+        text = fh.read()
+    return _read_table(io.StringIO(text, newline=""), target_name,
+                       partial(io.StringIO, text, newline=""))
+
+
+def _read_table(fh, target_name: str, reopen) -> RawTable:
+    """``load_csv`` over an open text stream; ``reopen()`` opens the same text anew."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty file (no header row)") from None
+    chunk = list(islice(reader, _CHUNK_ROWS))
+    if not chunk:
         raise DataError("empty table (header only)")
     header = [h.strip() for h in header]
     dupes = sorted({h for h in header if header.count(h) > 1})
     if dupes:
-        raise DataError(f"duplicate header names {dupes}")
+        _fail(reader, f"duplicate header names {dupes}")
     if target_name not in header:
-        raise DataError(f"target column {target_name!r} not in header {header}")
-    width = len(header)
-    cells: list[list[str]] = [[] for _ in header]
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"ragged row {i + 2}: expected {width} cells, got {len(row)}")
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "":
-                raise DataError(f"missing value at row {i + 2}, column {header[j]!r}")
-            cells[j].append(cell)
+        _fail(reader, f"target column {target_name!r} not in header {header}")
+    parts = [[] for _ in header]        # numeric column: its arrays, one per chunk
+    labels = [None for _ in header]     # categorical column: its labels so far
+    interned = [{} for _ in header]     # categorical column: label -> its shared str
+    n_rows = 0
+    while chunk:
+        converted, error = _convert_chunk(chunk, header, [lab is None for lab in labels],
+                                          n_rows)
+        if error:
+            _fail(reader, error)
+        late = [j for j, col in enumerate(converted)
+                if isinstance(col, list) and labels[j] is None]
+        if late:
+            earlier = (_reread_labels(reopen, n_rows, late, interned) if n_rows
+                       else {j: [] for j in late})
+            for j in late:
+                labels[j], parts[j] = earlier[j], None
+        for j, col in enumerate(converted):
+            if labels[j] is None:
+                parts[j].append(col)
+            else:
+                labels[j].extend(map(interned[j].setdefault, col, col))
+        n_rows += len(chunk)
+        chunk = list(islice(reader, _CHUNK_ROWS))
 
     kinds, columns = [], []
-    for name, col in zip(header, cells):
-        try:
-            arr = np.array([float(c) for c in col], dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError
-            kinds.append("numeric")
-            columns.append(arr)
-        except ValueError:
-            kinds.append("categorical")
-            columns.append(list(col))
-    return RawTable(tuple(header), tuple(kinds), tuple(columns), target_name, len(rows))
+    for j, lab in enumerate(labels):
+        kinds.append("numeric" if lab is None else "categorical")
+        columns.append(np.concatenate(parts[j]) if lab is None else lab)
+        parts[j] = None
+    return RawTable(tuple(header), tuple(kinds), tuple(columns), target_name, n_rows)
+
+
+def _fail(reader, message: str):
+    """Raise ``message`` once the rest of the file has parsed, so that a
+    malformed line anywhere in it (a csv or decoding error) is reported first."""
+    for _ in reader:
+        pass
+    raise DataError(message)
+
+
+def _convert_chunk(chunk, header, numeric, first_row):
+    """One chunk's columns, or its first ragged row or missing cell.
+
+    Returns ``(columns, None)``: a column whose ``numeric`` flag is set and
+    whose cells all parse as finite floats becomes a float64 array, any other
+    a list of stripped cells.  Or returns ``(None, message)`` for the first
+    ragged row or missing cell in row-major order.  ``first_row`` is the
+    chunk's offset among the data rows.
+    """
+    width = len(header)
+    good = len(chunk)
+    if set(map(len, chunk)) != {width}:
+        good = next(i for i, row in enumerate(chunk) if len(row) != width)
+    columns, missing = [], None
+    for j, cells in enumerate(zip(*chunk[:good])):
+        # float() ignores surrounding whitespace and rejects a blank cell
+        values = _finite_floats(cells) if numeric[j] else None
+        if values is None:
+            cells = list(map(str.strip, cells))
+            # str.strip() also removes the separators \x1c-\x1f, which float() rejects
+            if numeric[j] and "" not in cells:
+                values = _finite_floats(cells)
+        if values is not None:
+            columns.append(values)
+            continue
+        if "" in cells and (missing is None or cells.index("") < missing[0]):
+            missing = (cells.index(""), j)
+        columns.append(cells)
+    if missing is not None:
+        row, j = missing
+        return None, f"missing value at row {first_row + row + 2}, column {header[j]!r}"
+    if good < len(chunk):
+        return None, (f"ragged row {first_row + good + 2}: expected {width} cells, "
+                      f"got {len(chunk[good])}")
+    return columns, None
+
+
+def _finite_floats(cells):
+    """The cells as a float64 array, or None if one is not a finite float."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _reread_labels(reopen, n_rows: int, columns, interned) -> dict[int, list[str]]:
+    """The stripped, interned labels of ``columns`` on the first ``n_rows`` data rows."""
+    labels = {j: [] for j in columns}
+    with reopen() as fh:
+        rows = islice(csv.reader(fh), 1, n_rows + 1)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            for j in columns:
+                cells = list(map(str.strip, map(itemgetter(j), chunk)))
+                labels[j].extend(map(interned[j].setdefault, cells, cells))
+    return labels
 
 
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -214,6 +314,12 @@ def _integer_target(values) -> np.ndarray:
     return values
 
 
+def _first_appearance_codes(labels, rows) -> dict[str, int]:
+    """label -> code, numbered in order of first appearance on ``rows``."""
+    seen = dict.fromkeys(map(labels.__getitem__, rows.tolist()))
+    return dict(zip(seen, range(len(seen))))
+
+
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     """Fit per-column transforms on ``fit_rows`` (all rows when None)."""
     if n_bins < 1:
@@ -237,11 +343,7 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
             specs.append(ColumnSpec("numeric", edges=edges, occupied=occupied,
                                     arity=len(occupied)))
         else:
-            labels: dict[str, int] = {}
-            for i in fit_rows:
-                v = col[i]
-                if v not in labels:
-                    labels[v] = len(labels)
+            labels = _first_appearance_codes(col, fit_rows)
             # reserve one shared code for labels unseen at fit time
             specs.append(ColumnSpec("categorical", labels=labels, arity=len(labels) + 1))
 
@@ -250,10 +352,7 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
         tvals = _integer_target(np.asarray(tcol)[fit_rows])
         target_labels = {v: i for i, v in enumerate(sorted(set(int(v) for v in tvals)))}
     else:
-        target_labels = {}
-        for i in fit_rows:
-            if tcol[i] not in target_labels:
-                target_labels[tcol[i]] = len(target_labels)
+        target_labels = _first_appearance_codes(tcol, fit_rows)
     return BinningSpec(n_bins, tuple(feature_names), tuple(specs),
                        table.target_name, target_labels)
 
@@ -277,7 +376,7 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
     else:
         raw = list(tcol)
     n_fit = len(spec.target_labels)
-    target = np.array([spec.target_labels.get(v, n_fit) for v in raw], dtype=np.int64)
+    target = np.fromiter(map(spec.target_labels.get, raw, repeat(n_fit)), np.int64, len(raw))
     n_classes = n_fit + (1 if target.max(initial=-1) >= n_fit else 0)
     return DiscreteDataset(codes, tuple(s.arity for s in spec.feature_specs),
                            target, n_classes, spec.feature_names)

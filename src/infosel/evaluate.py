@@ -167,8 +167,11 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
 
     ``selector`` is a Criterion (selection runs on the training half) or a
     callable mapping a training DiscreteDataset to a feature order.  Returns
-    an (n_splits, k_max) array.
+    an (n_splits, k_max) array.  ``knn_k`` below 1 raises ``ValueError``, as
+    in ``knn_classify``.
     """
+    if knn_k < 1:
+        raise ValueError("k must be >= 1")
     errors = np.empty((len(splits), k_max), dtype=float)
     for r, (train_rows, test_rows) in enumerate(splits):
         spec = fit_binning(table, n_bins, train_rows)

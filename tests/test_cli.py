@@ -69,6 +69,14 @@ class TestSelect:
         err = capsys.readouterr().err
         assert "load" in err and "'A'" in err
 
+    def test_xor_with_dataset_fails_in_load(self, capsys):
+        # --xor once won silently and ranked the parity table
+        rc = main(["select", "--xor", "--dataset", "/nonexistent.csv", "--target", "Y",
+                   "--criterion", "mim", "--k", "2"])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "load" in err and "--xor" in err and "--dataset" in err
+
     def test_inline_order_with_n_fails_in_selection(self, toy_csv, capsys):
         rc = main(["select", "--dataset", toy_csv, "--target", "Y",
                    "--criterion", "hocmim-n2", "--n", "3", "--k", "5"])
@@ -122,6 +130,15 @@ class TestBenchmark:
                    "--criterion", "mim,cmim", "--repeats", "2", "--k", "0"])
         assert rc != 0
         assert "selection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knn_k", ["0", "-3"])
+    def test_knn_k_below_one_fails_in_selection(self, knn_k, capsys):
+        rc = main(["benchmark", "--xor", "--criterion", "mim,cmim", "--knn-k", knn_k,
+                   "--repeats", "2", "--k", "2"])
+        assert rc != 0
+        captured = capsys.readouterr()
+        assert "selection" in captured.err and "k must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_single_criterion_rejected(self, toy_csv, capsys):
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",

@@ -1,10 +1,22 @@
+import csv
+import os
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from infosel import data
 from infosel.data import (DataError, DiscreteDataset, SplitSpec, apply_binning,
                           discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
+
+from util import ref_load_csv
 
 
 @pytest.fixture
@@ -62,6 +74,169 @@ class TestLoadCsv:
         table = load_csv(p, "Y")
         assert table.kind("a") == "categorical"
         assert table.kind("Y") == "numeric"
+
+
+    def test_error_after_a_later_decoding_error_is_not_reported(self, tmp_path):
+        # the ragged row 3 comes first, but the file does not decode further on
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"a,Y\n1,0\n1\n" + b"2,1\n" * 5000 + b"\xff,1\n")
+        with pytest.raises(UnicodeDecodeError):
+            ref_load_csv(p, "Y")
+        with mock.patch.object(data, "_CHUNK_ROWS", 2), pytest.raises(UnicodeDecodeError):
+            load_csv(p, "Y")
+
+    def test_first_missing_cell_in_row_major_order(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("a,b,Y\n1,2,0\n,2,1\n1, ,\n")
+        with mock.patch.object(data, "_CHUNK_ROWS", 2), \
+                pytest.raises(DataError, match="missing value at row 3, column 'a'"):
+            load_csv(p, "Y")
+        p.write_text("a,b,Y\n1,2,0\n1, ,\n,2,1\n")
+        with pytest.raises(DataError, match="missing value at row 3, column 'b'"):
+            load_csv(p, "Y")
+
+
+def _write_csv(path, header, rows, bom=False):
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+        if header is not None:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
+def _outcome(loader, path, target):
+    try:
+        return loader(path, target)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+def _assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.names, got.kinds, got.target_name, got.n_rows) == \
+        (want.names, want.kinds, want.target_name, want.n_rows)
+    for kind, a, b in zip(want.kinds, got.columns, want.columns):
+        if kind == "numeric":
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        else:
+            assert type(a) is list and a == b
+
+
+NUMBERS = ("0", "1", "-2.5", " 3 ", "1_000", "1e3", "\t7", "0.1", "\x1c4")
+OTHERS = NUMBERS + ("nan", " inf", "-inf", "a", " b ", "a,b", 'say "hi"', "c d")
+BLANKS = ("", " ", "\t")
+
+
+@st.composite
+def csv_files(draw):
+    """(header, rows, target, bom): a small CSV, mostly well formed.
+
+    Each column holds numbers up to a drawn row and anything after it, so a
+    column can turn categorical in any chunk.  Up to three faults (a blank
+    cell, a short or a long row) then land on drawn rows.  ``header`` is None
+    for an empty file.
+    """
+    if draw(st.integers(0, 19)) == 0:
+        return None, [], "Y", False
+    names = draw(st.lists(st.sampled_from(["A", " B", "C ", "Y"]), min_size=1, max_size=4,
+                          unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        names.append(names[0].strip())
+    n_rows = draw(st.integers(0, 9))
+    columns = []
+    for _ in names:
+        switch = draw(st.integers(0, n_rows))
+        columns.append([draw(st.sampled_from(NUMBERS if i < switch else OTHERS))
+                        for i in range(n_rows)])
+    rows = [list(row) for row in zip(*columns)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3])) if rows else 0):
+        i = draw(st.integers(0, n_rows - 1))
+        fault = draw(st.sampled_from(["blank", "short", "long"]))
+        if fault == "blank" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(BLANKS))
+        elif fault == "short":
+            rows[i] = rows[i][:-1]
+        else:
+            rows[i] = rows[i] + ["9"]
+    target = "Z" if draw(st.integers(0, 9)) == 0 else draw(st.sampled_from(names)).strip()
+    return names, rows, target, draw(st.booleans())
+
+
+class TestStreamingLoad:
+    """load_csv against the whole-file reference loader, over small chunks."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=csv_files(), chunk_rows=st.integers(1, 3))
+    def test_matches_whole_file_loader(self, case, chunk_rows):
+        header, rows, target, bom = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            _write_csv(path, header, rows, bom)
+            with mock.patch.object(data, "_CHUNK_ROWS", chunk_rows):
+                got = _outcome(load_csv, path, target)
+            _assert_same(got, _outcome(ref_load_csv, path, target))
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_with_a_late_categorical_column(self, tmp_path):
+        # a pipe cannot be opened again to re-read column a's earlier cells
+        text = b"a,b,Y\n1,x,0\n2,y,1\nthree,x,0\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, text)
+        os.close(write_end)
+        try:
+            with mock.patch.object(data, "_CHUNK_ROWS", 1):
+                got = load_csv(f"/dev/fd/{read_end}", "Y")
+        finally:
+            os.close(read_end)
+        p = tmp_path / "same.csv"
+        p.write_bytes(text)
+        _assert_same(got, ref_load_csv(p, "Y"))
+        assert got.column("a") == ["1", "2", "three"]
+
+    def test_repeated_labels_share_one_object(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("a,b,Y\n1,red,0\n2, red,1\nz,blue,0\n3,red ,1\nz,blue,0\n")
+        with mock.patch.object(data, "_CHUNK_ROWS", 2):
+            table = load_csv(p, "Y")
+        a, b = table.column("a"), table.column("b")
+        # across chunk boundaries, and through the re-read of column a
+        assert b[0] is b[1] is b[3] and b[2] is b[4]
+        assert a[2] is a[4]
+        assert table.kinds == ("categorical", "categorical", "numeric")
+        assert a == ["1", "2", "z", "3", "z"]
+        assert b == ["red", "red", "blue", "red", "blue"]
+
+    def test_peak_memory_bounded_by_columns(self, tmp_path):
+        # 20,000 x 8: five float columns, two label columns and a class column
+        rng = np.random.default_rng(0)
+        n = 20_000
+        nums = rng.normal(size=(n, 5))
+        colours = rng.choice(["red", "green", "blue"], n)
+        keys = rng.integers(0, 20, n)
+        classes = rng.integers(0, 2, n)
+        p = tmp_path / "wide.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["A", "B", "C", "D", "E", "L1", "L2", "Y"])
+            for i in range(n):
+                writer.writerow([f"{x:.6f}" for x in nums[i]]
+                                + [colours[i], f"k{keys[i]}", classes[i]])
+        tracemalloc.start()
+        try:
+            table = load_csv(p, "Y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # what the columns need: the float arrays, the label lists and one
+        # copy of each distinct label
+        need = sum(col.nbytes if kind == "numeric"
+                   else sys.getsizeof(col) + sum(map(sys.getsizeof, set(col)))
+                   for kind, col in zip(table.kinds, table.columns))
+        # about 4x here (one 4096-row chunk of cell strings on top of the
+        # columns); a loader that holds every row as strings peaks near 10x
+        assert peak < 6 * need
 
 
 class TestBinning:

@@ -291,6 +291,19 @@ class TestShrinkage:
                     want -= n_empty * q0 * np.log2(q0)
                 assert ctx.entropy(cols) == pytest.approx(want, abs=1e-12), cols
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ds=tables(), data=st.data())
+    def test_mi_identities(self, ds, data):
+        # symmetry, CMI with an empty Z, and I(A;B|Z) = I(A u Z; B) - I(Z; B)
+        cols = st.lists(st.sampled_from(range(TARGET, ds.n_features)), min_size=1, max_size=3)
+        a, b, z = (data.draw(cols) for _ in range(3))
+        ctx = EstimatorContext(ds, estimator="shrinkage")
+        mi = ctx.mutual_information(a, b)
+        assert mi == pytest.approx(ctx.mutual_information(b, a), abs=TOL)
+        assert ctx.conditional_mutual_information(a, b, []) == pytest.approx(mi, abs=TOL)
+        want = ctx.mutual_information(a + z, b) - ctx.mutual_information(z, b)
+        assert ctx.conditional_mutual_information(a, b, z) == pytest.approx(want, abs=TOL)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             EstimatorContext(toy_dataset(), estimator="knn")

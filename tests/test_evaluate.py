@@ -242,6 +242,15 @@ class TestErrorCurve:
         curve = error_curve(table, parse_criterion("mim"), splits, k_max=2)
         assert curve.shape == (2, 2)
 
+    @pytest.mark.parametrize("knn_k", [0, -3])
+    def test_knn_k_below_one_rejected(self, knn_k):
+        # k = 0 once left every prediction at label 0, and k = -3 let all but
+        # three training rows vote
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
+
 
 class TestBenchmark:
     def test_report_shapes_and_rank_rules(self):
@@ -265,6 +274,12 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             benchmark(toy_table(), [parse_criterion("mim")],
                       SplitSpec(0.5, seed=0, n_repeats=2), k_max=2)
+
+    @pytest.mark.parametrize("knn_k", [0, -3])
+    def test_knn_k_below_one_rejected(self, knn_k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=0, n_repeats=2), k_max=2, knn_k=knn_k)
 
     def test_serializers(self):
         rep = benchmark(toy_table(), [parse_criterion("mim"),

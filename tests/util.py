@@ -1,6 +1,10 @@
 """Minimal independent reference implementations used as test oracles."""
 
+import csv
+
 import numpy as np
+
+from infosel.data import DataError, RawTable
 
 
 def ref_entropy(*cols) -> float:
@@ -24,3 +28,45 @@ def ref_cmi(a_cols, b_cols, z_cols) -> float:
 def columns(ds, idxs):
     """Feature columns by index, with -1 meaning the target column."""
     return [ds.target if j == -1 else ds.codes[:, j] for j in idxs]
+
+
+def ref_load_csv(path, target_name: str) -> RawTable:
+    """The whole-file loader: every row read into a list of cell strings first."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty file (no header row)") from None
+        rows = list(reader)
+    if not rows:
+        raise DataError("empty table (header only)")
+    header = [h.strip() for h in header]
+    dupes = sorted({h for h in header if header.count(h) > 1})
+    if dupes:
+        raise DataError(f"duplicate header names {dupes}")
+    if target_name not in header:
+        raise DataError(f"target column {target_name!r} not in header {header}")
+    width = len(header)
+    cells: list[list[str]] = [[] for _ in header]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DataError(f"ragged row {i + 2}: expected {width} cells, got {len(row)}")
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "":
+                raise DataError(f"missing value at row {i + 2}, column {header[j]!r}")
+            cells[j].append(cell)
+
+    kinds, columns = [], []
+    for name, col in zip(header, cells):
+        try:
+            arr = np.array([float(c) for c in col], dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError
+            kinds.append("numeric")
+            columns.append(arr)
+        except ValueError:
+            kinds.append("categorical")
+            columns.append(list(col))
+    return RawTable(tuple(header), tuple(kinds), tuple(columns), target_name, len(rows))
