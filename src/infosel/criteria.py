@@ -6,6 +6,8 @@ relevance I(Xk;Y), so all criteria agree on the first selected feature.
 The CMIM and JMI families of order 2, 3 and 4 condition on, or join,
 m = min(order - 1, |S|) selected features at a time, so while S is small an
 order-4 score is the order-|S|+1 score; JMI scores with m < 2 are plain JMI.
+The scorers ask the estimator for column sets as masks (feature j is
+``2 << j``, the target ``TARGET_BIT``), joined with ``|``.
 
 ``CRITERIA`` maps every criterion kind to one row: its scorer and its exact
 MI-term cost per candidate.  MIM, MIFS, mRMR and JMI are points of the
@@ -16,11 +18,13 @@ Maximisation, JMLR 13, 2012).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb, perm
+from operator import or_
 from typing import Callable
 
-from .estimators import TARGET, EstimatorContext
+from .estimators import TARGET_BIT, EstimatorContext
 from .hocmim import hocmim_score
 
 
@@ -30,11 +34,12 @@ class CriterionError(ValueError):
 
 def score_generic(ctx: EstimatorContext, k: int, S, beta: float, gamma: float) -> float:
     """I(Xk;Y) - beta * sum I(Xj;Xk) + gamma * sum I(Xj;Xk|Y) over j in S."""
-    score = ctx.mutual_information([k], [TARGET])
+    kb = 2 << k
+    score = ctx.mutual_information(kb, TARGET_BIT)
     if beta != 0.0:
-        score -= beta * sum(ctx.mutual_information([j], [k]) for j in S)
+        score -= beta * sum(ctx.mutual_information(2 << j, kb) for j in S)
     if gamma != 0.0:
-        score += gamma * sum(ctx.conditional_mutual_information([j], [k], [TARGET])
+        score += gamma * sum(ctx.conditional_mutual_information(2 << j, kb, TARGET_BIT)
                              for j in S)
     return score
 
@@ -46,12 +51,14 @@ def _mean_weight(S) -> float:
 
 def score_disr(ctx, k, S) -> float:
     """Sum over S of I(Xk,Xj;Y) / H(Xk,Xj,Y); 0/0 terms contribute 0."""
+    kb = 2 << k
     if not S:
-        return ctx.mutual_information([k], [TARGET])
+        return ctx.mutual_information(kb, TARGET_BIT)
     total = 0.0
     for j in S:
-        num = ctx.mutual_information([k, j], [TARGET])
-        den = ctx.entropy([k, j, TARGET])
+        kj = kb | 2 << j
+        num = ctx.mutual_information(kj, TARGET_BIT)
+        den = ctx.entropy(kj | TARGET_BIT)
         if den > 0.0:
             total += num / den
     return total
@@ -64,10 +71,11 @@ def score_cmim(ctx, k, S, order: int = 2) -> float:
     and triples.  An empty S gives the relevance I(Xk;Y).
     """
     m = min(order - 1, len(S))
+    kb = 2 << k
     if m == 0:
-        return ctx.mutual_information([k], [TARGET])
-    return min(ctx.conditional_mutual_information([k], [TARGET], list(z))
-               for z in combinations(S, m))
+        return ctx.mutual_information(kb, TARGET_BIT)
+    return min(ctx.conditional_mutual_information(kb, TARGET_BIT, reduce(or_, z))
+               for z in combinations([2 << j for j in S], m))
 
 
 def score_relax_mrmr(ctx, k, S) -> float:
@@ -76,7 +84,8 @@ def score_relax_mrmr(ctx, k, S) -> float:
     score = score_generic(ctx, k, S, w, w)
     if len(S) >= 2:
         eta = 1.0 / (len(S) * (len(S) - 1))
-        score -= eta * sum(ctx.conditional_mutual_information([k], [i], [j])
+        kb = 2 << k
+        score -= eta * sum(ctx.conditional_mutual_information(kb, 2 << i, 2 << j)
                            for j in S for i in S if i != j)
     return score
 
@@ -91,8 +100,9 @@ def score_jmi_high(ctx, k, S, order: int) -> float:
     if m < 2:
         w = _mean_weight(S)
         return score_generic(ctx, k, S, w, w)
-    return sum(ctx.mutual_information(list(tup) + [k], [TARGET])
-               for tup in permutations(S, m))
+    kb = 2 << k
+    return sum(ctx.mutual_information(reduce(or_, tup, kb), TARGET_BIT)
+               for tup in permutations([2 << j for j in S], m))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ per candidate it costs exactly 4*n*|S| MI terms plus one relevance term and
 the counter matches the closed-form prediction in selection.predicted_mi_calls.
 Adaptive mode only evaluates the fresh pool and stops early, so its counts
 are bounded by the fixed-mode formula at n_max.
+
+The search carries Z as an estimator column mask (feature j is ``2 << j``),
+so each increment's conditioning sets are ``Z`` and ``Z | TARGET_BIT``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .estimators import TARGET, EstimatorContext
+from .estimators import TARGET, TARGET_BIT, EstimatorContext
 
 #: relevance below this is treated as zero for the normalized stopping rule
 ZERO_RELEVANCE = 1e-12
@@ -72,9 +75,10 @@ def total_redundancy(ctx: EstimatorContext, k: int, z_set) -> float:
             - ctx.conditional_mutual_information([k], z_set, [TARGET]))
 
 
-def _increment(ctx, k, j, z_prefix) -> float:
-    return (ctx.conditional_mutual_information([k], [j], z_prefix)
-            - ctx.conditional_mutual_information([k], [j], z_prefix + [TARGET]))
+def _increment(ctx, kb, jb, zm) -> float:
+    """dR_j(Z*) of adding the pick jb to zm for the candidate kb, all column masks."""
+    return (ctx.conditional_mutual_information(kb, jb, zm)
+            - ctx.conditional_mutual_information(kb, jb, zm | TARGET_BIT))
 
 
 def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
@@ -86,35 +90,39 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
     Ties in the argmax go to the lowest feature index.  Increments may be
     negative once the positive ones are exhausted; they are accepted as-is.
     """
-    S = list(S)
+    S = sorted(S)
     if k in S:
         raise ValueError(f"candidate {k} already selected")
     if not S:
         raise ValueError("selected set is empty")
     adaptive = criterion.adaptive
+    kb = 2 << k
     if adaptive and relevance is None:
-        relevance = ctx.mutual_information([k], [TARGET])
+        relevance = ctx.mutual_information(kb, TARGET_BIT)
 
     z: list[int] = []
+    z_mask = 0
     increments: list[float] = []
     redundancy = 0.0
     n_sweeps = criterion.n if not adaptive else min(criterion.n_max, len(S))
     threshold_fired = False
 
     for _ in range(n_sweeps):
-        pool = S if not adaptive else [j for j in S if j not in z]
+        pool = S if not adaptive else [j for j in S if not z_mask & 2 << j]
         if not pool:
             break
         best_j, best_d = None, None
-        for j in sorted(pool):
-            d = _increment(ctx, k, j, z)
-            if j in z:
+        for j in pool:
+            jb = 2 << j
+            d = _increment(ctx, kb, jb, z_mask)
+            if jb & z_mask:
                 continue                      # fixed mode: evaluated for the count only
             if best_d is None or d > best_d:
                 best_j, best_d = j, d
         if best_j is None:
             continue                          # fixed n > |S|: z is full, sweeps go on
         z.append(best_j)
+        z_mask |= 2 << best_j
         increments.append(best_d)
         redundancy += best_d
         if adaptive and relevance > ZERO_RELEVANCE:
@@ -136,7 +144,7 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     S = list(S)
     if k in S:
         raise ValueError(f"candidate {k} already selected")
-    relevance = ctx.mutual_information([k], [TARGET])
+    relevance = ctx.mutual_information(2 << k, TARGET_BIT)
     if not S:
         return relevance, RedundancyTrace(k, [], [], 0.0, STOP_EXHAUSTED)
     trace = greedy_representative_set(ctx, k, S, criterion, relevance=relevance)

@@ -11,7 +11,7 @@ from infosel.estimators import TARGET, EstimatorContext, shrinkage_pmf
 from infosel.selection import predicted_mi_calls, run_sfs
 from infosel.criteria import parse_criterion
 
-from util import ref_cmi, ref_entropy, columns
+from util import RefContext, ref_cmi, ref_entropy, columns
 
 TOL = 1e-9
 
@@ -149,6 +149,117 @@ class TestJointEncoder:
                 ctx.entropy(list(cols) + [TARGET])
                 sizes.append(len(ctx._code_cache))
         assert max(sizes) == estimators._CODE_CACHE_SIZE
+
+
+def mask_of(cols) -> int:
+    """The context's bitmask of a column set: the target is bit 0, feature j bit j+1."""
+    m = 0
+    for c in cols:
+        m |= 1 << (c + 1)
+    return m
+
+
+class TestColumnMasks:
+    """Column sets as int masks, beside the iterables of indices the API also takes."""
+
+    def test_target_and_feature_bits(self, toy_ctx):
+        assert toy_ctx.entropy(estimators.TARGET_BIT) == toy_ctx.entropy([TARGET])
+        assert toy_ctx.entropy(2 << 3) == toy_ctx.entropy([3])
+        assert toy_ctx.entropy(2 << 0 | 2 << 4 | 1) == toy_ctx.entropy([4, TARGET, 0])
+        assert toy_ctx.conditional_mutual_information(2 << 1, 1, 2 << 2) == \
+            toy_ctx.conditional_mutual_information([1], [TARGET], [2])
+
+    @pytest.mark.parametrize("mask", [0, -1, -(2 << 3)])
+    def test_mask_at_or_below_zero_is_empty(self, toy_ctx, mask):
+        with pytest.raises(ValueError, match="empty column list"):
+            toy_ctx.entropy(mask)
+        with pytest.raises(ValueError, match="empty column list"):
+            toy_ctx.mutual_information(mask, 2 << 1)
+        with pytest.raises(ValueError, match="empty column list"):
+            toy_ctx.joint_counts(mask)
+
+    def test_negative_conditioning_mask_rejected(self, toy_ctx):
+        with pytest.raises(ValueError, match="empty column list"):
+            toy_ctx.conditional_mutual_information(2 << 0, 1, -1)
+
+    def test_zero_conditioning_mask_is_plain_mi(self, toy_ctx):
+        assert toy_ctx.conditional_mutual_information(2 << 0, 1, 0) == \
+            toy_ctx.mutual_information([0], [TARGET])
+
+    def test_bit_above_last_feature_rejected(self, toy_ctx):
+        high = 2 << toy_ctx.n_features            # feature index D, one past the last
+        assert toy_ctx.entropy(high >> 1) >= 0.0  # feature D-1 is fine
+        for call in (lambda: toy_ctx.entropy(high),
+                     lambda: toy_ctx.entropy(high | 2 << 0),
+                     lambda: toy_ctx.mutual_information(2 << 0, high | 1),
+                     lambda: toy_ctx.conditional_mutual_information(2 << 0, 1, high),
+                     lambda: toy_ctx.joint_counts(high),
+                     lambda: toy_ctx.entropy(1 << 200)):
+            with pytest.raises(IndexError, match="column mask"):
+                call()
+        # nothing was counted under a bit that names no column
+        assert not any(m >> (toy_ctx.n_features + 1) for m in toy_ctx._entropy_cache)
+
+    @pytest.mark.parametrize("cols", [[5], [TARGET - 1], [0, 99]])
+    def test_index_out_of_range_rejected(self, toy_ctx, cols):
+        with pytest.raises(IndexError):
+            toy_ctx.entropy(cols)
+
+    def test_bool_and_numpy_sets_as_before(self, toy_ctx):
+        # members are read with int(); a bare bool or numpy int is not a set
+        assert toy_ctx.entropy([True, False]) == toy_ctx.entropy([0, 1])
+        assert toy_ctx.entropy([np.int64(0), np.int32(3)]) == toy_ctx.entropy([0, 3])
+        assert toy_ctx.entropy(np.array([3, 0, TARGET])) == toy_ctx.entropy([0, 3, TARGET])
+        assert toy_ctx.conditional_mutual_information(np.array([1]), [TARGET], np.array([])) == \
+            toy_ctx.mutual_information([1], [TARGET])
+        for bare in (True, False, np.int64(2), np.bool_(True)):
+            with pytest.raises(TypeError):
+                toy_ctx.entropy(bare)
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ds=tables(), data=st.data())
+    def test_matches_list_reference(self, estimator, ds, data):
+        ctx, ref = EstimatorContext(ds, estimator), RefContext(ds, estimator)
+        sets = st.lists(st.sampled_from(range(TARGET, ds.n_features)), max_size=4)
+        for _ in range(6):
+            a, b, z = (data.draw(sets, label=name) for name in "abz")
+            for cols in (a + [TARGET], b + z):
+                if cols:
+                    assert ctx.entropy(cols) == ref.entropy(cols)
+                    assert ctx.entropy(mask_of(cols)) == ref.entropy(cols)
+            if a and b:
+                mi = ref.mutual_information(a, b)
+                assert ctx.mutual_information(a, b) == mi
+                assert ctx.mutual_information(mask_of(a), mask_of(b)) == mi
+                cmi = ref.conditional_mutual_information(a, b, z)
+                assert ctx.conditional_mutual_information(a, b, z) == cmi
+                assert ctx.conditional_mutual_information(mask_of(a), mask_of(b),
+                                                          mask_of(z)) == cmi
+            if z or b:
+                assert ctx.conditional_entropy(z, b) == ref.conditional_entropy(z, b)
+
+    def test_entropy_cache_bound(self):
+        ds = random_ds(np.random.default_rng(21), d=7, n=60)
+        crit = parse_criterion("hocmim", epsilon_star=0.0)
+        unbounded = run_sfs(ds, crit, 5, collect_traces=True)
+        sizes = []
+        entropy = EstimatorContext.entropy
+
+        def spy(ctx, cols):
+            h = entropy(ctx, cols)
+            sizes.append(len(ctx._entropy_cache))
+            return h
+
+        with mock.patch.object(estimators, "_ENTROPY_CACHE_SIZE", 16), \
+                mock.patch.object(EstimatorContext, "entropy", spy):
+            bounded = run_sfs(ds, crit, 5, collect_traces=True)
+        assert max(sizes) == 16
+        assert sizes.count(1) > 1                  # emptied and refilled on the way
+        assert bounded.order == unbounded.order
+        assert bounded.scores == unbounded.scores
+        assert bounded.step_mi_calls == unbounded.step_mi_calls
+        assert bounded.traces_json() == unbounded.traces_json()
 
 
 class TestConditionalEntropy:

@@ -1,14 +1,18 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infosel import selection
 from infosel.criteria import CRITERIA, KINDS, parse_criterion
 from infosel.data import toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import random_dataset
 from infosel.selection import predicted_mi_calls, run_sfs
+
+from util import RefContext, RefCriterion
 
 
 def fixed_order(name):
@@ -134,6 +138,50 @@ class TestPredictedCalls:
             predicted_mi_calls(parse_criterion("mim"), 0, 5)
         with pytest.raises(ValueError):
             predicted_mi_calls(parse_criterion("mim"), 6, 5)
+
+
+class _Recording:
+    """A criterion that logs (k, S, MI terms asked for) for every score call."""
+
+    def __init__(self, criterion, log):
+        self.criterion, self.log = criterion, log
+        self.kind, self.label = criterion.kind, criterion.label
+
+    def score(self, ctx, k, S):
+        before = ctx.mi_calls
+        out = self.criterion.score(ctx, k, S)
+        self.log.append((k, tuple(S), ctx.mi_calls - before))
+        return out
+
+
+class TestMaskPathMatchesReference:
+    """The mask-keyed estimator and scorers give what the list-keyed ones give, bit for bit."""
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_run_sfs_matches_list_reference(self, kind, estimator, data):
+        beta = data.draw(st.sampled_from([None, 0.0, 0.5])) if kind == "mifs" else None
+        n = data.draw(st.sampled_from([None, 1, 2, 4])) if kind == "hocmim" else None
+        eps = data.draw(st.sampled_from([0.0, 0.01, 0.3])) if kind == "hocmim" else 0.01
+        ds = random_dataset(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                            d_max=7, n_max=40, arity_max=data.draw(st.integers(2, 5)))
+        K = data.draw(st.integers(1, ds.n_features))
+        crit = parse_criterion(kind, beta=beta, n=n, epsilon_star=eps)
+        calls, ref_calls = [], []
+        got = run_sfs(ds, _Recording(crit, calls), K, estimator=estimator,
+                      collect_traces=True)
+        with mock.patch.object(selection, "EstimatorContext", RefContext):
+            want = run_sfs(ds, _Recording(RefCriterion(crit), ref_calls), K,
+                           estimator=estimator, collect_traces=True)
+        assert got.order == want.order
+        assert got.scores == want.scores
+        assert got.step_mi_calls == want.step_mi_calls
+        assert calls == ref_calls
+        assert got.traces_json() == want.traces_json()
+        assert [t and t.to_dict() for t in got.step_traces] == \
+            [t and t.to_dict() for t in want.step_traces]
 
 
 class TestRankStability:

@@ -1,10 +1,14 @@
 """Minimal independent reference implementations used as test oracles."""
 
 import csv
+from itertools import combinations, permutations
 
 import numpy as np
 
 from infosel.data import DataError, RawTable
+from infosel.estimators import TARGET, EstimatorContext, _shrinkage_lambda
+from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
+                            RedundancyTrace)
 
 
 def ref_entropy(*cols) -> float:
@@ -70,3 +74,197 @@ def ref_load_csv(path, target_name: str) -> RawTable:
             kinds.append("categorical")
             columns.append(list(col))
     return RawTable(tuple(header), tuple(kinds), tuple(columns), target_name, len(rows))
+
+
+class RefContext(EstimatorContext):
+    """The list-keyed entropy, MI and CMI: every column set is rebuilt as a
+    sorted tuple of indices on each call, and entropies are memoized by that
+    tuple.  Joint counts come from the context under test."""
+
+    def __init__(self, dataset, estimator: str = "plugin"):
+        super().__init__(dataset, estimator=estimator)
+        self._tuple_cache: dict[tuple[int, ...], float] = {}
+
+    def _key(self, cols) -> tuple[int, ...]:
+        key = tuple(sorted(set(int(c) for c in cols)))
+        if not key:
+            raise ValueError("empty column list")
+        return key
+
+    def entropy(self, cols) -> float:
+        key = self._key(cols)
+        h = self._tuple_cache.get(key)
+        if h is None:
+            counts, dense = self.joint_counts(key)
+            if self.estimator == "plugin":
+                p = counts / counts.sum()
+                h = float(-(p * np.log2(p)).sum())
+            else:
+                lam = _shrinkage_lambda(counts.astype(float), dense)
+                q = lam / dense + (1.0 - lam) * counts / counts.sum()
+                h = float(-(q[q > 0] * np.log2(q[q > 0])).sum())
+                n_empty = dense - len(counts)
+                if lam > 0 and n_empty > 0:
+                    q0 = lam / dense
+                    h += float(-n_empty * q0 * np.log2(q0))
+            h = max(0.0, h)
+            self._tuple_cache[key] = h
+        return h
+
+    def conditional_entropy(self, cols_a, cols_b) -> float:
+        cols_a, cols_b = list(cols_a), list(cols_b)
+        if not cols_b:
+            return self.entropy(cols_a)
+        return self.entropy(cols_a + cols_b) - self.entropy(cols_b)
+
+    def _raw_mi(self, cols_a, cols_b) -> float:
+        v = self.entropy(cols_a) + self.entropy(cols_b) - self.entropy(list(cols_a) + list(cols_b))
+        return max(0.0, v)
+
+    def mutual_information(self, cols_a, cols_b) -> float:
+        self.mi_calls += 1
+        return self._raw_mi(list(cols_a), list(cols_b))
+
+    def conditional_mutual_information(self, cols_a, cols_b, cols_z) -> float:
+        self.mi_calls += 2
+        cols_a, cols_b, cols_z = list(cols_a), list(cols_b), list(cols_z)
+        if not cols_z:
+            return self._raw_mi(cols_a, cols_b)
+        return self._raw_mi(cols_a + cols_z, cols_b) - self._raw_mi(cols_z, cols_b)
+
+
+# -- list-building scorers, the reference for the criteria's mask-building ones
+
+def ref_score_generic(ctx, k, S, beta, gamma) -> float:
+    score = ctx.mutual_information([k], [TARGET])
+    if beta != 0.0:
+        score -= beta * sum(ctx.mutual_information([j], [k]) for j in S)
+    if gamma != 0.0:
+        score += gamma * sum(ctx.conditional_mutual_information([j], [k], [TARGET])
+                             for j in S)
+    return score
+
+
+def _mean_weight(S) -> float:
+    return 1.0 / len(S) if S else 0.0
+
+
+def ref_score_disr(ctx, k, S) -> float:
+    if not S:
+        return ctx.mutual_information([k], [TARGET])
+    total = 0.0
+    for j in S:
+        num = ctx.mutual_information([k, j], [TARGET])
+        den = ctx.entropy([k, j, TARGET])
+        if den > 0.0:
+            total += num / den
+    return total
+
+
+def ref_score_cmim(ctx, k, S, order) -> float:
+    m = min(order - 1, len(S))
+    if m == 0:
+        return ctx.mutual_information([k], [TARGET])
+    return min(ctx.conditional_mutual_information([k], [TARGET], list(z))
+               for z in combinations(S, m))
+
+
+def ref_score_relax_mrmr(ctx, k, S) -> float:
+    w = _mean_weight(S)
+    score = ref_score_generic(ctx, k, S, w, w)
+    if len(S) >= 2:
+        eta = 1.0 / (len(S) * (len(S) - 1))
+        score -= eta * sum(ctx.conditional_mutual_information([k], [i], [j])
+                           for j in S for i in S if i != j)
+    return score
+
+
+def ref_score_jmi_high(ctx, k, S, order) -> float:
+    m = min(order - 1, len(S))
+    if m < 2:
+        w = _mean_weight(S)
+        return ref_score_generic(ctx, k, S, w, w)
+    return sum(ctx.mutual_information(list(tup) + [k], [TARGET])
+               for tup in permutations(S, m))
+
+
+def _ref_increment(ctx, k, j, z_prefix) -> float:
+    return (ctx.conditional_mutual_information([k], [j], z_prefix)
+            - ctx.conditional_mutual_information([k], [j], z_prefix + [TARGET]))
+
+
+def ref_greedy_representative_set(ctx, k, S, criterion, relevance=None) -> RedundancyTrace:
+    S = list(S)
+    adaptive = criterion.adaptive
+    if adaptive and relevance is None:
+        relevance = ctx.mutual_information([k], [TARGET])
+    z: list[int] = []
+    increments: list[float] = []
+    redundancy = 0.0
+    n_sweeps = criterion.n if not adaptive else min(criterion.n_max, len(S))
+    threshold_fired = False
+    for _ in range(n_sweeps):
+        pool = S if not adaptive else [j for j in S if j not in z]
+        if not pool:
+            break
+        best_j, best_d = None, None
+        for j in sorted(pool):
+            d = _ref_increment(ctx, k, j, z)
+            if j in z:
+                continue
+            if best_d is None or d > best_d:
+                best_j, best_d = j, d
+        if best_j is None:
+            continue
+        z.append(best_j)
+        increments.append(best_d)
+        redundancy += best_d
+        if adaptive and relevance > ZERO_RELEVANCE:
+            if 1.0 - redundancy / relevance < criterion.epsilon_star:
+                threshold_fired = True
+                break
+    if threshold_fired:
+        stop = STOP_THRESHOLD
+    elif len(z) == len(S):
+        stop = STOP_EXHAUSTED
+    else:
+        stop = STOP_ORDER_LIMIT
+    return RedundancyTrace(k, z, increments, redundancy, stop)
+
+
+def ref_hocmim_score(ctx, k, S, criterion):
+    relevance = ctx.mutual_information([k], [TARGET])
+    if not S:
+        return relevance, RedundancyTrace(k, [], [], 0.0, STOP_EXHAUSTED)
+    trace = ref_greedy_representative_set(ctx, k, S, criterion, relevance=relevance)
+    return relevance - trace.redundancy, trace
+
+
+#: kind -> (criterion, ctx, k, S) -> (score, trace or None), as in criteria.CRITERIA
+REF_SCORERS = {
+    "mim": lambda c, ctx, k, S: (ref_score_generic(ctx, k, S, 0.0, 0.0), None),
+    "mifs": lambda c, ctx, k, S: (ref_score_generic(ctx, k, S, 1.0 if c.beta is None else c.beta,
+                                                    0.0), None),
+    "mrmr": lambda c, ctx, k, S: (ref_score_generic(ctx, k, S, _mean_weight(S), 0.0), None),
+    "jmi": lambda c, ctx, k, S: (ref_score_jmi_high(ctx, k, S, 2), None),
+    "disr": lambda c, ctx, k, S: (ref_score_disr(ctx, k, S), None),
+    "cmim": lambda c, ctx, k, S: (ref_score_cmim(ctx, k, S, 2), None),
+    "relax-mrmr": lambda c, ctx, k, S: (ref_score_relax_mrmr(ctx, k, S), None),
+    "jmi3": lambda c, ctx, k, S: (ref_score_jmi_high(ctx, k, S, 3), None),
+    "jmi4": lambda c, ctx, k, S: (ref_score_jmi_high(ctx, k, S, 4), None),
+    "cmim3": lambda c, ctx, k, S: (ref_score_cmim(ctx, k, S, 3), None),
+    "cmim4": lambda c, ctx, k, S: (ref_score_cmim(ctx, k, S, 4), None),
+    "hocmim": lambda c, ctx, k, S: ref_hocmim_score(ctx, k, S, c),
+}
+
+
+class RefCriterion:
+    """A ``Criterion`` scored by the list-building reference scorers."""
+
+    def __init__(self, criterion):
+        self.criterion = criterion
+        self.kind = criterion.kind
+        self.label = criterion.label
+
+    def score(self, ctx, k, S):
+        return REF_SCORERS[self.kind](self.criterion, ctx, k, S)
