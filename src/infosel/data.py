@@ -391,6 +391,10 @@ def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarr
     """Seeded random train/test index pairs, one per repeat."""
     if n_rows < 2:
         raise DataError("need at least 2 rows to split")
+    if spec.n_repeats < 1:
+        raise DataError(f"need at least one repeat, got {spec.n_repeats}")
+    if not math.isfinite(spec.train_fraction):
+        raise DataError(f"train fraction {spec.train_fraction} is not finite")
     cut = math.floor(spec.train_fraction * n_rows)
     if cut < 1 or cut >= n_rows:
         raise DataError(f"train fraction {spec.train_fraction} leaves an empty side")

@@ -10,9 +10,13 @@ share the mean of their positions).
 ranks test rows in blocks of ``_BLOCK`` rows, so no array larger than
 ``_BLOCK x n_train`` is made.  Squared distances are exact integers: each
 column is shifted to start at 0, and the distances are held in int16 when the
-sum of the squared column spans fits in it, in int64 otherwise.  The k nearest
-rows come from a stable argsort (a radix sort on int16), so a distance tie
-keeps the lower training index; a vote tie keeps the lowest class label.
+sum of the squared column spans fits in it, in int64 otherwise.  Each distance
+then becomes the key ``distance * n_train + row``: the keys are unique and sort
+in (distance, row) order, so a partition that keeps the k smallest keys keeps
+exactly the k nearest rows, a distance tie going to the lower training index.
+The keys are int32 when the largest one, ``(reach + 1) * n_train - 1`` with
+``reach`` the sum of the squared spans, fits in it, int64 otherwise; beyond
+int64 the input is rejected.  A vote tie keeps the lowest class label.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .selection import run_sfs
 # by a (_BLOCK x n_train) array whatever the size of the test set.
 _BLOCK = 256
 _INT16_MAX = int(np.iinfo(np.int16).max)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -39,10 +44,13 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
 
     Distances are exact squared Euclidean distances between the integer codes
     of ``feature_subset`` (every column when None); a repeated column counts
-    once per repetition.  Distance ties prefer the lower training-row index and
-    vote ties the lowest class label.  Codes must be integers and labels must
-    lie in [0, n_classes) (default: the largest training label plus one);
-    anything else raises ``ValueError``.  See ``_knn_predict`` for the kernel.
+    once per repetition.  The k nearest rows are the k smallest of the unique
+    keys ``distance * n_train + row``, found by a partition, so distance ties
+    prefer the lower training-row index; vote ties prefer the lowest class
+    label.  Codes must be integers and labels must lie in [0, n_classes)
+    (default: the largest training label plus one); anything else, or code
+    spans so wide that the largest key exceeds int64, raises ``ValueError``.
+    See ``_knn_predict`` for the kernel.
     """
     train_codes = np.asarray(train_codes)
     test_codes = np.asarray(test_codes)
@@ -102,16 +110,34 @@ def _shift_and_narrow(train_codes, test_codes, columns):
     return shifted(train_codes), shifted(test_codes)
 
 
+def _key_dtype(reach: int, n_train: int):
+    """The dtype that holds every key ``distance * n_train + row`` exactly.
+
+    ``reach`` bounds the squared distance, so the largest key is
+    ``(reach + 1) * n_train - 1``: int32 when that fits in it, int64 when only
+    that does; wider input raises ``ValueError``.
+    """
+    top = (reach + 1) * n_train - 1
+    if top <= _INT32_MAX:
+        return np.int32
+    if top <= _INT64_MAX:
+        return np.int64
+    raise ValueError("code spans too wide for exact int64 distance keys")
+
+
 def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     """KNN predictions after each group of columns: shape (len(groups), n_test).
 
     The distance to every training row accumulates one column at a time;
     after the last column of group g the k nearest rows vote, so row g of the
     result uses the columns of groups 0..g.  Test rows go through in blocks of
-    ``_BLOCK``.  The nearest rows come from a stable argsort of the exact
-    integer distances (a radix sort on int16), so a distance tie keeps the
-    lower training index; ``argmax`` over the vote counts keeps the lowest
-    label on a vote tie.  Labels must lie in [0, n_classes).
+    ``_BLOCK``.  Each exact integer distance becomes the unique key
+    ``distance * n_train + row`` (dtype from ``_key_dtype``), which sorts in
+    (distance, row) order; a partition at k - 1 puts the k smallest keys
+    first, and ``key % n_train`` gives back their rows.  So a distance tie
+    keeps the lower training index, as a stable sort would, without sorting
+    the other n_train - k rows.  ``argmax`` over the vote counts keeps the
+    lowest label on a vote tie.  Labels must lie in [0, n_classes).
     """
     n_train, n_test = len(train_labels), len(test_codes)
     if train_labels.min() < 0 or train_labels.max() >= n_classes:
@@ -122,12 +148,17 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
         return preds
     columns = [j for group in groups for j in group]
     train, test = _shift_and_narrow(train_codes, test_codes, columns)
+    # the shifted columns start at 0, so each one's maximum is its span
+    reach = sum(max(int(a.max()), int(b.max())) ** 2 for a, b in zip(train, test))
+    key_dtype = _key_dtype(reach, n_train)
+    rows = np.arange(n_train, dtype=key_dtype)
     block = min(_BLOCK, n_test)
     dist = np.empty((block, n_train), dtype=train.dtype)
     sq = np.empty_like(dist)
+    keys = np.empty((block, n_train), dtype=key_dtype)
     for start in range(0, n_test, block):
         stop = min(start + block, n_test)
-        d, s = dist[:stop - start], sq[:stop - start]
+        d, s, key = dist[:stop - start], sq[:stop - start], keys[:stop - start]
         d.fill(0)
         offsets = np.arange(stop - start)[:, None] * n_classes
         c = 0
@@ -137,7 +168,10 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
                 np.multiply(s, s, out=s)
                 d += s
                 c += 1
-            nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+            np.multiply(d, n_train, out=key, dtype=key_dtype)
+            key += rows
+            key.partition(k - 1, axis=1)
+            nearest = key[:, :k] % n_train
             votes = np.bincount((offsets + train_labels[nearest]).ravel(),
                                 minlength=(stop - start) * n_classes)
             preds[g, start:stop] = votes.reshape(-1, n_classes).argmax(axis=1)

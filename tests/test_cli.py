@@ -140,6 +140,16 @@ class TestBenchmark:
         assert "selection" in captured.err and "k must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf"])
+    def test_non_finite_train_fraction_fails_in_selection(self, toy_csv, fraction, capsys):
+        # inf once escaped as an OverflowError traceback
+        rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
+                   "--criterion", "mim,cmim", "--repeats", "2", "--k", "2",
+                   "--train-fraction", fraction])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "selection" in err and "is not finite" in err
+
     def test_single_criterion_rejected(self, toy_csv, capsys):
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
                    "--criterion", "mim", "--repeats", "2"])

@@ -338,6 +338,18 @@ class TestSplits:
         with pytest.raises(DataError):
             make_splits(1, SplitSpec(0.5, seed=0, n_repeats=1))
 
+    @pytest.mark.parametrize("spec, message", [
+        (SplitSpec(0.5, seed=0, n_repeats=0), "at least one repeat, got 0"),
+        (SplitSpec(0.5, seed=0, n_repeats=-1), "at least one repeat, got -1"),
+        (SplitSpec(float("nan"), seed=0, n_repeats=2), "train fraction nan is not finite"),
+        (SplitSpec(float("inf"), seed=0, n_repeats=2), "train fraction inf is not finite"),
+    ], ids=["zero-repeats", "negative-repeats", "nan-fraction", "inf-fraction"])
+    def test_degenerate_spec_rejected(self, spec, message):
+        # no repeats once gave an empty split list, and a non-finite fraction
+        # a bare conversion error from math.floor
+        with pytest.raises(DataError, match=message):
+            make_splits(10, spec)
+
 
 class TestProperties:
     def test_round_trip_codes_below_arity(self):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from infosel import evaluate
 from infosel.criteria import parse_criterion
-from infosel.data import (SplitSpec, apply_binning, fit_binning, make_splits,
-                          make_xor_table, toy_dataset, toy_table)
+from infosel.data import (DataError, SplitSpec, apply_binning, fit_binning,
+                          make_splits, make_xor_table, toy_dataset, toy_table)
 from infosel.evaluate import (average_ranks, benchmark, error_curve,
                               knn_classify)
 
@@ -152,6 +152,52 @@ class TestKnnKernel:
             want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
             assert np.array_equal(prefixes[size - 1], want), size
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_across_the_k_boundary(self, seed):
+        # hundreds of training rows over codes {0, 1, 2} give at most 13
+        # distance values, so most k boundaries fall inside a run of ties and
+        # only the (distance, row) order picks the voters
+        rng = np.random.default_rng(seed)
+        n_train, d = int(rng.integers(200, 800)), int(rng.integers(1, 4))
+        n_classes = int(rng.integers(2, 4))
+        train = rng.integers(0, 3, (n_train, d))
+        test = rng.integers(0, 3, (9, d))
+        labels = rng.integers(0, n_classes, n_train)
+        for k in (1, 2, 5, int(rng.integers(6, n_train))):
+            with mock.patch.object(evaluate, "_BLOCK", 4):
+                got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
+                prefixes = evaluate._knn_predict(train, labels, test,
+                                                 [[j] for j in range(d)], k, n_classes)
+            assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes)), k
+            for size in range(1, d + 1):
+                want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
+                assert np.array_equal(prefixes[size - 1], want), (k, size)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_equidistant_rows_vote_in_row_order(self, k):
+        # 1,000 rows at distance 0: the voters are rows 0..k-1, the only ones labelled 1
+        train, test = np.zeros((1000, 1), np.int64), np.zeros((3, 1), np.int64)
+        labels = np.zeros(1000, np.int64)
+        labels[:k] = 1
+        want = brute_knn(train, labels, test, k, 2)
+        assert want.tolist() == [1, 1, 1]
+        assert knn_classify(train, labels, test, k=k).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("reach, n_train, dtype", [
+        (1, 2 ** 30, np.int32),            # largest key 2**31 - 1
+        (0, 2 ** 31, np.int32),            # largest key 2**31 - 1
+        (2 ** 31, 1, np.int64),            # largest key 2**31
+        (1, 2 ** 30 + 1, np.int64),        # largest key 2**31 + 1
+        (2 ** 62 - 1, 2, np.int64),        # largest key 2**63 - 1
+    ])
+    def test_key_dtype_boundary(self, reach, n_train, dtype):
+        assert evaluate._key_dtype(reach, n_train) is dtype
+
+    @pytest.mark.parametrize("reach, n_train", [(2 ** 62, 2), (2 ** 63 - 1, 2)])
+    def test_key_beyond_int64_rejected(self, reach, n_train):
+        with pytest.raises(ValueError, match="too wide"):
+            evaluate._key_dtype(reach, n_train)
+
     def test_empty_test_set(self):
         preds = knn_classify(np.array([[0], [1]]), np.array([0, 1]), np.zeros((0, 1), int), k=1)
         assert preds.shape == (0,)
@@ -280,6 +326,15 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="k must be >= 1"):
             benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
                       SplitSpec(0.5, seed=0, n_repeats=2), k_max=2, knn_k=knn_k)
+
+    @pytest.mark.parametrize("spec", [SplitSpec(0.5, 0, 0), SplitSpec(0.5, 0, -1),
+                                      SplitSpec(float("nan"), 0, 2)],
+                             ids=["zero-repeats", "negative-repeats", "nan-fraction"])
+    def test_degenerate_split_spec_rejected(self, spec):
+        # no repeats once returned an all-NaN error array with average ranks [1, 2]
+        with pytest.raises(DataError):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      spec, k_max=2)
 
     def test_serializers(self):
         rep = benchmark(toy_table(), [parse_criterion("mim"),
