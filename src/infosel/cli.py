@@ -7,8 +7,8 @@ import sys
 
 from . import __version__
 from .criteria import CRITERIA, Criterion, CriterionError, parse_criterion
-from .data import (DataError, SplitSpec, discretize, load_csv, make_xor_table,
-                   toy_dataset, toy_table)
+from .data import (DataError, SplitSpec, discretize, fit_binning, load_csv,
+                   make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import benchmark
 from .hocmim import greedy_representative_set, hocmim_score
@@ -109,6 +109,12 @@ def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise StageError("selection", "repeats must be >= 1")
     table, label = _load_table(args)
+    try:
+        # a fit on all rows fails whenever a split's fit would, so a table
+        # that cannot be binned fails here, in its own stage
+        fit_binning(table, args.bins)
+    except DataError as e:
+        raise StageError("binning", str(e)) from e
     names = []
     for spec in args.criterion or []:
         names += [s for s in spec.split(",") if s]

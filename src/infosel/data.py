@@ -53,28 +53,23 @@ class RawTable:
 class ColumnSpec:
     """Fitted per-column transform.
 
-    Numeric columns carry equal-width cut points plus a dense re-index of the
-    bins occupied on the fitting rows (arity = number of occupied bins).
-    Categorical columns carry a label -> code map in first-appearance order,
-    with one extra code reserved for labels unseen at fit time.
+    Numeric columns carry equal-width cut points plus a raw-bin -> code table:
+    ``codes[r]`` is the dense index, among the bins occupied on the fitting
+    rows, of the occupied bin nearest to raw bin r, the lower one on a tie
+    (arity = number of occupied bins).  Categorical columns carry a label ->
+    code map in first-appearance order, with one extra code reserved for
+    labels unseen at fit time.
     """
 
     kind: str
     edges: np.ndarray | None = None               # numeric: n_bins-1 cut points
-    occupied: np.ndarray | None = None            # numeric: sorted occupied raw bins
+    codes: np.ndarray | None = None               # numeric: raw bin -> code
     labels: dict[str, int] | None = None          # categorical: label -> code
     arity: int = 1
 
     def encode(self, values) -> np.ndarray:
         if self.kind == "numeric":
-            raw = raw_bins(np.asarray(values, dtype=float), self.edges)
-            # values landing in a bin unoccupied at fit time snap to the
-            # nearest occupied bin (ties toward the lower bin)
-            pos = np.searchsorted(self.occupied, raw)
-            pos = np.clip(pos, 0, len(self.occupied) - 1)
-            left = np.clip(pos - 1, 0, len(self.occupied) - 1)
-            take_left = np.abs(self.occupied[left] - raw) <= np.abs(self.occupied[pos] - raw)
-            return np.where(take_left, left, pos).astype(np.int64)
+            return self.codes[raw_bins(np.asarray(values, dtype=float), self.edges)]
         unknown = len(self.labels)
         return np.fromiter(map(self.labels.get, values, repeat(unknown)), np.int64, len(values))
 
@@ -292,11 +287,18 @@ def _reread_labels(reopen, n_rows: int, columns, interned) -> dict[int, list[str
 
 
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """The n_bins-1 interior cut points over [min, max]; empty for constants."""
+    """The n_bins-1 interior cut points over [min, max]; empty for constants.
+
+    A range so wide that a cut point overflows float64 raises ``DataError``.
+    """
     lo, hi = float(values.min()), float(values.max())
     if n_bins <= 1 or lo == hi:
         return np.empty(0, dtype=float)
-    return lo + (hi - lo) * np.arange(1, n_bins) / n_bins
+    with np.errstate(over="ignore"):
+        edges = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
+    if not np.isfinite(edges).all():
+        raise DataError(f"range [{lo:g}, {hi:g}] overflows float64 when cut into {n_bins} bins")
+    return edges
 
 
 def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -338,10 +340,17 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
         feature_names.append(name)
         if kind == "numeric":
             vals = np.asarray(col, dtype=float)[fit_rows]
-            edges = equal_width_edges(vals, n_bins)
-            occupied = np.unique(raw_bins(vals, edges))
-            specs.append(ColumnSpec("numeric", edges=edges, occupied=occupied,
-                                    arity=len(occupied)))
+            try:
+                edges = equal_width_edges(vals, n_bins)
+            except DataError as e:
+                raise DataError(f"column {name!r}: {e}") from None
+            occupied = np.flatnonzero(np.bincount(raw_bins(vals, edges),
+                                                  minlength=len(edges) + 1))
+            # raw bin r is nearer the upper of two neighbouring occupied bins
+            # only when 2r exceeds their sum (a tie stays low), so its code is
+            # the number of neighbour sums below 2r
+            codes = np.searchsorted(occupied[:-1] + occupied[1:], 2 * np.arange(len(edges) + 1))
+            specs.append(ColumnSpec("numeric", edges=edges, codes=codes, arity=len(occupied)))
         else:
             labels = _first_appearance_codes(col, fit_rows)
             # reserve one shared code for labels unseen at fit time

@@ -48,6 +48,15 @@ class TestSelect:
         assert rc != 0
         assert "load" in capsys.readouterr().err
 
+    def test_overflowing_range_fails_in_binning(self, tmp_path, capsys):
+        # the column once binned to arity 1 and the run exited 0
+        path = tmp_path / "wide.csv"
+        path.write_text("A,Y\n-1e308,0\n0,1\n1e308,0\n")
+        rc = main(["select", "--dataset", str(path), "--target", "Y",
+                   "--criterion", "mim", "--k", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("infosel: binning: column 'A'")
+
     def test_gamma_rejected(self, toy_csv, capsys):
         # the free-weight family is API-only, so --gamma is an unknown flag
         with pytest.raises(SystemExit):
@@ -149,6 +158,28 @@ class TestBenchmark:
         assert rc != 0
         err = capsys.readouterr().err
         assert "selection" in err and "is not finite" in err
+
+    @pytest.mark.parametrize("rows, flags, message", [
+        ("0,0\n1,1\n", ["--bins", "0"], "n_bins must be >= 1"),
+        ("0,0\n1,1.5\n0,1\n1,0\n", [], "target column must be categorical"),
+        ("-1e308,0\n0,1\n1e308,0\n1,1\n", [], "column 'A': range"),
+    ], ids=["bins-zero", "fractional-target", "overflowing-range"])
+    def test_binning_errors_name_the_binning_stage(self, tmp_path, capsys, rows, flags,
+                                                   message):
+        # these once surfaced from inside benchmark() as selection errors
+        path = tmp_path / "t.csv"
+        path.write_text("A,Y\n" + rows)
+        rc = main(["benchmark", "--dataset", str(path), "--target", "Y",
+                   "--criterion", "mim,cmim", "--repeats", "2", "--k", "1", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infosel: binning: ") and message in err
+
+    def test_empty_split_side_stays_in_selection(self, capsys):
+        rc = main(["benchmark", "--dataset", "toy", "--criterion", "mim,cmim",
+                   "--repeats", "2", "--k", "2", "--train-fraction", "0.01"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("infosel: selection: train fraction")
 
     def test_single_criterion_rejected(self, toy_csv, capsys):
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",

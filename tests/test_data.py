@@ -3,6 +3,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infosel import data
-from infosel.data import (DataError, DiscreteDataset, SplitSpec, apply_binning,
+from infosel.data import (DataError, DiscreteDataset, RawTable, SplitSpec, apply_binning,
                           discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
 
-from util import ref_load_csv
+from util import ref_load_csv, ref_numeric_codes
 
 
 @pytest.fixture
@@ -281,6 +282,38 @@ class TestBinning:
         assert lo == 0
         assert hi == coded.arities[0] - 1
 
+    def test_empty_bin_takes_nearest_occupied_code(self):
+        # fit on 0 and 10: edges (2, 4, 6, 8), raw bins 0 and 4 occupied
+        vals = np.array([0.0, 10.0, 5.0, 6.5, 3.9, 4.0])
+        table = RawTable(("a", "Y"), ("numeric",) * 2, (vals, np.zeros(6)), "Y", 6)
+        coded = apply_binning(table, fit_binning(table, 5, fit_rows=[0, 1]))
+        # 5 (raw bin 2) ties between bins 0 and 4 and goes to the lower one;
+        # 6.5 (raw bin 3) is nearer bin 4
+        assert coded.codes[:, 0].tolist() == [0, 1, 0, 1, 0, 0]
+        assert coded.arities == (2,)
+
+    @pytest.mark.parametrize("n_bins", [1, 3, 11])
+    def test_edges_match_scalar_formula(self, n_bins):
+        # bench/reference.py cuts at lo + (hi - lo) * i / n_bins in Python floats
+        rng = np.random.default_rng(n_bins)
+        vals = rng.standard_cauchy(200) * 10.0 ** rng.integers(-5, 5)
+        lo, hi = float(vals.min()), float(vals.max())
+        want = [lo + (hi - lo) * i / n_bins for i in range(1, n_bins)]
+        assert equal_width_edges(vals, n_bins).tolist() == want
+
+    @pytest.mark.parametrize("vals", [[-1e308, 0.0, 1e308],
+                                      [0.0, 0.4e308, 0.8e308, 1.2e308, 1.6e308]])
+    def test_overflowing_range_rejected_without_warning(self, vals):
+        # once all edges came out inf (one bin) or half of them did (bins merged)
+        n = len(vals)
+        table = RawTable(("a", "A", "Y"), ("numeric",) * 3,
+                         (np.zeros(n), np.array(vals), np.zeros(n)), "Y", n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'A': range .* overflows float64"):
+                fit_binning(table, 5)
+            assert len(equal_width_edges(np.array(vals), 1)) == 0
+
     def test_unseen_category_gets_reserved_code(self, tmp_path):
         train = tmp_path / "train.csv"
         train.write_text("a,Y\nred,0\nblue,1\n")
@@ -313,6 +346,37 @@ class TestBinning:
         spec = fit_binning(table, 5, fit_rows=[0, 1, 2])
         with pytest.raises(DataError, match="integer-valued"):
             apply_binning(table, spec)
+
+
+@st.composite
+def numeric_tables(draw):
+    """A numeric table, a non-empty fit subset of its rows and a bin count."""
+    n = draw(st.integers(1, 40))
+    finite = st.floats(-1e300, 1e300, allow_nan=False)
+    columns = st.one_of(
+        finite.map(lambda v: [v] * n),                                        # constant
+        st.lists(st.sampled_from([-2.0, 0.0, 0.5, 3.0, 7.25]), min_size=n, max_size=n),
+        st.lists(finite, min_size=n, max_size=n),                             # heavy-tailed
+        st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    cols = [np.array(c) for c in draw(st.lists(columns, min_size=1, max_size=4))]
+    target = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+    fit_rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    names = tuple(f"F{j}" for j in range(len(cols))) + ("Y",)
+    table = RawTable(names, ("numeric",) * len(names), (*cols, target), "Y", n)
+    return table, np.array(fit_rows), draw(st.integers(1, 12))
+
+
+class TestSnapProperty:
+    @given(numeric_tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_per_value_snap(self, case):
+        table, fit_rows, n_bins = case
+        ds = apply_binning(table, fit_binning(table, n_bins, fit_rows))
+        assert ds.codes.dtype == np.int64
+        for j, name in enumerate(table.feature_names):
+            codes, arity = ref_numeric_codes(table.column(name), fit_rows, n_bins)
+            assert ds.codes[:, j].tolist() == codes.tolist()
+            assert ds.arities[j] == arity
 
 
 class TestSplits:

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from infosel.data import DataError, RawTable
+from infosel.data import DataError, RawTable, equal_width_edges, raw_bins
 from infosel.estimators import TARGET, EstimatorContext, _shrinkage_lambda
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
                             RedundancyTrace)
@@ -32,6 +32,24 @@ def ref_cmi(a_cols, b_cols, z_cols) -> float:
 def columns(ds, idxs):
     """Feature columns by index, with -1 meaning the target column."""
     return [ds.target if j == -1 else ds.codes[:, j] for j in idxs]
+
+
+def ref_numeric_codes(values, fit_rows, n_bins: int):
+    """One numeric column's codes with the nearest-occupied snap done per value.
+
+    The bins occupied on ``fit_rows`` are re-indexed densely; a value in a bin
+    left empty there goes to the nearer of the occupied bins either side of it,
+    the lower one on a tie.  Returns (int64 codes, arity).
+    """
+    fit = values[fit_rows]
+    edges = equal_width_edges(fit, n_bins)
+    occupied = np.unique(raw_bins(fit, edges))
+    raw = raw_bins(values, edges)
+    pos = np.searchsorted(occupied, raw)
+    pos = np.clip(pos, 0, len(occupied) - 1)
+    left = np.clip(pos - 1, 0, len(occupied) - 1)
+    take_left = np.abs(occupied[left] - raw) <= np.abs(occupied[pos] - raw)
+    return np.where(take_left, left, pos).astype(np.int64), len(occupied)
 
 
 def ref_load_csv(path, target_name: str) -> RawTable:
