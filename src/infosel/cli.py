@@ -110,8 +110,9 @@ def cmd_benchmark(args) -> int:
         raise StageError("selection", "repeats must be >= 1")
     table, label = _load_table(args)
     try:
-        # a fit on all rows fails whenever a split's fit would, so a table
-        # that cannot be binned fails here, in its own stage
+        # a fit on all rows fails whenever a split's fit would, except on a
+        # range too narrow to cut, which a training half can have alone; so
+        # a table that cannot be binned fails here, in its own stage
         fit_binning(table, args.bins)
     except DataError as e:
         raise StageError("binning", str(e)) from e

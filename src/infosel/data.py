@@ -289,7 +289,9 @@ def _reread_labels(reopen, n_rows: int, columns, interned) -> dict[int, list[str
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     """The n_bins-1 interior cut points over [min, max]; empty for constants.
 
-    A range so wide that a cut point overflows float64 raises ``DataError``.
+    A range so wide that a cut point overflows float64, or so narrow that the
+    cut points do not rise strictly above the minimum and each other (so that
+    distinct values would share a bin), raises ``DataError``.
     """
     lo, hi = float(values.min()), float(values.max())
     if n_bins <= 1 or lo == hi:
@@ -298,6 +300,9 @@ def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
         edges = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
     if not np.isfinite(edges).all():
         raise DataError(f"range [{lo:g}, {hi:g}] overflows float64 when cut into {n_bins} bins")
+    if edges[0] <= lo or np.any(edges[1:] <= edges[:-1]):
+        raise DataError(f"range [{lo!r}, {hi!r}] is too narrow to cut into {n_bins} "
+                        f"distinct bins in float64")
     return edges
 
 

@@ -6,15 +6,24 @@ so a union of sets is ``|`` and the caches key on one int.  The public
 methods take either such a mask or an iterable of column indices (``TARGET``
 for the target); the searches in ``hocmim`` and ``criteria`` pass masks.
 
-A column set is joint-encoded to one integer state per row, incrementally:
-the code of a set extends the code of the set without its highest column
-(its mask without the top bit), mixed-radix (``prefix * arity + column``),
-and is relabelled densely, in order, once its range exceeds the row count.
-The searches grow column sets one column at a time, so the codes of prefixes
-are kept in a small least-recently-used cache and conditioning sets of any
-size cost O(N) per evaluation.  Every code preserves the lexicographic order
-of the joint states, so the counts, and the entropies computed from them, do
-not depend on which prefixes were cached.
+An entropy depends only on the count profile of the set's joint states:
+``m[c]`` is the number of occupied cells that hold c of the N rows (the
+"fingerprint" of Valiant & Valiant, Estimating the unseen, STOC 2011).  The
+plug-in entropy ``log2 N - sum_c m[c] * c * log2(c) / N`` is summed as
+``sum_c m[c] * c * log2(N / c) / N`` over c in a fixed order, and the
+shrinkage weight and cell masses also depend on c alone, so
+``profile_entropy`` serves both.  Two sets with the same multiset of counts
+get the same float, so neither the order of the rows, nor the labels of the
+codes, nor which sets happened to be cached can change a result.
+
+A column set is joint-encoded to one integer code per row.  Codes are
+unordered: the code of a set extends the code of any cached set one column
+smaller by the missing column, mixed-radix (``base * arity + column``).  A
+set's codes are cached as counted, and relabelled densely (to a range of at
+most N) only when they become such a base while their range exceeds N.  The
+searches grow column sets one column at a time, so the sets last counted are
+kept in a small least-recently-used cache, and a set usually costs one O(N)
+extend and one count.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -37,7 +46,7 @@ TARGET = -1
 #: mask bit of the target column; feature j is bit ``2 << j``
 TARGET_BIT = 1
 
-#: joint codes kept for reuse as prefixes of later column sets
+#: joint codes kept for reuse as bases of later column sets
 _CODE_CACHE_SIZE = 64
 
 #: entropies kept per context; the memo is emptied when it reaches this size
@@ -57,13 +66,59 @@ def _columns(mask: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int) -> tuple[np.ndarray, int]:
+    """Codes of a set joined by one more column, and their range."""
+    return base * arity + col, size * arity
+
+
 def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]:
-    """Dense, order-preserving relabel of codes in [0, size): the new codes and their range."""
+    """Dense relabel of codes in [0, size): the new codes and their range."""
     if size <= _TABLE_ROWS * n_rows:
-        seen = np.bincount(code, minlength=size) > 0
-        return (np.cumsum(seen) - 1)[code], int(seen.sum())
+        seen = np.zeros(size, dtype=bool)
+        seen[code] = True
+        label = np.cumsum(seen)
+        return label[code] - 1, int(label[-1])
     uniq, dense = np.unique(code, return_inverse=True)
     return dense, len(uniq)
+
+
+def cell_terms(n_rows: int) -> np.ndarray:
+    """``c * log2(N / c)`` for every count c in 0..N (0 at c = 0), N = ``n_rows``.
+
+    A cell holding c of the N rows adds ``c * log2(N / c) / N`` to the plug-in
+    entropy, which is ``log2 N - c * log2(c) / N`` summed; the cell that holds
+    every row adds exactly 0.
+    """
+    c = np.arange(n_rows + 1, dtype=float)
+    c[1:] *= np.log2(n_rows / c[1:])
+    return c
+
+
+def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "plugin",
+                    dense: float = 0.0) -> float:
+    """Entropy in bits of a table of N rows from the profile of its joint-state counts.
+
+    ``profile`` is ``np.bincount(counts)`` over the occupied cells' counts, so
+    ``profile[c]`` cells hold c rows each (``profile[0]`` is ignored), and
+    ``terms`` is ``cell_terms(N)``.  The sum runs over c in a fixed order, so
+    the float depends on the multiset of counts only.  The shrinkage
+    estimator spreads mass over ``dense`` cells, the unobserved ones included.
+    """
+    n = len(terms) - 1
+    if estimator == "plugin":
+        h = float((profile * terms[:len(profile)]).sum()) / n
+    else:
+        c = np.flatnonzero(profile[1:]) + 1
+        mc = profile[c]
+        lam = _shrinkage_lambda(c, mc, n, dense)
+        q = lam / dense + (1.0 - lam) * (c / n)
+        pos = q > 0
+        h = float(-(mc[pos] * q[pos] * np.log2(q[pos])).sum())
+        n_empty = dense - mc.sum()
+        if lam > 0 and n_empty > 0:
+            q0 = lam / dense
+            h += float(-n_empty * q0 * np.log2(q0))
+    return max(0.0, h)
 
 
 def shrinkage_pmf(counts, n_cells: int | None = None) -> np.ndarray:
@@ -81,19 +136,21 @@ def shrinkage_pmf(counts, n_cells: int | None = None) -> np.ndarray:
     if total <= 0:
         raise ValueError("zero total count")
     m = float(n_cells if n_cells is not None else len(counts))
-    lam = _shrinkage_lambda(counts, m)
+    lam = _shrinkage_lambda(counts, np.ones_like(counts), total, m)
     return lam * (1.0 / m) + (1.0 - lam) * (counts / total)
 
 
-def _shrinkage_lambda(counts: np.ndarray, m: float) -> float:
-    """The clipped James-Stein weight of the uniform target over m cells."""
-    total = counts.sum()
-    p = counts / total
+def _shrinkage_lambda(c: np.ndarray, mc: np.ndarray, total: float, m: float) -> float:
+    """The clipped James-Stein weight of the uniform target over m cells.
+
+    ``mc[i]`` cells hold ``c[i]`` of the ``total`` rows each.
+    """
+    p = c / total
     u = 1.0 / m
-    var_target = float(np.sum((u - p) ** 2) + (m - len(counts)) * u ** 2)
+    var_target = float(np.sum(mc * (u - p) ** 2) + (m - mc.sum()) * u ** 2)
     if total <= 1 or var_target <= 0:
         return 1.0
-    lam = (1.0 - float(np.sum(p ** 2))) / ((total - 1) * var_target)
+    lam = (1.0 - float(np.sum(mc * p ** 2))) / ((total - 1) * var_target)
     return min(1.0, max(0.0, lam))
 
 
@@ -122,23 +179,21 @@ class EstimatorContext:
         # one contiguous run of memory per feature column
         self._codes = np.asfortranarray(dataset.codes)
         self._target = dataset.target
-        self._arities = dataset.arities
-        self._n_classes = dataset.n_classes
         self.n_rows = dataset.n_rows
         self.n_features = dataset.n_features
         self.estimator = estimator
         self.mi_calls = 0
         self._mask_end = 1 << (self.n_features + 1)
+        self._terms = cell_terms(self.n_rows)
+        # by bit position: each column's codes and arity, the target first
+        columns = [(self._target, dataset.n_classes)]
+        columns += [(self._codes[:, j], arity) for j, arity in enumerate(dataset.arities)]
+        self._bit_columns = {1 << i: column for i, column in enumerate(columns)}
+        self._bit_arities = tuple(arity for _, arity in columns)
         self._entropy_cache: dict[int, float] = {}
         self._code_cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
 
     # -- column plumbing ----------------------------------------------------
-
-    def _column(self, idx: int) -> np.ndarray:
-        return self._target if idx == TARGET else self._codes[:, idx]
-
-    def _arity(self, idx: int) -> int:
-        return self._n_classes if idx == TARGET else self._arities[idx]
 
     def _mask(self, cols) -> int:
         """The mask of a column set given as an int mask or an iterable of indices; 0 if empty."""
@@ -159,81 +214,85 @@ class EstimatorContext:
     def joint_counts(self, cols) -> tuple[np.ndarray, float]:
         """Observed joint-state counts and the dense cell count of the set.
 
-        Counts come in lexicographic order of the joint states (columns in
-        sorted index order, the first most significant), as ``np.unique``
-        over the stacked columns' rows would give them.
+        Each occupied joint state gives one count.  The joint codes behind them
+        are unordered, so the order of the counts is unspecified; ``entropy``
+        reads only their profile, ``np.bincount(counts)``.
         """
         mask = self._mask(cols)
         if not mask:
             raise ValueError("empty column list")
         dense = 1.0
-        for c in _columns(mask):
-            dense *= self._arity(c)
-        code, size = self._extend(mask)
+        arities = self._bit_arities
+        rest = mask
+        while rest:
+            low = rest & -rest
+            dense *= arities[low.bit_length() - 1]
+            rest ^= low
+        code, size = self._codes_of(mask)
         if size <= _TABLE_ROWS * self.n_rows:
             counts = np.bincount(code, minlength=size)
             return counts[counts > 0], dense
         return np.unique(code, return_counts=True)[1], dense
 
-    def _extend(self, mask: int) -> tuple[np.ndarray, int]:
-        """Order-preserving codes of the set's joint states, all below the returned size.
+    def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:
+        """Unordered codes of the set's joint states, all below the returned size.
 
-        The code of a multi-column set extends the code of the set without its
-        highest column by that column, mixed-radix: ``prefix * arity + column``.
+        A multi-column set extends a cached set one column smaller, or else the
+        set without its lowest column, by the missing column.  Its codes are
+        cached unrelabelled, since most sets are counted and never extended.
         """
-        top = 1 << (mask.bit_length() - 1)
-        if mask == top:
-            c = mask.bit_length() - 2
-            return self._column(c), self._arity(c)
-        prefix, n = self._prefix_code(mask ^ top)
-        last, m = self._prefix_code(top)
-        return prefix * m + last, n * m
-
-    def _prefix_code(self, mask: int) -> tuple[np.ndarray, int]:
-        """``_extend`` of a prefix, relabelled densely once its size exceeds the row count.
-
-        Keeping prefix sizes at most N keeps every extended size below N**2,
-        within int64.  Prefixes are cached (least recently used out first),
-        since the searches grow column sets one column at a time.
-        """
-        if not mask & (mask - 1):
-            c = mask.bit_length() - 2
-            if self._arity(c) <= self.n_rows:
-                return self._column(c), self._arity(c)
-        hit = self._code_cache.get(mask)
+        cache = self._code_cache
+        hit = cache.get(mask)
         if hit is not None:
-            self._code_cache.move_to_end(mask)
+            cache.move_to_end(mask)
             return hit
-        code, size = self._extend(mask)
+        if not mask & (mask - 1):
+            return self._bit_columns[mask]
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            if mask ^ bit in cache:
+                break
+            rest ^= bit
+        else:
+            bit = mask & -mask
+        code, size = _extend(*self._base(mask ^ bit), *self._base(bit))
+        self._keep(mask, code, size)
+        return code, size
+
+    def _base(self, mask: int) -> tuple[np.ndarray, int]:
+        """``_codes_of`` the set, relabelled densely once their range exceeds the row count.
+
+        Keeping every base's range at most N keeps every extended range below
+        N**2, within int64.
+        """
+        code, size = self._codes_of(mask)
         if size > self.n_rows:
             code, size = _relabel(code, size, self.n_rows)
+            self._keep(mask, code, size)
+        return code, size
+
+    def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
+        """Cache the set's codes, least recently used out first."""
         self._code_cache[mask] = code, size
+        self._code_cache.move_to_end(mask)
         if len(self._code_cache) > _CODE_CACHE_SIZE:
             self._code_cache.popitem(last=False)
-        return code, size
 
     # -- entropies (not counted as MI terms) ---------------------------------
 
     def entropy(self, cols) -> float:
         """Joint Shannon entropy of the column set, in bits."""
-        mask = self._mask(cols)
+        if type(cols) is int and 0 < cols < self._mask_end:
+            mask = cols                       # the searches' masks skip the general check
+        else:
+            mask = self._mask(cols)
         h = self._entropy_cache.get(mask)
         if h is None:
             if not mask:
                 raise ValueError("empty column list")
             counts, dense = self.joint_counts(_columns(mask))
-            if self.estimator == "plugin":
-                p = counts / counts.sum()
-                h = float(-(p * np.log2(p)).sum())
-            else:
-                lam = _shrinkage_lambda(counts.astype(float), dense)
-                q = lam / dense + (1.0 - lam) * counts / counts.sum()
-                h = float(-(q[q > 0] * np.log2(q[q > 0])).sum())
-                n_empty = dense - len(counts)
-                if lam > 0 and n_empty > 0:
-                    q0 = lam / dense
-                    h += float(-n_empty * q0 * np.log2(q0))
-            h = max(0.0, h)
+            h = profile_entropy(np.bincount(counts), self._terms, self.estimator, dense)
             if len(self._entropy_cache) >= _ENTROPY_CACHE_SIZE:
                 self._entropy_cache.clear()
             self._entropy_cache[mask] = h
@@ -254,7 +313,10 @@ class EstimatorContext:
     def mutual_information(self, cols_a, cols_b) -> float:
         """I(A;B) in bits; negative floating-point residue is clamped to 0."""
         self.mi_calls += 1
-        return self._raw_mi(self._mask(cols_a), self._mask(cols_b))
+        # an int mask is checked by ``entropy``, where it is used
+        a = cols_a if type(cols_a) is int else self._mask(cols_a)
+        b = cols_b if type(cols_b) is int else self._mask(cols_b)
+        return self._raw_mi(a, b)
 
     def conditional_mutual_information(self, cols_a, cols_b, cols_z) -> float:
         """I(A;B|Z) = I(A u Z; B) - I(Z; B); empty Z reduces to plain MI.
@@ -262,7 +324,9 @@ class EstimatorContext:
         Always counts as two MI terms.
         """
         self.mi_calls += 2
-        a, b, z = self._mask(cols_a), self._mask(cols_b), self._mask(cols_z)
+        a = cols_a if type(cols_a) is int else self._mask(cols_a)
+        b = cols_b if type(cols_b) is int else self._mask(cols_b)
+        z = cols_z if type(cols_z) is int else self._mask(cols_z)
         if not z:
             return self._raw_mi(a, b)
         return self._raw_mi(a | z, b) - self._raw_mi(z, b)

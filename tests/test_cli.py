@@ -57,6 +57,16 @@ class TestSelect:
         assert rc == 1
         assert capsys.readouterr().err.startswith("infosel: binning: column 'A'")
 
+    def test_collapsing_cut_points_fail_in_binning(self, tmp_path, capsys):
+        # both values once fell into one bin, and the run exited 0
+        path = tmp_path / "narrow.csv"
+        path.write_text("A,Y\n1.0,0\n1.0000000000000002,1\n")
+        rc = main(["select", "--dataset", str(path), "--target", "Y",
+                   "--criterion", "mim", "--k", "1", "--bins", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infosel: binning: column 'A': range") and "too narrow" in err
+
     def test_gamma_rejected(self, toy_csv, capsys):
         # the free-weight family is API-only, so --gamma is an unknown flag
         with pytest.raises(SystemExit):

@@ -314,6 +314,24 @@ class TestBinning:
                 fit_binning(table, 5)
             assert len(equal_width_edges(np.array(vals), 1)) == 0
 
+    @pytest.mark.parametrize("vals, n_bins", [([1.0, 1.0000000000000002], 2),
+                                              ([1e16, 1e16 + 2], 2),
+                                              ([1.0, 1.0 + 4 * 2.0 ** -52], 10)])
+    def test_collapsing_cut_points_rejected(self, vals, n_bins):
+        # once a cut point rounded onto the minimum (or onto its neighbour) and
+        # distinct values shared one bin
+        n = len(vals)
+        table = RawTable(("A", "Y"), ("numeric",) * 2, (np.array(vals), np.zeros(n)), "Y", n)
+        with pytest.raises(DataError, match="column 'A': range .* too narrow"):
+            fit_binning(table, n_bins)
+
+    def test_narrowest_distinct_cut_is_kept(self):
+        # one cut point strictly between two neighbouring floats is enough
+        vals = np.array([1.0, 1.0 + 2.0 ** -50])
+        table = RawTable(("A", "Y"), ("numeric",) * 2, (vals, np.zeros(2)), "Y", 2)
+        ds = apply_binning(table, fit_binning(table, 2))
+        assert ds.codes[:, 0].tolist() == [0, 1]
+
     def test_unseen_category_gets_reserved_code(self, tmp_path):
         train = tmp_path / "train.csv"
         train.write_text("a,Y\nred,0\nblue,1\n")

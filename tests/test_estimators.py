@@ -100,14 +100,17 @@ def _pre_encoded(ds, key):
 
 
 class TestJointEncoder:
-    """Counts and entropies of every path equal those of np.unique over the rows."""
+    """Counts and entropies of every path equal those of np.unique over the rows.
+
+    Count order is unspecified, so counts are compared as sorted multisets.
+    """
 
     def _check(self, ctx, ds, cols):
         key = sorted(set(cols))
         stacked = np.column_stack(columns(ds, key))
         want = np.unique(stacked, axis=0, return_counts=True)[1]
-        assert np.array_equal(ctx.joint_counts(cols)[0], want), key
-        # the same counts in the same order give the same floats, for both estimators
+        assert np.array_equal(np.sort(ctx.joint_counts(cols)[0]), np.sort(want)), key
+        # the same multiset of counts gives the same floats, for both estimators
         single = EstimatorContext(_pre_encoded(ds, key), estimator=ctx.estimator)
         assert ctx.entropy(cols) == single.entropy([0]), key
         if ctx.estimator == "plugin":
@@ -149,6 +152,34 @@ class TestJointEncoder:
                 ctx.entropy(list(cols) + [TARGET])
                 sizes.append(len(ctx._code_cache))
         assert max(sizes) == estimators._CODE_CACHE_SIZE
+
+
+class TestOneExtendPerMiss:
+    """A sweep's sets extend the cached base they share, one column each."""
+
+    @pytest.mark.parametrize("cache_size", [estimators._CODE_CACHE_SIZE, 2])
+    def test_sweep_extends_the_cached_base_once(self, cache_size):
+        ds = random_ds(np.random.default_rng(14), d=8, n=50)
+        extends = []
+        real = estimators._extend
+
+        def spy(*args):
+            extends.append(args)
+            return real(*args)
+
+        with mock.patch.object(estimators, "_CODE_CACHE_SIZE", cache_size), \
+                mock.patch.object(estimators, "_extend", spy):
+            ctx = EstimatorContext(ds)
+            base = mask_of([0, 1, 2, TARGET])              # k | Z | Y
+            ctx.entropy(base)
+            for j in range(3, 8):
+                before = len(extends)
+                ctx.entropy(base | 2 << j)
+                assert len(extends) == before + 1, j
+                # 3**3 * 2 states exceed the 50 rows: the base was relabelled once, then kept
+                code, size = ctx._code_cache[base]
+                assert extends[-1][0] is code and size <= ds.n_rows
+                assert len(ctx._code_cache) <= cache_size
 
 
 def mask_of(cols) -> int:

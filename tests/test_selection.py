@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from infosel import selection
 from infosel.criteria import CRITERIA, KINDS, parse_criterion
-from infosel.data import toy_dataset
+from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import random_dataset
 from infosel.selection import predicted_mi_calls, run_sfs
@@ -182,6 +182,51 @@ class TestMaskPathMatchesReference:
         assert got.traces_json() == want.traces_json()
         assert [t and t.to_dict() for t in got.step_traces] == \
             [t and t.to_dict() for t in want.step_traces]
+
+
+@st.composite
+def shuffled_pairs(draw):
+    """A table in which some columns copy earlier ones under new labels, so
+    that mathematically equal scores are common, and the same table with its
+    rows permuted and every column's codes and the target's relabelled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(8, 48)), draw(st.integers(3, 6))
+    arities = [int(a) for a in rng.integers(2, 5, size=d)]
+    cols = [rng.integers(0, a, size=n) for a in arities]
+    for j in range(1, d):
+        if draw(st.booleans()):
+            src = draw(st.integers(0, j - 1))
+            arities[j] = arities[src]
+            cols[j] = rng.permutation(arities[src])[cols[src]]
+    n_classes = int(rng.integers(2, 4))
+    target = rng.integers(0, n_classes, size=n)
+    target[:n_classes] = np.arange(n_classes)
+    ds = DiscreteDataset(np.column_stack(cols).astype(np.int64), tuple(arities),
+                         target.astype(np.int64), n_classes, tuple(f"F{j}" for j in range(d)))
+    rows = rng.permutation(n)
+    codes = np.column_stack([rng.permutation(a)[c[rows]] for a, c in zip(arities, cols)])
+    shuffled = DiscreteDataset(codes.astype(np.int64), tuple(arities),
+                               rng.permutation(n_classes)[target[rows]].astype(np.int64),
+                               n_classes, ds.feature_names)
+    return ds, shuffled
+
+
+class TestRowOrderInvariance:
+    """Selections depend on the rows as a multiset, not on their order or code labels."""
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    @pytest.mark.parametrize("name", ["hocmim", "hocmim-n2", "cmim4", "jmi4"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=shuffled_pairs())
+    def test_permuted_rows_and_relabelled_codes(self, name, estimator, pair):
+        ds, shuffled = pair
+        crit = parse_criterion(name, epsilon_star=0.3 if name == "hocmim" else 0.01)
+        got = run_sfs(shuffled, crit, ds.n_features, estimator=estimator, collect_traces=True)
+        want = run_sfs(ds, crit, ds.n_features, estimator=estimator, collect_traces=True)
+        assert got.order == want.order
+        assert got.scores == want.scores
+        assert got.step_mi_calls == want.step_mi_calls
+        assert got.traces_json() == want.traces_json()
 
 
 class TestRankStability:

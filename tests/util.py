@@ -6,17 +6,16 @@ from itertools import combinations, permutations
 import numpy as np
 
 from infosel.data import DataError, RawTable, equal_width_edges, raw_bins
-from infosel.estimators import TARGET, EstimatorContext, _shrinkage_lambda
+from infosel.estimators import TARGET, EstimatorContext, cell_terms, profile_entropy
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
                             RedundancyTrace)
 
 
 def ref_entropy(*cols) -> float:
-    """Plug-in joint entropy in bits, straight from observed tuple counts."""
+    """Plug-in joint entropy in bits, from the profile of the observed tuple counts."""
     stacked = np.column_stack([np.asarray(c) for c in cols])
     _, counts = np.unique(stacked, axis=0, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log2(p)).sum())
+    return profile_entropy(np.bincount(counts), cell_terms(len(stacked)))
 
 
 def ref_mi(a_cols, b_cols) -> float:
@@ -97,7 +96,8 @@ def ref_load_csv(path, target_name: str) -> RawTable:
 class RefContext(EstimatorContext):
     """The list-keyed entropy, MI and CMI: every column set is rebuilt as a
     sorted tuple of indices on each call, and entropies are memoized by that
-    tuple.  Joint counts come from the context under test."""
+    tuple.  Joint counts come from the context under test, and entropies from
+    the profile of those counts."""
 
     def __init__(self, dataset, estimator: str = "plugin"):
         super().__init__(dataset, estimator=estimator)
@@ -114,18 +114,8 @@ class RefContext(EstimatorContext):
         h = self._tuple_cache.get(key)
         if h is None:
             counts, dense = self.joint_counts(key)
-            if self.estimator == "plugin":
-                p = counts / counts.sum()
-                h = float(-(p * np.log2(p)).sum())
-            else:
-                lam = _shrinkage_lambda(counts.astype(float), dense)
-                q = lam / dense + (1.0 - lam) * counts / counts.sum()
-                h = float(-(q[q > 0] * np.log2(q[q > 0])).sum())
-                n_empty = dense - len(counts)
-                if lam > 0 and n_empty > 0:
-                    q0 = lam / dense
-                    h += float(-n_empty * q0 * np.log2(q0))
-            h = max(0.0, h)
+            h = profile_entropy(np.bincount(counts), cell_terms(self.n_rows), self.estimator,
+                                dense)
             self._tuple_cache[key] = h
         return h
 
