@@ -7,7 +7,7 @@ import sys
 
 from . import __version__
 from .criteria import CRITERIA, Criterion, CriterionError, parse_criterion
-from .data import (DataError, SplitSpec, discretize, fit_binning, load_csv,
+from .data import (BinningError, DataError, SplitSpec, discretize, fit_binning, load_csv,
                    make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import benchmark
@@ -110,9 +110,7 @@ def cmd_benchmark(args) -> int:
         raise StageError("selection", "repeats must be >= 1")
     table, label = _load_table(args)
     try:
-        # a fit on all rows fails whenever a split's fit would, except on a
-        # range too narrow to cut, which a training half can have alone; so
-        # a table that cannot be binned fails here, in its own stage
+        # a table that cannot be binned fails here, before the criteria are read
         fit_binning(table, args.bins)
     except DataError as e:
         raise StageError("binning", str(e)) from e
@@ -129,6 +127,9 @@ def cmd_benchmark(args) -> int:
         report = benchmark(table, criteria, split, k_max, n_bins=args.bins,
                            knn_k=args.knn_k, estimator=args.estimator,
                            dataset_label=label)
+    except BinningError as e:
+        # a training half can have a range too narrow to cut, which all rows have not
+        raise StageError("binning", str(e)) from e
     except (DataError, ValueError) as e:
         raise StageError("selection", str(e)) from e
     print(report.to_text(), end="")

@@ -23,6 +23,10 @@ class DataError(ValueError):
     """Raised for malformed input tables or invalid binning requests."""
 
 
+class BinningError(DataError):
+    """Raised when a table cannot be binned as asked, on all rows or on a split's."""
+
+
 @dataclass(frozen=True)
 class RawTable:
     """A loaded table: named columns, each numeric or categorical.
@@ -291,7 +295,7 @@ def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
 
     A range so wide that a cut point overflows float64, or so narrow that the
     cut points do not rise strictly above the minimum and each other (so that
-    distinct values would share a bin), raises ``DataError``.
+    distinct values would share a bin), raises ``BinningError``.
     """
     lo, hi = float(values.min()), float(values.max())
     if n_bins <= 1 or lo == hi:
@@ -299,10 +303,10 @@ def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         edges = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
     if not np.isfinite(edges).all():
-        raise DataError(f"range [{lo:g}, {hi:g}] overflows float64 when cut into {n_bins} bins")
+        raise BinningError(f"range [{lo:g}, {hi:g}] overflows float64 when cut into {n_bins} bins")
     if edges[0] <= lo or np.any(edges[1:] <= edges[:-1]):
-        raise DataError(f"range [{lo!r}, {hi!r}] is too narrow to cut into {n_bins} "
-                        f"distinct bins in float64")
+        raise BinningError(f"range [{lo!r}, {hi!r}] is too narrow to cut into {n_bins} "
+                           f"distinct bins in float64")
     return edges
 
 
@@ -317,7 +321,7 @@ def _integer_target(values) -> np.ndarray:
     """Numeric target values as floats, checked to be integer-valued."""
     values = np.asarray(values, dtype=float)
     if not np.all(values == np.round(values)):
-        raise DataError("target column must be categorical or integer-valued")
+        raise BinningError("target column must be categorical or integer-valued")
     return values
 
 
@@ -330,12 +334,12 @@ def _first_appearance_codes(labels, rows) -> dict[str, int]:
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     """Fit per-column transforms on ``fit_rows`` (all rows when None)."""
     if n_bins < 1:
-        raise DataError("n_bins must be >= 1")
+        raise BinningError("n_bins must be >= 1")
     if fit_rows is None:
         fit_rows = np.arange(table.n_rows)
     fit_rows = np.asarray(fit_rows, dtype=np.int64)
     if len(fit_rows) == 0:
-        raise DataError("fit_rows must be nonempty")
+        raise BinningError("fit_rows must be nonempty")
 
     specs = []
     feature_names = []
@@ -347,8 +351,8 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
             vals = np.asarray(col, dtype=float)[fit_rows]
             try:
                 edges = equal_width_edges(vals, n_bins)
-            except DataError as e:
-                raise DataError(f"column {name!r}: {e}") from None
+            except BinningError as e:
+                raise BinningError(f"column {name!r}: {e}") from None
             occupied = np.flatnonzero(np.bincount(raw_bins(vals, edges),
                                                   minlength=len(edges) + 1))
             # raw bin r is nearer the upper of two neighbouring occupied bins
@@ -375,11 +379,11 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
     """Encode a table with a fitted spec; schema must match the fitting table."""
     if tuple(n for n in table.names if n != table.target_name) != spec.feature_names \
             or table.target_name != spec.target_name:
-        raise DataError("column mismatch between table and binning spec")
+        raise BinningError("column mismatch between table and binning spec")
     cols = []
     for name, cspec in zip(spec.feature_names, spec.feature_specs):
         if table.kind(name) != cspec.kind:
-            raise DataError(f"column {name!r} changed type since fitting")
+            raise BinningError(f"column {name!r} changed type since fitting")
         cols.append(cspec.encode(table.column(name)))
     # column-major, so that each feature column is one contiguous run of memory
     codes = np.array(cols).T if cols else np.zeros((table.n_rows, 0), np.int64)

@@ -18,18 +18,26 @@ codes, nor which sets happened to be cached can change a result.
 
 A column set is joint-encoded to one integer code per row.  Codes are
 unordered: the code of a set extends the code of any cached set one column
-smaller by the missing column, mixed-radix (``base * arity + column``).  A
-set's codes are cached as counted, and relabelled densely (to a range of at
-most N) only when they become such a base while their range exceeds N.  The
-searches grow column sets one column at a time, so the sets last counted are
-kept in a small least-recently-used cache, and a set usually costs one O(N)
-extend and one count.
+smaller by the missing column, mixed-radix (``base * arity + column``), and
+is relabelled densely once its range exceeds N.  The searches grow column
+sets one column at a time, so the sets last encoded are kept in a small
+least-recently-used cache.
+
+Every criterion conditions on the target Y, so entropies come in pairs: H(A)
+and H(A, Y).  An entropy miss on either takes the codes of A, the set without
+Y, and counts one table indexed ``code_A + size_A * y``.  H(A, Y) is read off
+that table and H(A) off its sum over the class axis, and both go into the
+memo.  So a pair usually costs one O(N) extend and one O(N) count.
+``joint_counts`` serves the same table with its empty cells dropped, for
+callers that want the counts themselves.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
 MI terms).  Entropies are not MI terms and are not counted.  Entropies are
 memoized per mask, up to ``_ENTROPY_CACHE_SIZE`` of them, so repeated logical
 calls stay cheap while the counter still reflects what the algorithms ask for.
+Two plain ints count the work of the misses: ``tables`` (pair tables counted)
+and ``rows_scanned`` (N times the columns of each table).
 """
 
 from __future__ import annotations
@@ -54,16 +62,6 @@ _ENTROPY_CACHE_SIZE = 1 << 18
 
 #: count through a table while the code range is at most this many times the rows
 _TABLE_ROWS = 4
-
-
-def _columns(mask: int) -> tuple[int, ...]:
-    """The column indices of a mask, ascending (``TARGET`` first)."""
-    cols = []
-    while mask:
-        low = mask & -mask
-        cols.append(low.bit_length() - 2)
-        mask ^= low
-    return tuple(cols)
 
 
 def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int) -> tuple[np.ndarray, int]:
@@ -183,6 +181,9 @@ class EstimatorContext:
         self.n_features = dataset.n_features
         self.estimator = estimator
         self.mi_calls = 0
+        # entropy misses: pair tables counted, and rows times columns they read
+        self.tables = 0
+        self.rows_scanned = 0
         self._mask_end = 1 << (self.n_features + 1)
         self._terms = cell_terms(self.n_rows)
         # by bit position: each column's codes and arity, the target first
@@ -216,60 +217,77 @@ class EstimatorContext:
 
         Each occupied joint state gives one count.  The joint codes behind them
         are unordered, so the order of the counts is unspecified; ``entropy``
-        reads only their profile, ``np.bincount(counts)``.
+        reads only their profile, ``np.bincount(counts)``, from the same pair
+        count.
         """
         mask = self._mask(cols)
         if not mask:
             raise ValueError("empty column list")
-        dense = 1.0
+        with_target, alone = self._pair_counts(mask & ~TARGET_BIT)
+        counts, dense = with_target if mask & TARGET_BIT else alone
+        return counts[counts > 0], dense
+
+    def _pair_counts(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+        """(counts, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
+
+        ``a`` has no target bit.  One count over the rows serves both: the
+        joint code is ``code_a + size_a * y``, so the target is the major axis
+        of the table and ``a``'s counts are its sum over that axis.
+        Unoccupied cells may appear as zero counts.
+        """
+        y, n_classes = self._bit_columns[TARGET_BIT]
+        # the target comes first in the product, as in a set's bit order
+        dense_a, dense_ay = 1.0, 1.0 * n_classes
         arities = self._bit_arities
-        rest = mask
+        rest = a
         while rest:
             low = rest & -rest
-            dense *= arities[low.bit_length() - 1]
+            arity = arities[low.bit_length() - 1]
+            dense_a *= arity
+            dense_ay *= arity
             rest ^= low
-        code, size = self._codes_of(mask)
-        if size <= _TABLE_ROWS * self.n_rows:
-            counts = np.bincount(code, minlength=size)
-            return counts[counts > 0], dense
-        return np.unique(code, return_counts=True)[1], dense
+        code, size = self._codes_of(a) if a else (0, 1)
+        joint = code + size * y
+        if size * n_classes <= _TABLE_ROWS * self.n_rows:
+            table = np.bincount(joint, minlength=size * n_classes)
+            alone = table.reshape(n_classes, size).sum(0)
+        else:
+            cells, table = np.unique(joint, return_counts=True)
+            # counts below 2**53 add up exactly in float64
+            alone = np.bincount(cells % size, weights=table).astype(np.int64)
+        return (table, dense_ay), (alone, dense_a)
 
     def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:
         """Unordered codes of the set's joint states, all below the returned size.
 
         A multi-column set extends a cached set one column smaller, or else the
-        set without its lowest column, by the missing column.  Its codes are
-        cached unrelabelled, since most sets are counted and never extended.
+        set without its lowest column, by the missing column.  Codes whose
+        range exceeds the row count are relabelled densely before they are
+        cached; keeping every range at most N keeps every extended range below
+        N**2, within int64.
         """
         cache = self._code_cache
         hit = cache.get(mask)
         if hit is not None:
             cache.move_to_end(mask)
             return hit
-        if not mask & (mask - 1):
-            return self._bit_columns[mask]
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            if mask ^ bit in cache:
-                break
-            rest ^= bit
+        if mask & (mask - 1):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                if mask ^ bit in cache:
+                    break
+                rest ^= bit
+            else:
+                bit = mask & -mask
+            code, size = _extend(*self._codes_of(mask ^ bit), *self._codes_of(bit))
         else:
-            bit = mask & -mask
-        code, size = _extend(*self._base(mask ^ bit), *self._base(bit))
-        self._keep(mask, code, size)
-        return code, size
-
-    def _base(self, mask: int) -> tuple[np.ndarray, int]:
-        """``_codes_of`` the set, relabelled densely once their range exceeds the row count.
-
-        Keeping every base's range at most N keeps every extended range below
-        N**2, within int64.
-        """
-        code, size = self._codes_of(mask)
+            code, size = self._bit_columns[mask]
+            if size <= self.n_rows:
+                return code, size
         if size > self.n_rows:
             code, size = _relabel(code, size, self.n_rows)
-            self._keep(mask, code, size)
+        self._keep(mask, code, size)
         return code, size
 
     def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
@@ -287,15 +305,22 @@ class EstimatorContext:
             mask = cols                       # the searches' masks skip the general check
         else:
             mask = self._mask(cols)
-        h = self._entropy_cache.get(mask)
+        memo = self._entropy_cache
+        h = memo.get(mask)
         if h is None:
             if not mask:
                 raise ValueError("empty column list")
-            counts, dense = self.joint_counts(_columns(mask))
-            h = profile_entropy(np.bincount(counts), self._terms, self.estimator, dense)
-            if len(self._entropy_cache) >= _ENTROPY_CACHE_SIZE:
-                self._entropy_cache.clear()
-            self._entropy_cache[mask] = h
+            # one table gives H(A, Y) and H(A), which the criteria ask for in pairs
+            a = mask & ~TARGET_BIT
+            self.tables += 1
+            self.rows_scanned += self.n_rows * (a.bit_count() + 1)
+            if len(memo) > _ENTROPY_CACHE_SIZE - 2:
+                memo.clear()
+            for m, (counts, dense) in zip((a | TARGET_BIT, a), self._pair_counts(a)):
+                if m:
+                    memo[m] = profile_entropy(np.bincount(counts), self._terms,
+                                              self.estimator, dense)
+            h = memo[mask]
         return h
 
     def conditional_entropy(self, cols_a, cols_b) -> float:

@@ -191,6 +191,18 @@ class TestBenchmark:
         assert rc == 1
         assert capsys.readouterr().err.startswith("infosel: selection: train fraction")
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_too_narrow_training_half_fails_in_binning(self, tmp_path, capsys, seed):
+        # all rows cut fine, but at these seeds a training half holds only the two
+        # close values of A; that once surfaced as a selection error
+        path = tmp_path / "t.csv"
+        path.write_text("A,B,Y\n1.0,0,0\n1.0000000000000002,1,1\n5.0,0,1\n5.0,1,0\n")
+        rc = main(["benchmark", "--dataset", str(path), "--target", "Y",
+                   "--criterion", "mim,cmim", "--repeats", "3", "--k", "1", "--seed", seed])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infosel: binning: column 'A': range") and "too narrow" in err
+
     def test_single_criterion_rejected(self, toy_csv, capsys):
         rc = main(["benchmark", "--dataset", toy_csv, "--target", "Y",
                    "--criterion", "mim", "--repeats", "2"])

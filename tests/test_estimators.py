@@ -155,7 +155,8 @@ class TestJointEncoder:
 
 
 class TestOneExtendPerMiss:
-    """A sweep's sets extend the cached base they share, one column each."""
+    """A sweep's sets extend the cached base they share, one column each, and
+    one table gives each set's entropy together with that of the set and Y."""
 
     @pytest.mark.parametrize("cache_size", [estimators._CODE_CACHE_SIZE, 2])
     def test_sweep_extends_the_cached_base_once(self, cache_size):
@@ -170,16 +171,69 @@ class TestOneExtendPerMiss:
         with mock.patch.object(estimators, "_CODE_CACHE_SIZE", cache_size), \
                 mock.patch.object(estimators, "_extend", spy):
             ctx = EstimatorContext(ds)
-            base = mask_of([0, 1, 2, TARGET])              # k | Z | Y
+            base = mask_of([0, 1, 2])                      # k | Z, without Y
             ctx.entropy(base)
             for j in range(3, 8):
-                before = len(extends)
+                before, tables = len(extends), ctx.tables
                 ctx.entropy(base | 2 << j)
-                assert len(extends) == before + 1, j
-                # 3**3 * 2 states exceed the 50 rows: the base was relabelled once, then kept
+                assert len(extends) == before + 1 and ctx.tables == tables + 1, j
                 code, size = ctx._code_cache[base]
                 assert extends[-1][0] is code and size <= ds.n_rows
                 assert len(ctx._code_cache) <= cache_size
+                # the partner with Y came from the same table
+                ctx.entropy(base | 2 << j | estimators.TARGET_BIT)
+                assert len(extends) == before + 1 and ctx.tables == tables + 1, j
+            assert ctx.rows_scanned == ctx.n_rows * (4 + 5 * 5)
+
+
+@st.composite
+def pair_tables(draw):
+    """A table with a target of 1 to 7 classes, possibly constant.
+
+    A column either repeats a few values of its arity or gives every row its
+    own value; a set holding such a column has N states, so with 5 or more
+    classes its pair table is counted by sorting rather than through a table.
+    """
+    n = draw(st.integers(1, 40))
+    arities, cols = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.sampled_from(ARITIES))
+        if arity >= 1500 and draw(st.booleans()):
+            col = draw(st.lists(st.integers(0, arity - 1), min_size=n, max_size=n, unique=True))
+        else:
+            levels = draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=4,
+                                   unique=True))
+            col = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+        cols.append(col)
+        arities.append(arity)
+    n_classes = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=n_classes,
+                           unique=True))
+    target = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    return DiscreteDataset(np.array(cols, dtype=np.int64).T, tuple(arities),
+                           np.array(target, dtype=np.int64), n_classes,
+                           tuple(f"f{i}" for i in range(len(cols))))
+
+
+class TestPairTable:
+    """H(A) and H(A, Y) from one table equal those of A and of A with Y counted alone."""
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    @pytest.mark.parametrize("target_first", [False, True], ids=["a-first", "ay-first"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ds=pair_tables(), data=st.data())
+    def test_matches_one_column_context(self, estimator, target_first, ds, data):
+        a = data.draw(st.lists(st.sampled_from(range(ds.n_features)), min_size=1, unique=True))
+        ctx = EstimatorContext(ds, estimator)
+        pair = {mask_of(a): a, mask_of(a) | estimators.TARGET_BIT: a + [TARGET]}
+        got = {mask: ctx.entropy(mask) for mask in sorted(pair, reverse=target_first)}
+        assert ctx.tables == 1
+        for mask, cols in pair.items():
+            key = sorted(cols)
+            single = EstimatorContext(_pre_encoded(ds, key), estimator=estimator)
+            assert got[mask] == single.entropy([0]), key
+            if estimator == "plugin":
+                assert got[mask] == ref_entropy(*columns(ds, key)), key
 
 
 def mask_of(cols) -> int:
@@ -285,8 +339,11 @@ class TestColumnMasks:
         with mock.patch.object(estimators, "_ENTROPY_CACHE_SIZE", 16), \
                 mock.patch.object(EstimatorContext, "entropy", spy):
             bounded = run_sfs(ds, crit, 5, collect_traces=True)
-        assert max(sizes) == 16
-        assert sizes.count(1) > 1                  # emptied and refilled on the way
+        # a miss adds a pair of entropies, so the memo stops at 15 or 16
+        assert 15 <= max(sizes) <= 16
+        # emptied and refilled on the way: the memo shrinks to one pair, more than once
+        shrunk = [after for before, after in zip(sizes, sizes[1:]) if after < before]
+        assert len(shrunk) > 1 and max(shrunk) <= 2
         assert bounded.order == unbounded.order
         assert bounded.scores == unbounded.scores
         assert bounded.step_mi_calls == unbounded.step_mi_calls
