@@ -27,6 +27,18 @@ class BinningError(DataError):
     """Raised when a table cannot be binned as asked, on all rows or on a split's."""
 
 
+def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
+    """``rows`` as an int64 array, or ``error`` unless each is an integer in [0, n_rows)."""
+    rows = np.asarray(rows)
+    # an empty list comes out as float64; whether no rows will do is the caller's call
+    if rows.ndim != 1 or not (np.issubdtype(rows.dtype, np.integer) or rows.size == 0):
+        raise error(f"{what} must be a list of integers, got {rows.dtype} of shape {rows.shape}")
+    outside = rows[(rows < 0) | (rows >= n_rows)]
+    if len(outside):
+        raise error(f"{what}: row {outside[0]} outside [0, {n_rows})")
+    return rows.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class RawTable:
     """A loaded table: named columns, each numeric or categorical.
@@ -133,8 +145,11 @@ class DiscreteDataset:
         return self.codes.shape[1]
 
     def restrict(self, rows) -> "DiscreteDataset":
-        """The dataset on the given rows, in that order, with column-major codes."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """The dataset on the given rows, in that order, with column-major codes.
+
+        Each row must be an integer in [0, n_rows); anything else raises ``DataError``.
+        """
+        rows = _row_indices(rows, self.n_rows, "restrict", DataError)
         # taking along the rows of the transpose copies once, straight into column-major
         return DiscreteDataset(self.codes.T.take(rows, axis=1).T, self.arities,
                                self.target[rows], self.n_classes, self.feature_names)
@@ -147,8 +162,10 @@ class SplitSpec:
     n_repeats: int = 30
 
 
-#: rows that ``load_csv`` holds and converts at a time
-_CHUNK_ROWS = 4096
+#: rows that ``load_csv`` holds and converts at a time: 256 rows of a few
+#: dozen columns are some 8,000 cell strings, which stay in cache while the
+#: chunk is transposed into columns (at 4,096 rows the transpose was 2.5x slower)
+_CHUNK_ROWS = 256
 
 
 def load_csv(path, target_name: str) -> RawTable:
@@ -161,11 +178,14 @@ def load_csv(path, target_name: str) -> RawTable:
 
     The file is read in one pass, ``_CHUNK_ROWS`` rows at a time, and no row
     list is kept, so memory is bounded by one chunk of cells plus the typed
-    columns.  A numeric column grows by one float64 array per chunk.  A
-    categorical column holds its stripped labels, one shared ``str`` per
-    distinct label; a column that turns categorical after the first chunk
-    re-reads only its own earlier cells from the file.  Input that cannot be
-    read twice, such as a pipe, is held as text first.
+    columns.  A chunk is kept cache-sized: turning thousands of rows of cells
+    into columns misses the cache and is slower, not faster.  A numeric
+    column grows by one float64 array per chunk.  A categorical column holds
+    its stripped labels, one shared ``str`` per distinct label, looked up by
+    raw cell so that a cell seen before is not stripped again; a column that
+    turns categorical after the first chunk re-reads only its own earlier
+    cells from the file.  Input that cannot be read twice, such as a pipe, is
+    held as text first.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fh.seekable():
@@ -194,11 +214,11 @@ def _read_table(fh, target_name: str, reopen) -> RawTable:
         _fail(reader, f"target column {target_name!r} not in header {header}")
     parts = [[] for _ in header]        # numeric column: its arrays, one per chunk
     labels = [None for _ in header]     # categorical column: its labels so far
-    interned = [{} for _ in header]     # categorical column: label -> its shared str
+    interned = [_Labels() for _ in header]
     n_rows = 0
     while chunk:
         converted, error = _convert_chunk(chunk, header, [lab is None for lab in labels],
-                                          n_rows)
+                                          n_rows, interned)
         if error:
             _fail(reader, error)
         late = [j for j, col in enumerate(converted)
@@ -212,7 +232,7 @@ def _read_table(fh, target_name: str, reopen) -> RawTable:
             if labels[j] is None:
                 parts[j].append(col)
             else:
-                labels[j].extend(map(interned[j].setdefault, col, col))
+                labels[j].extend(col)
         n_rows += len(chunk)
         chunk = list(islice(reader, _CHUNK_ROWS))
 
@@ -232,14 +252,28 @@ def _fail(reader, message: str):
     raise DataError(message)
 
 
-def _convert_chunk(chunk, header, numeric, first_row):
+class _Labels(dict):
+    """One column's raw cell -> its stripped label, one shared ``str`` per label.
+
+    A hit is one dict lookup; only a cell not seen before is stripped.
+    """
+
+    def __missing__(self, cell):
+        label = cell.strip()
+        if label != cell:
+            label = self[label]         # the shared str of the stripped form
+        self[cell] = label
+        return label
+
+
+def _convert_chunk(chunk, header, numeric, first_row, interned):
     """One chunk's columns, or its first ragged row or missing cell.
 
     Returns ``(columns, None)``: a column whose ``numeric`` flag is set and
     whose cells all parse as finite floats becomes a float64 array, any other
-    a list of stripped cells.  Or returns ``(None, message)`` for the first
-    ragged row or missing cell in row-major order.  ``first_row`` is the
-    chunk's offset among the data rows.
+    a list of its labels from ``interned``.  Or returns ``(None, message)``
+    for the first ragged row or missing cell in row-major order.
+    ``first_row`` is the chunk's offset among the data rows.
     """
     width = len(header)
     good = len(chunk)
@@ -250,7 +284,7 @@ def _convert_chunk(chunk, header, numeric, first_row):
         # float() ignores surrounding whitespace and rejects a blank cell
         values = _finite_floats(cells) if numeric[j] else None
         if values is None:
-            cells = list(map(str.strip, cells))
+            cells = list(map(interned[j].__getitem__, cells))
             # str.strip() also removes the separators \x1c-\x1f, which float() rejects
             if numeric[j] and "" not in cells:
                 values = _finite_floats(cells)
@@ -272,7 +306,7 @@ def _convert_chunk(chunk, header, numeric, first_row):
 def _finite_floats(cells):
     """The cells as a float64 array, or None if one is not a finite float."""
     try:
-        values = np.fromiter(map(float, cells), float, len(cells))
+        values = np.array(cells, dtype=float)
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
@@ -285,8 +319,7 @@ def _reread_labels(reopen, n_rows: int, columns, interned) -> dict[int, list[str
         rows = islice(csv.reader(fh), 1, n_rows + 1)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             for j in columns:
-                cells = list(map(str.strip, map(itemgetter(j), chunk)))
-                labels[j].extend(map(interned[j].setdefault, cells, cells))
+                labels[j].extend(map(interned[j].__getitem__, map(itemgetter(j), chunk)))
     return labels
 
 
@@ -314,7 +347,7 @@ def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per the rule edge_{i-1} <= v < edge_i, clamped at both ends."""
     if len(edges) == 0:
         return np.zeros(len(values), dtype=np.int64)
-    return np.searchsorted(edges, values, side="right").astype(np.int64)
+    return np.searchsorted(edges, values, side="right").astype(np.int64, copy=False)
 
 
 def _integer_target(values) -> np.ndarray:
@@ -325,20 +358,47 @@ def _integer_target(values) -> np.ndarray:
     return values
 
 
-def _first_appearance_codes(labels, rows) -> dict[str, int]:
-    """label -> code, numbered in order of first appearance on ``rows``."""
-    seen = dict.fromkeys(map(labels.__getitem__, rows.tolist()))
-    return dict(zip(seen, range(len(seen))))
+def _first_appearance(labels, rows=None) -> tuple[dict, np.ndarray]:
+    """label -> code in order of first appearance on ``rows`` (all when None),
+    and the codes of those rows, from one dict pass."""
+    n = len(labels) if rows is None else len(rows)
+    if rows is not None:
+        labels = map(labels.__getitem__, rows.tolist())
+    seen = {}
+    # len(seen) is read just before each setdefault, so a new label takes the next code
+    codes = np.fromiter(map(seen.setdefault, labels, map(len, repeat(seen))), np.int64, n)
+    return seen, codes
 
 
-def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
-    """Fit per-column transforms on ``fit_rows`` (all rows when None)."""
+def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, np.ndarray]:
+    """One feature column's transform, fit on ``rows`` (all when None), and the
+    codes of those rows: the fit's own raw bins or label numbers, looked up once."""
+    if kind == "numeric":
+        values = np.asarray(values, dtype=float)
+        if rows is not None:
+            values = values[rows]
+        edges = equal_width_edges(values, n_bins)
+        raw = raw_bins(values, edges)
+        occupied = np.flatnonzero(np.bincount(raw, minlength=len(edges) + 1))
+        # raw bin r is nearer the upper of two neighbouring occupied bins
+        # only when 2r exceeds their sum (a tie stays low), so its code is
+        # the number of neighbour sums below 2r
+        codes = np.searchsorted(occupied[:-1] + occupied[1:], 2 * np.arange(len(edges) + 1))
+        return (ColumnSpec("numeric", edges=edges, codes=codes, arity=len(occupied)),
+                codes[raw])
+    labels, codes = _first_appearance(values, rows)
+    # reserve one shared code for labels unseen at fit time
+    return ColumnSpec("categorical", labels=labels, arity=len(labels) + 1), codes
+
+
+def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec, np.ndarray]:
+    """The spec fit on ``rows`` (all when None) and the target codes of those
+    rows; ``out[j]``, when given, receives feature j's codes of those rows."""
     if n_bins < 1:
         raise BinningError("n_bins must be >= 1")
-    if fit_rows is None:
-        fit_rows = np.arange(table.n_rows)
-    fit_rows = np.asarray(fit_rows, dtype=np.int64)
-    if len(fit_rows) == 0:
+    if rows is not None:
+        rows = _row_indices(rows, table.n_rows, "fit_rows", BinningError)
+    if (table.n_rows if rows is None else len(rows)) == 0:
         raise BinningError("fit_rows must be nonempty")
 
     specs = []
@@ -346,33 +406,34 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     for name, kind, col in zip(table.names, table.kinds, table.columns):
         if name == table.target_name:
             continue
+        try:
+            spec, codes = _fit_column(kind, col, n_bins, rows)
+        except BinningError as e:
+            raise BinningError(f"column {name!r}: {e}") from None
+        if out is not None:
+            out[len(specs)] = codes
+        specs.append(spec)
         feature_names.append(name)
-        if kind == "numeric":
-            vals = np.asarray(col, dtype=float)[fit_rows]
-            try:
-                edges = equal_width_edges(vals, n_bins)
-            except BinningError as e:
-                raise BinningError(f"column {name!r}: {e}") from None
-            occupied = np.flatnonzero(np.bincount(raw_bins(vals, edges),
-                                                  minlength=len(edges) + 1))
-            # raw bin r is nearer the upper of two neighbouring occupied bins
-            # only when 2r exceeds their sum (a tie stays low), so its code is
-            # the number of neighbour sums below 2r
-            codes = np.searchsorted(occupied[:-1] + occupied[1:], 2 * np.arange(len(edges) + 1))
-            specs.append(ColumnSpec("numeric", edges=edges, codes=codes, arity=len(occupied)))
-        else:
-            labels = _first_appearance_codes(col, fit_rows)
-            # reserve one shared code for labels unseen at fit time
-            specs.append(ColumnSpec("categorical", labels=labels, arity=len(labels) + 1))
 
     tcol = table.column(table.target_name)
     if table.kind(table.target_name) == "numeric":
-        tvals = _integer_target(np.asarray(tcol)[fit_rows])
-        target_labels = {v: i for i, v in enumerate(sorted(set(int(v) for v in tvals)))}
+        tvals = _integer_target(tcol if rows is None else np.asarray(tcol)[rows])
+        classes, target = np.unique(tvals, return_inverse=True)
+        target_labels = dict(zip(map(int, classes.tolist()), range(len(classes))))
+        target = target.astype(np.int64, copy=False)
     else:
-        target_labels = _first_appearance_codes(tcol, fit_rows)
-    return BinningSpec(n_bins, tuple(feature_names), tuple(specs),
-                       table.target_name, target_labels)
+        target_labels, target = _first_appearance(tcol, rows)
+    return (BinningSpec(n_bins, tuple(feature_names), tuple(specs), table.target_name,
+                        target_labels), target)
+
+
+def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
+    """Fit per-column transforms on ``fit_rows`` (all rows when None).
+
+    ``fit_rows`` must be a nonempty list of integers in [0, n_rows); anything
+    else raises ``BinningError``.
+    """
+    return _fit(table, n_bins, fit_rows)[0]
 
 
 def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
@@ -401,8 +462,18 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
 
 
 def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
-    """fit_binning + apply_binning on all rows in one step (one-shot selection runs)."""
-    return apply_binning(table, fit_binning(table, n_bins))
+    """The table binned on all of its rows, in one pass per column (one-shot selection runs).
+
+    Equal to ``apply_binning(table, fit_binning(table, n_bins))``, but each
+    column is read once: the raw bins that fit a numeric column, looked up in
+    its code table, are its codes, and a categorical column's first-appearance
+    pass numbers its labels and its rows together.  The codes are written
+    straight into one column-major array.
+    """
+    codes = np.empty((len(table.feature_names), table.n_rows), np.int64)
+    spec, target = _fit(table, n_bins, out=codes)
+    return DiscreteDataset(codes.T, tuple(s.arity for s in spec.feature_specs), target,
+                           len(spec.target_labels), spec.feature_names)
 
 
 def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:

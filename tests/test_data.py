@@ -1,7 +1,9 @@
 import csv
 import os
+import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infosel import data
-from infosel.data import (DataError, DiscreteDataset, RawTable, SplitSpec, apply_binning,
-                          discretize, equal_width_edges, fit_binning, load_csv,
+from infosel.data import (BinningError, DataError, DiscreteDataset, RawTable, SplitSpec,
+                          apply_binning, discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
 
-from util import ref_load_csv, ref_numeric_codes
+from util import ref_first_appearance, ref_load_csv, ref_numeric_codes
 
 
 @pytest.fixture
@@ -235,9 +237,46 @@ class TestStreamingLoad:
         need = sum(col.nbytes if kind == "numeric"
                    else sys.getsizeof(col) + sum(map(sys.getsizeof, set(col)))
                    for kind, col in zip(table.kinds, table.columns))
-        # about 4x here (one 4096-row chunk of cell strings on top of the
+        # about 1.3x here (one 256-row chunk of cell strings on top of the
         # columns); a loader that holds every row as strings peaks near 10x
         assert peak < 6 * need
+
+    def test_late_categorical_column_at_the_default_chunk_size(self, tmp_path):
+        # column B turns categorical at row 1,000 of 3,000, several chunks in,
+        # so its earlier cells are read again over more than one chunk
+        assert data._CHUNK_ROWS < 1000
+        p = tmp_path / "late.csv"
+        _write_csv(p, ["A", "B", "C", "Y"], _late_rows(3000, 1000))
+        want = ref_load_csv(p, "Y")
+        assert want.kinds == ("numeric", "categorical", "categorical", "categorical")
+        _assert_same(load_csv(p, "Y"), want)
+        if Path("/dev/fd").is_dir():
+            _assert_same(_load_through_pipe(p.read_bytes(), "Y"), want)
+
+
+def _late_rows(n_rows, switch):
+    """Rows of A (numbers), B (numbers up to row ``switch``, then padded
+    labels), C (padded labels) and a class Y."""
+    return [[f"{i * 0.25:g}", f"{i % 7 - 3}" if i < switch else (" x", "y ")[i % 2],
+             (" red", "blue", "red ")[i % 3], ("neg", "pos")[i * 7 % 5 < 2]]
+            for i in range(n_rows)]
+
+
+def _load_through_pipe(text: bytes, target):
+    """``load_csv`` of ``text`` written into a pipe by another thread."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return load_csv(f"/dev/fd/{read_end}", target)
+    finally:
+        os.close(read_end)
+        writer.join()
 
 
 class TestBinning:
@@ -366,6 +405,21 @@ class TestBinning:
             apply_binning(table, spec)
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ([-1, -2], r"fit_rows: row -1 outside \[0, 10\)"),
+        ([3, 10], r"fit_rows: row 10 outside \[0, 10\)"),
+        ([0.5, 1], "fit_rows must be a list of integers, got float64"),
+        ([True, False], "fit_rows must be a list of integers, got bool"),
+        ([[0, 1]], r"fit_rows must be a list of integers, got int64 of shape \(1, 2\)"),
+        ([], "fit_rows must be nonempty"),
+    ], ids=["negative", "past-the-end", "fractional", "mask", "nested", "empty"])
+    def test_malformed_fit_rows_rejected(self, rows, message):
+        # negative rows once wrapped round to the last ones, fractional rows
+        # were truncated, and a row past the end raised a bare IndexError
+        with pytest.raises(BinningError, match=message):
+            fit_binning(toy_table(), 5, fit_rows=rows)
+
+
 @st.composite
 def numeric_tables(draw):
     """A numeric table, a non-empty fit subset of its rows and a bin count."""
@@ -395,6 +449,64 @@ class TestSnapProperty:
             codes, arity = ref_numeric_codes(table.column(name), fit_rows, n_bins)
             assert ds.codes[:, j].tolist() == codes.tolist()
             assert ds.arities[j] == arity
+
+
+LABELS = ("a", "b", "c", " a", "é")
+
+
+@st.composite
+def mixed_tables(draw):
+    """A table of numeric and categorical features (constant ones included),
+    an integer-numeric or categorical target, and a bin count from 1 to 7."""
+    n = draw(st.integers(1, 30))
+    numbers = st.one_of(
+        st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: [v] * n),      # constant
+        st.lists(st.sampled_from([-2.0, 0.0, 0.5, 3.0, 7.25]), min_size=n, max_size=n),
+        st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    labels = st.one_of(st.sampled_from(LABELS).map(lambda v: [v] * n),          # constant
+                       st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "categorical"]), max_size=5))
+    cols = [np.array(draw(numbers)) if kind == "numeric" else draw(labels) for kind in kinds]
+    if draw(st.booleans()):
+        kinds.append("numeric")
+        cols.append(np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                             float))
+    else:
+        kinds.append("categorical")
+        cols.append(draw(labels))
+    names = tuple(f"F{j}" for j in range(len(cols) - 1)) + ("Y",)
+    return RawTable(names, tuple(kinds), tuple(cols), "Y", n), draw(st.integers(1, 7))
+
+
+class TestOnePassFit:
+    """discretize, which fits and encodes each column in one pass, against
+    fit_binning followed by apply_binning."""
+
+    @given(mixed_tables())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_fit_then_apply(self, case):
+        table, n_bins = case
+        try:
+            want = apply_binning(table, fit_binning(table, n_bins))
+        except BinningError as e:
+            with pytest.raises(BinningError, match=f"^{re.escape(str(e))}$"):
+                discretize(table, n_bins)
+            return
+        got = discretize(table, n_bins)
+        for a, b in ((got.codes, want.codes), (got.target, want.target)):
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape and a.strides == b.strides
+            assert np.array_equal(a, b)
+        assert got.codes.flags["F_CONTIGUOUS"]
+        assert (got.arities, got.n_classes, got.feature_names) == \
+            (want.arities, want.n_classes, want.feature_names)
+        for j, name in enumerate(got.feature_names):
+            if table.kind(name) == "categorical":
+                col = table.column(name)
+                assert got.codes[:, j].tolist() == ref_first_appearance(col)
+                assert got.arities[j] == len(set(col)) + 1
+        if table.kind("Y") == "categorical":
+            assert got.target.tolist() == ref_first_appearance(table.column("Y"))
 
 
 class TestSplits:
@@ -510,6 +622,20 @@ class TestDiscreteDataset:
         assert np.array_equal(sub.target, [1, 0])
         assert sub.codes.flags["F_CONTIGUOUS"]
         assert not np.shares_memory(sub.codes, ds.codes)
+
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1], r"restrict: row -1 outside \[0, 3\)"),
+        ([0, 3], r"restrict: row 3 outside \[0, 3\)"),
+        ([0.5], "restrict must be a list of integers, got float64"),
+        ([True, False, True], "restrict must be a list of integers, got bool"),
+    ], ids=["negative", "past-the-end", "fractional", "mask"])
+    def test_malformed_restrict_rows_rejected(self, rows, message):
+        # row -1 once wrapped round to the last row
+        ds = self._make([[0, 1], [1, 0], [1, 1]], target=(0, 1, 1))
+        with pytest.raises(DataError, match=message):
+            ds.restrict(rows)
+        assert ds.restrict([]).n_rows == 0
 
 
 def test_toy_dataset_matches_table_path():

@@ -51,6 +51,17 @@ def ref_numeric_codes(values, fit_rows, n_bins: int):
     return np.where(take_left, left, pos).astype(np.int64), len(occupied)
 
 
+def ref_first_appearance(labels) -> list[int]:
+    """Each label's code: the number of distinct labels that appear before its first row."""
+    seen: dict = {}
+    codes = []
+    for label in labels:
+        if label not in seen:
+            seen[label] = len(seen)
+        codes.append(seen[label])
+    return codes
+
+
 def ref_load_csv(path, target_name: str) -> RawTable:
     """The whole-file loader: every row read into a list of cell strings first."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
