@@ -358,16 +358,23 @@ def _integer_target(values) -> np.ndarray:
     return values
 
 
+class _Codes(dict):
+    """label -> code, numbered in order of first appearance as labels are looked up."""
+
+    def __missing__(self, label):
+        code = self[label] = len(self)
+        return code
+
+
 def _first_appearance(labels, rows=None) -> tuple[dict, np.ndarray]:
     """label -> code in order of first appearance on ``rows`` (all when None),
     and the codes of those rows, from one dict pass."""
     n = len(labels) if rows is None else len(rows)
     if rows is not None:
         labels = map(labels.__getitem__, rows.tolist())
-    seen = {}
-    # len(seen) is read just before each setdefault, so a new label takes the next code
-    codes = np.fromiter(map(seen.setdefault, labels, map(len, repeat(seen))), np.int64, n)
-    return seen, codes
+    seen = _Codes()
+    codes = np.fromiter(map(seen.__getitem__, labels), np.int64, n)
+    return dict(seen), codes
 
 
 def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, np.ndarray]:
@@ -402,7 +409,6 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
         raise BinningError("fit_rows must be nonempty")
 
     specs = []
-    feature_names = []
     for name, kind, col in zip(table.names, table.kinds, table.columns):
         if name == table.target_name:
             continue
@@ -413,7 +419,6 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
         if out is not None:
             out[len(specs)] = codes
         specs.append(spec)
-        feature_names.append(name)
 
     tcol = table.column(table.target_name)
     if table.kind(table.target_name) == "numeric":
@@ -423,7 +428,7 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
         target = target.astype(np.int64, copy=False)
     else:
         target_labels, target = _first_appearance(tcol, rows)
-    return (BinningSpec(n_bins, tuple(feature_names), tuple(specs), table.target_name,
+    return (BinningSpec(n_bins, table.feature_names, tuple(specs), table.target_name,
                         target_labels), target)
 
 
