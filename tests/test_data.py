@@ -404,7 +404,6 @@ class TestBinning:
         with pytest.raises(DataError, match="integer-valued"):
             apply_binning(table, spec)
 
-
     @pytest.mark.parametrize("rows, message", [
         ([-1, -2], r"fit_rows: row -1 outside \[0, 10\)"),
         ([3, 10], r"fit_rows: row 10 outside \[0, 10\)"),
@@ -623,7 +622,6 @@ class TestDiscreteDataset:
         assert sub.codes.flags["F_CONTIGUOUS"]
         assert not np.shares_memory(sub.codes, ds.codes)
 
-
     @pytest.mark.parametrize("rows, message", [
         ([-1], r"restrict: row -1 outside \[0, 3\)"),
         ([0, 3], r"restrict: row 3 outside \[0, 3\)"),
@@ -635,6 +633,9 @@ class TestDiscreteDataset:
         ds = self._make([[0, 1], [1, 0], [1, 1]], target=(0, 1, 1))
         with pytest.raises(DataError, match=message):
             ds.restrict(rows)
+
+    def test_restrict_to_no_rows(self):
+        ds = self._make([[0, 1], [1, 0]])
         assert ds.restrict([]).n_rows == 0
 
 
