@@ -441,18 +441,32 @@ def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     return _fit(table, n_bins, fit_rows)[0]
 
 
-def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
-    """Encode a table with a fitted spec; schema must match the fitting table."""
+def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteDataset:
+    """Encode a table with a fitted spec; schema must match the fitting table.
+
+    With ``rows``, the result equals ``apply_binning(table, spec).restrict(rows)``
+    but only those rows' features are encoded; the target is still read on
+    every row, so ``n_classes`` (one extra class when any row holds a class
+    unseen at fit time) is the whole table's.  ``rows`` must be a list of
+    integers in [0, n_rows); anything else raises ``BinningError``.
+    """
     if tuple(n for n in table.names if n != table.target_name) != spec.feature_names \
             or table.target_name != spec.target_name:
         raise BinningError("column mismatch between table and binning spec")
+    if rows is not None:
+        rows = _row_indices(rows, table.n_rows, "rows", BinningError)
+    n_rows = table.n_rows if rows is None else len(rows)
     cols = []
     for name, cspec in zip(spec.feature_names, spec.feature_specs):
         if table.kind(name) != cspec.kind:
             raise BinningError(f"column {name!r} changed type since fitting")
-        cols.append(cspec.encode(table.column(name)))
+        col = table.column(name)
+        if rows is not None:
+            col = np.asarray(col)[rows] if cspec.kind == "numeric" else \
+                list(map(col.__getitem__, rows.tolist()))
+        cols.append(cspec.encode(col))
     # column-major, so that each feature column is one contiguous run of memory
-    codes = np.array(cols).T if cols else np.zeros((table.n_rows, 0), np.int64)
+    codes = np.array(cols).T if cols else np.zeros((n_rows, 0), np.int64)
 
     tcol = table.column(spec.target_name)
     if table.kind(spec.target_name) == "numeric":
@@ -463,7 +477,8 @@ def apply_binning(table: RawTable, spec: BinningSpec) -> DiscreteDataset:
     target = np.fromiter(map(spec.target_labels.get, raw, repeat(n_fit)), np.int64, len(raw))
     n_classes = n_fit + (1 if target.max(initial=-1) >= n_fit else 0)
     return DiscreteDataset(codes, tuple(s.arity for s in spec.feature_specs),
-                           target, n_classes, spec.feature_names)
+                           target if rows is None else target[rows], n_classes,
+                           spec.feature_names)
 
 
 def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:

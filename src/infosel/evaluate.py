@@ -7,8 +7,11 @@ averaged over splits; criteria are compared by average rank (1 = best, ties
 share the mean of their positions).
 
 ``knn_classify`` and ``error_curve`` share one kernel, ``_knn_predict``.  It
-ranks test rows in blocks of ``_BLOCK`` rows, so no array larger than
-``_BLOCK x n_train`` is made.  Squared distances are exact integers: each
+sorts the test rows once, so that the rows equal on the columns seen so far
+form contiguous runs, and ranks each run once: equal rows have equal
+distances, hence equal neighbours and votes.  It goes through the sorted rows
+in blocks of ``_BLOCK`` rows, so no array larger than ``_BLOCK x n_train`` is
+made.  Squared distances are exact integers: each
 column is shifted to start at 0, and the distances are held in int16 when the
 sum of the squared column spans fits in it, in int64 otherwise.  Each distance
 then becomes the key ``distance * n_train + row``: the keys are unique and sort
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RawTable, SplitSpec, apply_binning, fit_binning, make_splits
+from .data import (DiscreteDataset, RawTable, SplitSpec, _fit, apply_binning,
+                   make_splits)
 from .selection import run_sfs
 
 
@@ -70,12 +74,19 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
                          f"test codes {test_codes.shape[1]}")
     if len(train_codes) != len(train_labels):
         raise ValueError(f"{len(train_codes)} training rows but {len(train_labels)} labels")
+    n_columns = train_codes.shape[1]
     if feature_subset is None:
-        columns = list(range(train_codes.shape[1]))
+        columns = list(range(n_columns))
     else:
         columns = list(feature_subset)
         if not columns:
             raise ValueError("feature subset is empty")
+        for j in columns:
+            # a negative index would wrap and a bool would index as a mask
+            if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)) \
+                    or not 0 <= j < n_columns:
+                raise ValueError(f"feature subset entry {j!r} is not a column "
+                                 f"index in [0, {n_columns})")
     if n_classes is None:
         n_classes = int(train_labels.max()) + 1
     return _knn_predict(train_codes, train_labels, test_codes, [columns], k, n_classes)[0]
@@ -128,10 +139,19 @@ def _key_dtype(reach: int, n_train: int):
 def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     """KNN predictions after each group of columns: shape (len(groups), n_test).
 
-    The distance to every training row accumulates one column at a time;
-    after the last column of group g the k nearest rows vote, so row g of the
-    result uses the columns of groups 0..g.  Test rows go through in blocks of
-    ``_BLOCK``.  Each exact integer distance becomes the unique key
+    The test rows are sorted once, lexicographically with the first column
+    as the primary key, so the rows that are equal on the columns seen so far
+    lie in contiguous runs, and each further column can only split a run.
+    The sorted rows go through in blocks of ``_BLOCK``; within a block each
+    run keeps one row of distances to every training row, which accumulates
+    one column at a time: when a column splits a run, the new runs start from
+    a copy of their parent's row.  After the last column of group g the k
+    nearest rows vote once per run, the vote goes to every row of the run,
+    and row g of the result, back in input order, uses the columns of groups
+    0..g.  Equal rows have equal distances, so this ranks each distinct test
+    prefix once per block and predicts exactly what ranking every row would.
+
+    Each exact integer distance becomes the unique key
     ``distance * n_train + row`` (dtype from ``_key_dtype``), which sorts in
     (distance, row) order; a partition at k - 1 puts the k smallest keys
     first, and ``key % n_train`` gives back their rows.  So a distance tie
@@ -152,29 +172,46 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     reach = sum(max(int(a.max()), int(b.max())) ** 2 for a, b in zip(train, test))
     key_dtype = _key_dtype(reach, n_train)
     rows = np.arange(n_train, dtype=key_dtype)
+    # lexsort takes its last key as the primary one
+    order = np.lexsort(test[::-1])
+    test = test[:, order]
     block = min(_BLOCK, n_test)
     dist = np.empty((block, n_train), dtype=train.dtype)
-    sq = np.empty_like(dist)
+    spare, sq = np.empty_like(dist), np.empty_like(dist)
     keys = np.empty((block, n_train), dtype=key_dtype)
+    offsets = np.arange(block)[:, None] * n_classes
     for start in range(0, n_test, block):
         stop = min(start + block, n_test)
-        d, s, key = dist[:stop - start], sq[:stop - start], keys[:stop - start]
-        d.fill(0)
-        offsets = np.arange(stop - start)[:, None] * n_classes
+        new_run = np.zeros(stop - start, dtype=bool)
+        new_run[0] = True
+        heads = np.flatnonzero(new_run)
+        dist[0] = 0
         c = 0
         for g, group in enumerate(groups):
             for _ in group:
-                np.subtract(test[c, start:stop, None], train[c], out=s)
+                col = test[c, start:stop]
+                new_run[1:] |= col[1:] != col[:-1]
+                split = np.flatnonzero(new_run)
+                if len(split) > len(heads):
+                    parents = heads.searchsorted(split, side="right") - 1
+                    np.take(dist[:len(heads)], parents, axis=0, out=spare[:len(split)])
+                    dist, spare, heads = spare, dist, split
+                n = len(heads)
+                s = sq[:n]
+                np.subtract(col[heads, None], train[c], out=s)
                 np.multiply(s, s, out=s)
-                d += s
+                dist[:n] += s
                 c += 1
-            np.multiply(d, n_train, out=key, dtype=key_dtype)
+            n = len(heads)
+            key = keys[:n]
+            np.multiply(dist[:n], n_train, out=key, dtype=key_dtype)
             key += rows
             key.partition(k - 1, axis=1)
             nearest = key[:, :k] % n_train
-            votes = np.bincount((offsets + train_labels[nearest]).ravel(),
-                                minlength=(stop - start) * n_classes)
-            preds[g, start:stop] = votes.reshape(-1, n_classes).argmax(axis=1)
+            votes = np.bincount((offsets[:n] + train_labels[nearest]).ravel(),
+                                minlength=n * n_classes)
+            run_preds = votes.reshape(-1, n_classes).argmax(axis=1)
+            preds[g, order[start:stop]] = run_preds[np.cumsum(new_run) - 1]
     return preds
 
 
@@ -207,19 +244,24 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
     if knn_k < 1:
         raise ValueError("k must be >= 1")
     errors = np.empty((len(splits), k_max), dtype=float)
+    n_features = len(table.feature_names)
     for r, (train_rows, test_rows) in enumerate(splits):
-        spec = fit_binning(table, n_bins, train_rows)
-        ds = apply_binning(table, spec)
-        train_ds = ds.restrict(train_rows)
+        # the fit's own codes are the training rows' codes: only the test rows are encoded
+        train_codes = np.empty((n_features, len(train_rows)), np.int64)
+        spec, train_target = _fit(table, n_bins, train_rows, out=train_codes)
+        test_ds = apply_binning(table, spec, test_rows)
+        # the class count is the whole table's, a class unseen at fit time included
+        train_ds = DiscreteDataset(train_codes.T, test_ds.arities, train_target,
+                                   test_ds.n_classes, spec.feature_names)
         if callable(selector):
             order = list(selector(train_ds))[:k_max]
         else:
             order = run_sfs(train_ds, selector, k_max, estimator=estimator).order
         if len(order) < k_max:
             raise ValueError("selector returned fewer features than k_max")
-        preds = _knn_predict(train_ds.codes, train_ds.target, ds.codes[test_rows],
-                             [[j] for j in order], knn_k, ds.n_classes)
-        wrong = np.count_nonzero(preds != ds.target[test_rows], axis=1)
+        preds = _knn_predict(train_ds.codes, train_ds.target, test_ds.codes,
+                             [[j] for j in order], knn_k, test_ds.n_classes)
+        wrong = np.count_nonzero(preds != test_ds.target, axis=1)
         errors[r] = wrong / len(test_rows)
     return errors
 

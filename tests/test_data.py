@@ -508,6 +508,41 @@ class TestOnePassFit:
             assert got.target.tolist() == ref_first_appearance(table.column("Y"))
 
 
+class TestApplyToRows:
+    """apply_binning on some rows against apply_binning on all, then restrict."""
+
+    @given(mixed_tables(), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_restrict(self, case, data):
+        table, n_bins = case
+        row = st.integers(0, table.n_rows - 1)
+        fit_rows = data.draw(st.lists(row, min_size=1, max_size=table.n_rows))
+        rows = data.draw(st.lists(row, max_size=2 * table.n_rows))    # any order, repeats too
+        try:
+            spec = fit_binning(table, n_bins, fit_rows)
+        except BinningError:
+            return
+        got = apply_binning(table, spec, rows)
+        want = apply_binning(table, spec).restrict(rows)
+        for a, b in ((got.codes, want.codes), (got.target, want.target)):
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert got.codes.flags["F_CONTIGUOUS"]
+        assert (got.arities, got.n_classes, got.feature_names) == \
+            (want.arities, want.n_classes, want.feature_names)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1], r"rows: row -1 outside \[0, 10\)"),
+        ([2, 10], r"rows: row 10 outside \[0, 10\)"),
+        ([0.5], "rows must be a list of integers, got float64"),
+        ([True, False], "rows must be a list of integers, got bool"),
+    ], ids=["negative", "past-the-end", "fractional", "mask"])
+    def test_malformed_rows_rejected(self, rows, message):
+        table = toy_table()
+        with pytest.raises(BinningError, match=message):
+            apply_binning(table, fit_binning(table, 5), rows)
+
+
 class TestSplits:
     def test_even_split(self):
         train, test = make_splits(10, SplitSpec(0.5, seed=1, n_repeats=1))[0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from infosel import evaluate
 from infosel.criteria import parse_criterion
-from infosel.data import (DataError, SplitSpec, apply_binning, fit_binning,
+from infosel.data import (DataError, SplitSpec, apply_binning, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table)
 from infosel.evaluate import (average_ranks, benchmark, error_curve,
                               knn_classify)
@@ -84,6 +84,28 @@ class TestKnn:
                 "test_codes": np.array([[1, 0]]), "k": 1}
         with pytest.raises(ValueError, match=message):
             knn_classify(**{**args, **change})
+
+    @pytest.mark.parametrize("subset, message", [
+        ([-1], "entry -1 is not"),
+        ([0, 2], "entry 2 is not"),
+        ([True], "entry True is not"),
+        ([np.True_], "entry np.True_ is not"),
+        ([1.0], "entry 1.0 is not"),
+        (["0"], "entry '0' is not"),
+    ], ids=["negative", "past-the-end", "bool", "numpy-bool", "float", "string"])
+    def test_malformed_feature_subset_rejected(self, subset, message):
+        # -1 once voted on the last column, 2 raised a bare IndexError and
+        # True a numpy broadcast error
+        with pytest.raises(ValueError, match=rf"feature subset {message} a column index "
+                                             r"in \[0, 2\)"):
+            knn_classify(np.array([[0, 0], [2, 1]]), np.array([0, 1]), np.array([[1, 0]]),
+                         k=1, feature_subset=subset)
+
+    def test_numpy_integer_subset_accepted(self):
+        train, labels = np.array([[0, 9], [5, 0]]), np.array([0, 1])
+        preds = knn_classify(train, labels, np.array([[4, 9]]), k=1,
+                             feature_subset=np.array([1, 1]))
+        assert preds.tolist() == [0]
 
 
 def brute_knn(train, labels, test, k, n_classes):
@@ -241,6 +263,44 @@ class TestKnnKernel:
                 assert curve[r, size - 1] == np.mean(pred != ds.target[test])
 
 
+@st.composite
+def repeated_row_cases(draw):
+    """Few distinct test rows over codes {0, 1, 2}, repeated in any order,
+    with the first one repeated last, and groups that may repeat a column."""
+    n_train = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(2, 4))
+    codes = st.integers(0, 2)
+    train = draw(st.lists(st.lists(codes, min_size=d, max_size=d),
+                          min_size=n_train, max_size=n_train))
+    pool = draw(st.lists(st.lists(codes, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    picks[-1] = picks[0]                  # equal rows at both ends of the input
+    groups = draw(st.lists(st.lists(st.integers(0, d - 1), min_size=1, max_size=3),
+                           min_size=1, max_size=4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n_train, max_size=n_train))
+    k = draw(st.integers(1, n_train + 3))
+    return (np.array(train, np.int64), np.array(labels, np.int64),
+            np.array([pool[i] for i in picks], np.int64), groups, k, n_classes)
+
+
+class TestKnnRuns:
+    """Test rows that repeat, ranked once per run of equal sorted rows."""
+
+    @pytest.mark.parametrize("block", [3, 4])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=repeated_row_cases())
+    def test_matches_brute_force(self, block, case):
+        train, labels, test, groups, k, n_classes = case
+        with mock.patch.object(evaluate, "_BLOCK", block):
+            got = evaluate._knn_predict(train, labels, test, groups, k, n_classes)
+        columns = []
+        for g, group in enumerate(groups):
+            columns += group
+            want = brute_knn(train[:, columns], labels, test[:, columns], k, n_classes)
+            assert np.array_equal(got[g], want), (g, columns)
+
+
 class TestAverageRanks:
     def test_sorted_values(self):
         assert average_ranks([0.1, 0.2, 0.3]).tolist() == [1, 2, 3]
@@ -287,6 +347,28 @@ class TestErrorCurve:
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
         curve = error_curve(table, parse_criterion("mim"), splits, k_max=2)
         assert curve.shape == (2, 2)
+
+    def test_training_rows_coded_as_the_split_binning(self, tmp_path):
+        # classes "y" and "z" and label "q" are missing from some training
+        # halves: the training dataset still counts the unseen classes as one,
+        # as binning every row does
+        p = tmp_path / "t.csv"
+        rows = [f"{i * 0.5},{'pq'[i % 2] if i < 8 else 'q'},{'xy'[i % 3 == 0]}"
+                for i in range(10)]
+        rows[9] = rows[9][:-1] + "z"
+        p.write_text("A,B,Y\n" + "\n".join(rows) + "\n")
+        table = load_csv(p, "Y")
+        # the second split leaves out rows 0, 3, 6 and 9, which hold its unseen classes
+        splits = [(np.arange(0, 8, 2), np.arange(1, 10, 2)), (np.array([5, 1, 2]), np.array([4]))]
+        seen = []
+        error_curve(table, lambda ds: seen.append(ds) or [1, 0], splits, k_max=2, n_bins=3)
+        for (train, _), got in zip(splits, seen):
+            want = apply_binning(table, fit_binning(table, 3, train)).restrict(train)
+            assert want.n_classes == len(set(want.target.tolist())) + 1
+            for a, b in ((got.codes, want.codes), (got.target, want.target)):
+                assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b)
+            assert (got.arities, got.n_classes, got.feature_names) == \
+                (want.arities, want.n_classes, want.feature_names)
 
     @pytest.mark.parametrize("knn_k", [0, -3])
     def test_knn_k_below_one_rejected(self, knn_k):
