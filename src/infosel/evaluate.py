@@ -149,7 +149,8 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     nearest rows vote once per run, the vote goes to every row of the run,
     and row g of the result, back in input order, uses the columns of groups
     0..g.  Equal rows have equal distances, so this ranks each distinct test
-    prefix once per block and predicts exactly what ranking every row would.
+    prefix once per block and predicts exactly what ranking every row would;
+    the sort only makes the runs long, and any row order predicts the same.
 
     Each exact integer distance becomes the unique key
     ``distance * n_train + row`` (dtype from ``_key_dtype``), which sorts in
@@ -194,7 +195,9 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
                 split = np.flatnonzero(new_run)
                 if len(split) > len(heads):
                     parents = heads.searchsorted(split, side="right") - 1
-                    np.take(dist[:len(heads)], parents, axis=0, out=spare[:len(split)])
+                    # parents are in range; mode="raise" would copy through a buffer
+                    np.take(dist[:len(heads)], parents, axis=0, out=spare[:len(split)],
+                            mode="clip")
                     dist, spare, heads = spare, dist, split
                 n = len(heads)
                 s = sq[:n]
