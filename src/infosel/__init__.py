@@ -13,7 +13,7 @@ from .criteria import Criterion, parse_criterion
 from .data import (BinningSpec, DiscreteDataset, RawTable, SplitSpec,
                    apply_binning, discretize, fit_binning, load_csv,
                    make_splits, make_xor_table, toy_dataset, toy_table)
-from .estimators import TARGET, EstimatorContext, shrinkage_pmf
+from .estimators import TARGET, EstimatorContext
 from .evaluate import EvalReport, average_ranks, benchmark, error_curve, knn_classify
 from .hocmim import (RedundancyTrace, greedy_representative_set, hocmim_score,
                      hocmim_score_exhaustive, total_redundancy)
@@ -28,6 +28,6 @@ __all__ = [
     "greedy_representative_set", "hocmim_score", "hocmim_score_exhaustive",
     "knn_classify", "load_csv", "make_splits", "make_xor_table",
     "parse_criterion", "predicted_mi_calls",
-    "run_oracle_checks", "run_sfs", "shrinkage_pmf", "toy_dataset",
+    "run_oracle_checks", "run_sfs", "toy_dataset",
     "toy_table", "total_redundancy",
 ]

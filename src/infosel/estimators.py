@@ -28,8 +28,6 @@ and H(A, Y).  An entropy miss on either takes the codes of A, the set without
 Y, and counts one table indexed ``code_A + size_A * y``.  H(A, Y) is read off
 that table and H(A) off its sum over the class axis, and both go into the
 memo.  So a pair usually costs one O(N) extend and one O(N) count.
-``joint_counts`` serves the same table with its empty cells dropped, for
-callers that want the counts themselves.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -119,29 +117,12 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
     return max(0.0, h)
 
 
-def shrinkage_pmf(counts, n_cells: int | None = None) -> np.ndarray:
-    """James-Stein shrinkage of empirical frequencies toward the uniform pmf.
-
-    lambda = (1 - sum p^2) / ((N-1) * sum (u - p)^2), clipped to [0, 1], with
-    u = 1/n_cells.  ``n_cells`` defaults to len(counts); pass the full dense
-    cell count to include unobserved cells in the target.  Returns the shrunk
-    pmf over the given cells only (unobserved cells each carry lambda/n_cells).
-    """
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("zero total count")
-    m = float(n_cells if n_cells is not None else len(counts))
-    lam = _shrinkage_lambda(counts, np.ones_like(counts), total, m)
-    return lam * (1.0 / m) + (1.0 - lam) * (counts / total)
-
-
 def _shrinkage_lambda(c: np.ndarray, mc: np.ndarray, total: float, m: float) -> float:
     """The clipped James-Stein weight of the uniform target over m cells.
 
-    ``mc[i]`` cells hold ``c[i]`` of the ``total`` rows each.
+    ``mc[i]`` cells hold ``c[i]`` of the ``total`` rows each, and the other
+    cells none.  With p the empirical pmf and u = 1/m, lambda =
+    (1 - sum p^2) / ((N-1) * sum (u - p)^2) over all m cells, clipped to [0, 1].
     """
     p = c / total
     u = 1.0 / m
@@ -211,21 +192,6 @@ class EstimatorContext:
                 raise IndexError(f"feature index {c} out of range")
             mask |= 1 << (c + 1)
         return mask
-
-    def joint_counts(self, cols) -> tuple[np.ndarray, float]:
-        """Observed joint-state counts and the dense cell count of the set.
-
-        Each occupied joint state gives one count.  The joint codes behind them
-        are unordered, so the order of the counts is unspecified; ``entropy``
-        reads only their profile, ``np.bincount(counts)``, from the same pair
-        count.
-        """
-        mask = self._mask(cols)
-        if not mask:
-            raise ValueError("empty column list")
-        with_target, alone = self._pair_counts(mask & ~TARGET_BIT)
-        counts, dense = with_target if mask & TARGET_BIT else alone
-        return counts[counts > 0], dense
 
     def _pair_counts(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
         """(counts, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
@@ -322,13 +288,6 @@ class EstimatorContext:
                                               self.estimator, dense)
             h = memo[mask]
         return h
-
-    def conditional_entropy(self, cols_a, cols_b) -> float:
-        """H(A|B) = H(A,B) - H(B); an empty B gives plain H(A)."""
-        a, b = self._mask(cols_a), self._mask(cols_b)
-        if not b:
-            return self.entropy(a)
-        return self.entropy(a | b) - self.entropy(b)
 
     # -- MI terms (counted) ---------------------------------------------------
 

@@ -93,12 +93,13 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
 
 
 def _shift_and_narrow(train_codes, test_codes, columns):
-    """The listed columns as (len(columns), n) arrays, shifted to start at 0.
+    """The listed columns as (len(columns), n) arrays, shifted to start at 0,
+    and ``reach``, the sum of their squared spans.
 
     Each column is shifted by its minimum over train and test, so its codes
     lie in [0, span].  A squared distance summed over the columns is then at
-    most the sum of the squared spans: int16 holds every intermediate value
-    exactly when that sum fits in it, int64 otherwise.
+    most ``reach``: int16 holds every intermediate value exactly when it fits
+    in it, int64 otherwise.
     """
     lows, spans = [], []
     for j in columns:
@@ -118,7 +119,7 @@ def _shift_and_narrow(train_codes, test_codes, columns):
             out[c] = codes[:, j].astype(np.uint64) - np.uint64(low % 2**64)
         return out
 
-    return shifted(train_codes), shifted(test_codes)
+    return shifted(train_codes), shifted(test_codes), reach
 
 
 def _key_dtype(reach: int, n_train: int):
@@ -168,9 +169,7 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     if n_test == 0:
         return preds
     columns = [j for group in groups for j in group]
-    train, test = _shift_and_narrow(train_codes, test_codes, columns)
-    # the shifted columns start at 0, so each one's maximum is its span
-    reach = sum(max(int(a.max()), int(b.max())) ** 2 for a, b in zip(train, test))
+    train, test, reach = _shift_and_narrow(train_codes, test_codes, columns)
     key_dtype = _key_dtype(reach, n_train)
     rows = np.arange(n_train, dtype=key_dtype)
     # lexsort takes its last key as the primary one

@@ -7,10 +7,12 @@ from printing and fails the test.
 
 import hashlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from infosel import hocmim
 from infosel.cli import main
 from infosel.criteria import Criterion, parse_criterion
 from infosel.data import make_xor_table, discretize, toy_dataset, write_toy_csv
@@ -112,11 +114,36 @@ def test_criterion_3_oracle_equivalences(capsys):
     # every equivalence family must actually have been exercised
     for check in ("greedy_full_equals_cmi", "n1_equals_cmim",
                   "exhaustive2_equals_cmim3", "exhaustive3_equals_cmim4",
-                  "cmi_forms", "chain_rule", "symmetry",
+                  "cmi_forms", "chain_rule", "chain_sum", "symmetry",
                   "statement1_zero_score", "statement2_independence"):
         assert report.passed.get(check, 0) > 0, f"{check} never ran"
     with capsys.disabled():
         _report(3, "oracle equivalence suite", t0, budget=60.0)
+
+
+def _increment_off_after_first_pick():
+    real = hocmim._increment
+    return mock.patch.object(hocmim, "_increment",
+                             lambda ctx, kb, jb, zm: real(ctx, kb, jb, zm) + (1e-6 if zm else 0.0))
+
+
+def _joint_entropies_off():
+    real = EstimatorContext.entropy
+
+    def entropy(ctx, cols):
+        h = real(ctx, cols)
+        return h + 1e-6 if ctx._mask(cols).bit_count() >= 2 else h
+    return mock.patch.object(EstimatorContext, "entropy", entropy)
+
+
+@pytest.mark.parametrize("plant, check", [(_increment_off_after_first_pick, "chain_sum"),
+                                          (_joint_entropies_off, "chain_rule")],
+                         ids=["chain_sum", "chain_rule"])
+def test_oracle_catches_planted_errors(plant, check):
+    # a wrong value that each side of a check would share must still fail it
+    with plant():
+        report = run_oracle_checks(n_instances=20, seed=0)
+    assert report.failed.get(check, 0) > 0, report.summary()
 
 
 def test_criterion_4_complexity_accounting(capsys):

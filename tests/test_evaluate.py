@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from infosel import evaluate
 from infosel.criteria import parse_criterion
-from infosel.data import (DataError, SplitSpec, apply_binning, fit_binning, load_csv,
-                          make_splits, make_xor_table, toy_dataset, toy_table)
+from infosel.data import (DataError, RawTable, SplitSpec, apply_binning, fit_binning,
+                          load_csv, make_splits, make_xor_table, toy_dataset, toy_table)
 from infosel.evaluate import (average_ranks, benchmark, error_curve,
                               knn_classify)
 
@@ -163,8 +163,9 @@ class TestKnnKernel:
         d = train.shape[1]
         both = np.vstack([train, test])
         reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
-        narrowed, _ = evaluate._shift_and_narrow(train, test, list(range(d)))
+        narrowed, _, got_reach = evaluate._shift_and_narrow(train, test, list(range(d)))
         assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
+        assert got_reach == reach
         with mock.patch.object(evaluate, "_BLOCK", 3):
             got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
             prefixes = evaluate._knn_predict(train, labels, test, [[j] for j in range(d)],
@@ -369,6 +370,37 @@ class TestErrorCurve:
                 assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b)
             assert (got.arities, got.n_classes, got.feature_names) == \
                 (want.arities, want.n_classes, want.feature_names)
+
+    @pytest.mark.parametrize("table, n_bins, order, repeated", [
+        ("xor", 2, [3, 0, 7, 1, 9, 2], True),
+        ("xor", 40, [3, 0, 7, 1, 9, 2], True),
+        ("gauss", 40, [2, 0, 1], False),
+    ], ids=["xor-2-bins", "xor-40-bins", "gauss-40-bins"])
+    def test_matches_per_row_knn(self, table, n_bins, order, repeated):
+        # the kernel ranks each run of equal sorted test rows once; its curves
+        # must equal a per-row KNN.  600 test rows go through it in three
+        # blocks; the binary xor columns repeat rows at any bin count, the
+        # Gaussian ones at 40 bins hardly ever
+        xor = make_xor_table(seed=3, n_rows=1200)
+        if table == "gauss":
+            rng = np.random.default_rng(3)
+            raw = RawTable(("A", "B", "C", "Y"), ("numeric",) * 4,
+                           (*rng.normal(size=(3, 1200)), xor.column("Y")), "Y", 1200)
+        else:
+            raw = xor
+        splits = make_splits(raw.n_rows, SplitSpec(0.5, seed=3, n_repeats=2))
+        curve = error_curve(raw, lambda ds: order, splits, k_max=len(order), n_bins=n_bins,
+                            knn_k=5)
+        for r, (train, test) in enumerate(splits):
+            ds = apply_binning(raw, fit_binning(raw, n_bins, train))
+            for size in range(1, len(order) + 1):
+                cols = order[:size]
+                pred = brute_knn(ds.codes[train][:, cols], ds.target[train],
+                                 ds.codes[test][:, cols], 5, ds.n_classes)
+                want = np.count_nonzero(pred != ds.target[test]) / len(test)
+                assert curve[r, size - 1] == want, (r, size)
+            distinct = len(np.unique(ds.codes[test][:, order], axis=0))
+            assert (distinct < len(test) / 4) == repeated, distinct
 
     @pytest.mark.parametrize("knn_k", [0, -3])
     def test_knn_k_below_one_rejected(self, knn_k):

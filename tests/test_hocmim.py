@@ -102,6 +102,8 @@ class TestGreedySearch:
             c = random_ctx(rng)
             tr = greedy_representative_set(c, 0, [1, 2, 3], Criterion("hocmim", n=2))
             assert sum(tr.increments) == pytest.approx(tr.redundancy, abs=TOL)
+            # the telescoped increments against the redundancy of Z computed in one go
+            assert sum(tr.increments) == pytest.approx(total_redundancy(c, 0, tr.z), abs=TOL)
             assert len(tr.z) == len(set(tr.z)) == len(tr.increments)
 
     def test_empty_s_rejected(self, ctx):

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from infosel.data import DataError, RawTable, equal_width_edges, raw_bins
-from infosel.estimators import TARGET, EstimatorContext, cell_terms, profile_entropy
+from infosel.estimators import TARGET, TARGET_BIT, EstimatorContext, cell_terms, profile_entropy
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
                             RedundancyTrace)
 
@@ -26,6 +26,46 @@ def ref_cmi(a_cols, b_cols, z_cols) -> float:
     if not z_cols:
         return ref_mi(a_cols, b_cols)
     return ref_mi(list(a_cols) + list(z_cols), b_cols) - ref_mi(z_cols, b_cols)
+
+
+def joint_counts(ctx, cols) -> tuple[np.ndarray, float]:
+    """Observed joint-state counts of a column set and its dense cell count.
+
+    Read off the context's pair table: the half with the target when the set
+    holds it, the half without otherwise, with the empty cells dropped.  The
+    order of the counts is unspecified.
+    """
+    mask = ctx._mask(cols)
+    if not mask:
+        raise ValueError("empty column list")
+    with_target, alone = ctx._pair_counts(mask & ~TARGET_BIT)
+    counts, dense = with_target if mask & TARGET_BIT else alone
+    return counts[counts > 0], dense
+
+
+def shrinkage_pmf(counts, n_cells=None) -> np.ndarray:
+    """James-Stein shrinkage of empirical frequencies toward the uniform pmf.
+
+    lambda = (1 - sum p^2) / ((N-1) * sum (u - p)^2), clipped to [0, 1], with
+    u = 1/n_cells and the sums over all n_cells cells, an unobserved one at
+    p = 0.  ``n_cells`` defaults to len(counts).  Returns the shrunk pmf over
+    the given cells only (unobserved cells each carry lambda/n_cells).
+    """
+    counts = np.asarray(counts, dtype=float)
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    total = counts.sum()
+    if total <= 0:
+        raise ValueError("zero total count")
+    m = float(n_cells if n_cells is not None else len(counts))
+    p = counts / total
+    u = 1.0 / m
+    spread = float(((u - p) ** 2).sum()) + (m - len(counts)) * u ** 2
+    if total <= 1 or spread <= 0:
+        lam = 1.0
+    else:
+        lam = min(1.0, max(0.0, (1.0 - float((p ** 2).sum())) / ((total - 1) * spread)))
+    return lam * u + (1.0 - lam) * p
 
 
 def columns(ds, idxs):
@@ -124,17 +164,11 @@ class RefContext(EstimatorContext):
         key = self._key(cols)
         h = self._tuple_cache.get(key)
         if h is None:
-            counts, dense = self.joint_counts(key)
+            counts, dense = joint_counts(self, key)
             h = profile_entropy(np.bincount(counts), cell_terms(self.n_rows), self.estimator,
                                 dense)
             self._tuple_cache[key] = h
         return h
-
-    def conditional_entropy(self, cols_a, cols_b) -> float:
-        cols_a, cols_b = list(cols_a), list(cols_b)
-        if not cols_b:
-            return self.entropy(cols_a)
-        return self.entropy(cols_a + cols_b) - self.entropy(cols_b)
 
     def _raw_mi(self, cols_a, cols_b) -> float:
         v = self.entropy(cols_a) + self.entropy(cols_b) - self.entropy(list(cols_a) + list(cols_b))
