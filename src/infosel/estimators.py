@@ -24,10 +24,17 @@ sets one column at a time, so the sets last encoded are kept in a small
 least-recently-used cache.
 
 Every criterion conditions on the target Y, so entropies come in pairs: H(A)
-and H(A, Y).  An entropy miss on either takes the codes of A, the set without
-Y, and counts one table indexed ``code_A + size_A * y``.  H(A, Y) is read off
-that table and H(A) off its sum over the class axis, and both go into the
-memo.  So a pair usually costs one O(N) extend and one O(N) count.
+and H(A, Y).  The context keeps its own copy of the rows, stably sorted by
+class, so each class is one contiguous slice of the rows.  Each feature column
+is stored in the narrowest unsigned dtype that holds its arity (uint8 up to
+256, uint16 up to 2**16, int64 above).  A set's codes are int32 while their
+range is below 2**31 and int64 above, and a column is widened to that dtype
+when it extends a set's code.  An entropy miss on either of a pair takes the
+codes of A, the set without Y, and counts them once per class slice.  The
+class tables side by side are the table of (A, Y), and their sum over the
+classes is the table of A; H(Y) alone is read off the class sizes.  Both
+entropies go into the memo, so a pair usually costs one O(N) extend and one
+O(N) count.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -62,9 +69,26 @@ _ENTROPY_CACHE_SIZE = 1 << 18
 _TABLE_ROWS = 4
 
 
+def _narrow_dtype(arity: int) -> type:
+    """The narrowest unsigned dtype that holds the codes 0..arity-1; int64 above 2**16."""
+    return np.uint8 if arity <= 1 << 8 else np.uint16 if arity <= 1 << 16 else np.int64
+
+
+def _code_dtype(size: int) -> type:
+    """The dtype of codes below ``size``: int32 while they fit, int64 above."""
+    return np.int32 if size < 1 << 31 else np.int64
+
+
 def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int) -> tuple[np.ndarray, int]:
-    """Codes of a set joined by one more column, and their range."""
-    return base * arity + col, size * arity
+    """Codes of a set joined by one more column, and their range.
+
+    Either array may be narrow, so the product is taken in the dtype of the
+    new range: a narrow array times an int keeps its dtype and would wrap.
+    """
+    size *= arity
+    code = np.multiply(base, arity, dtype=_code_dtype(size))
+    code += col
+    return code, size
 
 
 def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]:
@@ -72,8 +96,11 @@ def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]
     if size <= _TABLE_ROWS * n_rows:
         seen = np.zeros(size, dtype=bool)
         seen[code] = True
-        label = np.cumsum(seen)
-        return label[code] - 1, int(label[-1])
+        cells = np.flatnonzero(seen)
+        # only occupied cells are read back, so the rest of the label table stays unset
+        label = np.empty(size, dtype=_code_dtype(len(cells)))
+        label[cells] = np.arange(len(cells))
+        return label[code], len(cells)
     uniq, dense = np.unique(code, return_inverse=True)
     return dense, len(uniq)
 
@@ -144,9 +171,9 @@ class EstimatorContext:
     conditional MI to plain MI.  A mask below 0, or one with a bit above
     feature D-1, is rejected as a malformed set.
 
-    The underlying dataset is treated as read-only, and its codes are used in
-    place when they are column-major (as ``apply_binning`` and
-    ``DiscreteDataset.restrict`` make them).  To estimate on a subset of the
+    The context keeps its own copy of the feature codes: the rows stably
+    sorted by class, each column in the narrowest unsigned dtype that holds
+    its arity.  The dataset is only read.  To estimate on a subset of the
     rows, build the context over ``dataset.restrict(rows)``.
     """
 
@@ -155,9 +182,6 @@ class EstimatorContext:
             raise ValueError(f"unknown estimator kind {estimator!r}")
         if dataset.n_rows == 0:
             raise ValueError("dataset has no rows")
-        # one contiguous run of memory per feature column
-        self._codes = np.asfortranarray(dataset.codes)
-        self._target = dataset.target
         self.n_rows = dataset.n_rows
         self.n_features = dataset.n_features
         self.estimator = estimator
@@ -167,11 +191,16 @@ class EstimatorContext:
         self.rows_scanned = 0
         self._mask_end = 1 << (self.n_features + 1)
         self._terms = cell_terms(self.n_rows)
-        # by bit position: each column's codes and arity, the target first
-        columns = [(self._target, dataset.n_classes)]
-        columns += [(self._codes[:, j], arity) for j, arity in enumerate(dataset.arities)]
-        self._bit_columns = {1 << i: column for i, column in enumerate(columns)}
-        self._bit_arities = tuple(arity for _, arity in columns)
+        # the rows in class order: class c holds rows bounds[c]:bounds[c + 1]
+        order = np.argsort(dataset.target, kind="stable")
+        self._class_counts = np.bincount(dataset.target, minlength=dataset.n_classes)
+        bounds = [0, *np.cumsum(self._class_counts).tolist()]
+        self._class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        # by feature bit: the column's class-ordered, narrowed codes and its arity
+        self._bit_columns = {
+            2 << j: (dataset.codes[:, j].astype(_narrow_dtype(arity), copy=False)[order], arity)
+            for j, arity in enumerate(dataset.arities)}
+        self._bit_arities = (dataset.n_classes, *dataset.arities)
         self._entropy_cache: dict[int, float] = {}
         self._code_cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
 
@@ -196,15 +225,16 @@ class EstimatorContext:
     def _pair_counts(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
         """(counts, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
 
-        ``a`` has no target bit.  One count over the rows serves both: the
-        joint code is ``code_a + size_a * y``, so the target is the major axis
-        of the table and ``a``'s counts are its sum over that axis.
-        Unoccupied cells may appear as zero counts.
+        ``a`` has no target bit.  The rows are in class order, so the counts of
+        ``a`` with the target are those of ``a``'s codes in each class's slice
+        of the rows, and ``a``'s counts are their sum over the classes.  With
+        ``a`` empty they are the class sizes and N.  Unoccupied cells may
+        appear as zero counts.
         """
-        y, n_classes = self._bit_columns[TARGET_BIT]
+        arities = self._bit_arities
+        n_classes = arities[0]
         # the target comes first in the product, as in a set's bit order
         dense_a, dense_ay = 1.0, 1.0 * n_classes
-        arities = self._bit_arities
         rest = a
         while rest:
             low = rest & -rest
@@ -212,15 +242,18 @@ class EstimatorContext:
             dense_a *= arity
             dense_ay *= arity
             rest ^= low
-        code, size = self._codes_of(a) if a else (0, 1)
-        joint = code + size * y
+        if not a:
+            return (self._class_counts, dense_ay), (np.array([self.n_rows]), dense_a)
+        code, size = self._codes_of(a)
         if size * n_classes <= _TABLE_ROWS * self.n_rows:
-            table = np.bincount(joint, minlength=size * n_classes)
+            table = np.concatenate([np.bincount(code[rows], minlength=size)
+                                    for rows in self._class_slices])
             alone = table.reshape(n_classes, size).sum(0)
         else:
-            cells, table = np.unique(joint, return_counts=True)
-            # counts below 2**53 add up exactly in float64
-            alone = np.bincount(cells % size, weights=table).astype(np.int64)
+            table = np.concatenate([np.unique(code[rows], return_counts=True)[1]
+                                    for rows in self._class_slices])
+            # every set's range is at most N, so A alone still fits a table
+            alone = np.bincount(code, minlength=size)
         return (table, dense_ay), (alone, dense_a)
 
     def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:

@@ -8,7 +8,7 @@ from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.hocmim import hocmim_score
 
-from util import ref_cmi, ref_entropy, ref_mi, columns
+from util import columns, random_ds, ref_cmi, ref_entropy, ref_mi
 
 TOL = 1e-9
 
@@ -19,19 +19,11 @@ def ctx():
 
 
 def random_ctx(rng, d=5, n=40):
-    codes = rng.integers(0, 3, size=(n, d)).astype(np.int64)
-    target = rng.integers(0, 2, size=n).astype(np.int64)
-    target[:2] = [0, 1]
-    ds = DiscreteDataset(codes, (3,) * d, target, 2, tuple(f"f{i}" for i in range(d)))
-    return EstimatorContext(ds)
+    return EstimatorContext(random_ds(rng, d, n))
 
 
 def jmi_score(ctx, k, S):
     return Criterion("jmi").score(ctx, k, S)[0]
-
-
-def columns_of(ctx, idxs):
-    return [ctx._target if j == -1 else ctx._codes[:, j] for j in idxs]
 
 
 class TestGeneric:
@@ -57,12 +49,13 @@ class TestGeneric:
 
     def test_matches_reference_sum(self):
         rng = np.random.default_rng(0)
-        c = random_ctx(rng)
+        ds = random_ds(rng, d=5, n=40)
+        c = EstimatorContext(ds)
         k, S, beta, gamma = 0, [1, 3], 0.7, 0.3
-        want = ref_mi(columns_of(c, [k]), columns_of(c, [-1]))
-        want -= beta * sum(ref_mi(columns_of(c, [j]), columns_of(c, [k])) for j in S)
-        want += gamma * sum(ref_cmi(columns_of(c, [j]), columns_of(c, [k]),
-                                    columns_of(c, [-1])) for j in S)
+        want = ref_mi(columns(ds, [k]), columns(ds, [-1]))
+        want -= beta * sum(ref_mi(columns(ds, [j]), columns(ds, [k])) for j in S)
+        want += gamma * sum(ref_cmi(columns(ds, [j]), columns(ds, [k]),
+                                    columns(ds, [-1])) for j in S)
         assert score_generic(c, k, S, beta, gamma) == pytest.approx(want, abs=TOL)
 
 
@@ -154,9 +147,10 @@ class TestJmiHigh:
 
     def test_order_three_reference(self):
         rng = np.random.default_rng(3)
-        c = random_ctx(rng, d=5)
+        ds = random_ds(rng, d=5, n=40)
+        c = EstimatorContext(ds)
         k, S = 0, [1, 2, 4]
-        want = sum(ref_mi(columns_of(c, [j, i, k]), columns_of(c, [-1]))
+        want = sum(ref_mi(columns(ds, [j, i, k]), columns(ds, [-1]))
                    for j in S for i in S if i != j)
         assert score_jmi_high(c, k, S, 3) == pytest.approx(want, abs=TOL)
 

@@ -12,7 +12,8 @@ from infosel.oracle import _grouped_entropy
 from infosel.selection import predicted_mi_calls, run_sfs
 from infosel.criteria import parse_criterion
 
-from util import RefContext, columns, joint_counts, ref_cmi, ref_entropy, shrinkage_pmf
+from util import (RefContext, columns, joint_counts, random_ds, ref_cmi, ref_entropy,
+                  shrinkage_pmf)
 
 TOL = 1e-9
 
@@ -20,13 +21,6 @@ TOL = 1e-9
 @pytest.fixture
 def toy_ctx():
     return EstimatorContext(toy_dataset())
-
-
-def random_ds(rng, d=4, n=32, arity=3):
-    codes = rng.integers(0, arity, size=(n, d)).astype(np.int64)
-    target = rng.integers(0, 2, size=n).astype(np.int64)
-    target[:2] = [0, 1]
-    return DiscreteDataset(codes, (arity,) * d, target, 2, tuple(f"f{i}" for i in range(d)))
 
 
 class TestEntropy:
@@ -235,6 +229,64 @@ class TestPairTable:
             assert got[mask] == single.entropy([0]), key
             if estimator == "plugin":
                 assert got[mask] == ref_entropy(*columns(ds, key)), key
+
+
+class TestNarrowCodes:
+    """The context's class-ordered copy keeps each column in the narrowest
+    unsigned dtype that holds its arity, and a set's codes are int32 only
+    while their range fits; every product is taken in the wider dtype."""
+
+    @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
+                             ids=["table", "unique"])
+    def test_dtype_boundaries_match_reference(self, table_rows):
+        # uint8 holds arities 255 and 256, uint16 holds 257, 65,537 needs int64;
+        # 256 * 257 states pass 2**16, and every code reaches arity - 1
+        rng = np.random.default_rng(17)
+        n, arities = 300, (255, 256, 257, 65_537)
+        cols = [rng.permutation(np.resize(np.arange(arity - n, arity) % arity, n))
+                if arity > n else rng.permutation(np.resize(np.arange(arity), n))
+                for arity in arities]
+        target = rng.integers(0, 3, n)
+        assert np.any(np.diff(target) < 0) and set(target) == {0, 1, 2}
+        ds = DiscreteDataset(np.column_stack(cols).astype(np.int64), arities,
+                             target.astype(np.int64), 3, tuple(f"f{i}" for i in range(4)))
+        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows):
+            for r in range(1, 5):
+                for feats in combinations(range(4), r):
+                    for key in (list(feats), list(feats) + [TARGET]):
+                        ctx = EstimatorContext(ds)
+                        assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+            ctx = EstimatorContext(ds)
+            assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
+
+    def test_code_range_past_2_pow_32_keeps_int64(self):
+        # two near-unique columns of arity 70,000: a joint code is
+        # base * 70,000 + column, up to 4.9e9, and the rows below put two
+        # codes exactly 2**32 apart, whichever column is the base
+        rng = np.random.default_rng(19)
+        n = 70_000
+        cols = rng.integers(0, n, size=(n, 2))
+        cols[:3] = [[0, 0], [47_296, 61_356], [61_356, 47_296]]
+        assert 61_356 * n + 47_296 == 2 ** 32
+        ds = DiscreteDataset(cols, (n, n), rng.integers(0, 2, n), 2, ("a", "b"))
+        ctx = EstimatorContext(ds)
+        for key in ([0, 1], [0, 1, TARGET]):
+            assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+
+
+class TestDatasetReadOnly:
+    def test_context_and_selection_leave_the_dataset_alone(self):
+        rng = np.random.default_rng(18)
+        ds = random_ds(rng, d=5, n=60)
+        codes, target = ds.codes, ds.target.copy()
+        assert np.any(np.diff(target) < 0)
+        raw = codes.tobytes()
+        ctx = EstimatorContext(ds)
+        ctx.entropy([0, 1, 2, TARGET])
+        run_sfs(ds, parse_criterion("hocmim"), 3)
+        assert ds.codes is codes
+        assert ds.codes.dtype == np.int64 and ds.codes.tobytes() == raw
+        assert np.array_equal(ds.target, target) and ds.target.dtype == target.dtype
 
 
 def mask_of(cols) -> int:

@@ -9,7 +9,7 @@ from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD,
                             hocmim_score_exhaustive, total_redundancy)
 from infosel.selection import run_sfs
 
-from util import ref_cmi, ref_mi, columns
+from util import columns, random_ds, ref_cmi, ref_mi
 
 TOL = 1e-9
 
@@ -20,12 +20,7 @@ def ctx():
 
 
 def random_ctx(rng, d=5, n=40, arity=3):
-    codes = rng.integers(0, arity, size=(n, d)).astype(np.int64)
-    target = rng.integers(0, 2, size=n).astype(np.int64)
-    target[:2] = [0, 1]
-    ds = DiscreteDataset(codes, (arity,) * d, target, 2,
-                         tuple(f"f{i}" for i in range(d)))
-    return EstimatorContext(ds)
+    return EstimatorContext(random_ds(rng, d, n, arity))
 
 
 def duplicated_ctx(seed=0, n=36):
@@ -60,15 +55,12 @@ class TestTotalRedundancy:
     def test_matches_reference(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            c = random_ctx(rng)
+            ds = random_ds(rng, d=5, n=40)
+            c = EstimatorContext(ds)
             z = [1, 3]
-            want = ref_mi(columns_of(c, [0]), columns_of(c, z)) - \
-                ref_cmi(columns_of(c, [0]), columns_of(c, z), columns_of(c, [-1]))
+            want = ref_mi(columns(ds, [0]), columns(ds, z)) - \
+                ref_cmi(columns(ds, [0]), columns(ds, z), columns(ds, [-1]))
             assert total_redundancy(c, 0, z) == pytest.approx(want, abs=TOL)
-
-
-def columns_of(ctx, idxs):
-    return [ctx._target if j == -1 else ctx._codes[:, j] for j in idxs]
 
 
 class TestGreedySearch:

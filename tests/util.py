@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from infosel.data import DataError, RawTable, equal_width_edges, raw_bins
+from infosel.data import DataError, DiscreteDataset, RawTable, equal_width_edges, raw_bins
 from infosel.estimators import TARGET, TARGET_BIT, EstimatorContext, cell_terms, profile_entropy
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
                             RedundancyTrace)
@@ -71,6 +71,14 @@ def shrinkage_pmf(counts, n_cells=None) -> np.ndarray:
 def columns(ds, idxs):
     """Feature columns by index, with -1 meaning the target column."""
     return [ds.target if j == -1 else ds.codes[:, j] for j in idxs]
+
+
+def random_ds(rng, d=4, n=32, arity=3) -> DiscreteDataset:
+    """d uniform columns of the arity over n rows, and a two-class target holding both classes."""
+    codes = rng.integers(0, arity, size=(n, d)).astype(np.int64)
+    target = rng.integers(0, 2, size=n).astype(np.int64)
+    target[:2] = [0, 1]
+    return DiscreteDataset(codes, (arity,) * d, target, 2, tuple(f"f{i}" for i in range(d)))
 
 
 def ref_numeric_codes(values, fit_rows, n_bins: int):
