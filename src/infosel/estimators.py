@@ -31,10 +31,13 @@ is stored in the narrowest unsigned dtype that holds its arity (uint8 up to
 range is below 2**31 and int64 above, and a column is widened to that dtype
 when it extends a set's code.  An entropy miss on either of a pair takes the
 codes of A, the set without Y, and counts them once per class slice.  The
-class tables side by side are the table of (A, Y), and their sum over the
-classes is the table of A; H(Y) alone is read off the class sizes.  Both
-entropies go into the memo, so a pair usually costs one O(N) extend and one
-O(N) count.
+class tables together are the table of (A, Y), so the profile of (A, Y) is
+the sum of their profiles, and their sum over the classes is the table of A;
+H(Y) alone is read off the class sizes.  Each class slice costs a few numpy
+calls, which pay off only when the classes average ``_SLICE_ROWS`` rows or
+more; below that, the context counts one table of the joint code ``code_A +
+size_A * y`` instead, with the target as its major axis.  Both entropies go
+into the memo, so a pair usually costs one O(N) extend and one O(N) count.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -68,6 +71,9 @@ _ENTROPY_CACHE_SIZE = 1 << 18
 #: count through a table while the code range is at most this many times the rows
 _TABLE_ROWS = 4
 
+#: count a pair table per class slice while the classes average at least this many rows
+_SLICE_ROWS = 4000
+
 
 def _narrow_dtype(arity: int) -> type:
     """The narrowest unsigned dtype that holds the codes 0..arity-1; int64 above 2**16."""
@@ -89,6 +95,15 @@ def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int) -> tuple[n
     code = np.multiply(base, arity, dtype=_code_dtype(size))
     code += col
     return code, size
+
+
+def _sum_profiles(tables: list[np.ndarray]) -> np.ndarray:
+    """The count profile of several tables taken together: the sum of their profiles."""
+    profiles = [np.bincount(table) for table in tables]
+    total = np.zeros(max(map(len, profiles)), dtype=np.int64)
+    for profile in profiles:
+        total[:len(profile)] += profile
+    return total
 
 
 def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]:
@@ -193,9 +208,15 @@ class EstimatorContext:
         self._terms = cell_terms(self.n_rows)
         # the rows in class order: class c holds rows bounds[c]:bounds[c + 1]
         order = np.argsort(dataset.target, kind="stable")
-        self._class_counts = np.bincount(dataset.target, minlength=dataset.n_classes)
-        bounds = [0, *np.cumsum(self._class_counts).tolist()]
-        self._class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        class_counts = np.bincount(dataset.target, minlength=dataset.n_classes)
+        self._class_profile = np.bincount(class_counts)
+        if self.n_rows >= _SLICE_ROWS * dataset.n_classes:
+            bounds = [0, *np.cumsum(class_counts).tolist()]
+            self._class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+            self._target = None
+        else:
+            self._class_slices = None
+            self._target = dataset.target[order]
         # by feature bit: the column's class-ordered, narrowed codes and its arity
         self._bit_columns = {
             2 << j: (dataset.codes[:, j].astype(_narrow_dtype(arity), copy=False)[order], arity)
@@ -222,14 +243,15 @@ class EstimatorContext:
             mask |= 1 << (c + 1)
         return mask
 
-    def _pair_counts(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
-        """(counts, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
+    def _pair_profiles(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+        """(count profile, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
 
         ``a`` has no target bit.  The rows are in class order, so the counts of
         ``a`` with the target are those of ``a``'s codes in each class's slice
-        of the rows, and ``a``'s counts are their sum over the classes.  With
-        ``a`` empty they are the class sizes and N.  Unoccupied cells may
-        appear as zero counts.
+        of the rows, and ``a``'s counts are their sum over the classes.  When
+        the classes average fewer than ``_SLICE_ROWS`` rows, one count of the
+        joint code ``code_a + size_a * y`` replaces the per-class counts.  With
+        ``a`` empty the profiles are those of the class sizes and of N.
         """
         arities = self._bit_arities
         n_classes = arities[0]
@@ -243,18 +265,26 @@ class EstimatorContext:
             dense_ay *= arity
             rest ^= low
         if not a:
-            return (self._class_counts, dense_ay), (np.array([self.n_rows]), dense_a)
+            return (self._class_profile, dense_ay), (np.bincount([self.n_rows]), dense_a)
         code, size = self._codes_of(a)
-        if size * n_classes <= _TABLE_ROWS * self.n_rows:
-            table = np.concatenate([np.bincount(code[rows], minlength=size)
-                                    for rows in self._class_slices])
-            alone = table.reshape(n_classes, size).sum(0)
+        fits = size * n_classes <= _TABLE_ROWS * self.n_rows
+        if self._class_slices is None:
+            joint = code + size * self._target
+            if fits:
+                table = np.bincount(joint, minlength=size * n_classes)
+                alone = table.reshape(n_classes, size).sum(0)
+            else:
+                table = np.unique(joint, return_counts=True)[1]
+                alone = np.bincount(code, minlength=size)
+            return (np.bincount(table), dense_ay), (np.bincount(alone), dense_a)
+        if fits:
+            tables = [np.bincount(code[rows], minlength=size) for rows in self._class_slices]
+            alone = sum(tables[1:], tables[0])
         else:
-            table = np.concatenate([np.unique(code[rows], return_counts=True)[1]
-                                    for rows in self._class_slices])
+            tables = [np.unique(code[rows], return_counts=True)[1] for rows in self._class_slices]
             # every set's range is at most N, so A alone still fits a table
             alone = np.bincount(code, minlength=size)
-        return (table, dense_ay), (alone, dense_a)
+        return (_sum_profiles(tables), dense_ay), (np.bincount(alone), dense_a)
 
     def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:
         """Unordered codes of the set's joint states, all below the returned size.
@@ -315,10 +345,9 @@ class EstimatorContext:
             self.rows_scanned += self.n_rows * (a.bit_count() + 1)
             if len(memo) > _ENTROPY_CACHE_SIZE - 2:
                 memo.clear()
-            for m, (counts, dense) in zip((a | TARGET_BIT, a), self._pair_counts(a)):
+            for m, (profile, dense) in zip((a | TARGET_BIT, a), self._pair_profiles(a)):
                 if m:
-                    memo[m] = profile_entropy(np.bincount(counts), self._terms,
-                                              self.estimator, dense)
+                    memo[m] = profile_entropy(profile, self._terms, self.estimator, dense)
             h = memo[mask]
         return h
 

@@ -250,14 +250,17 @@ class TestNarrowCodes:
         assert np.any(np.diff(target) < 0) and set(target) == {0, 1, 2}
         ds = DiscreteDataset(np.column_stack(cols).astype(np.int64), arities,
                              target.astype(np.int64), 3, tuple(f"f{i}" for i in range(4)))
-        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows):
-            for r in range(1, 5):
-                for feats in combinations(range(4), r):
-                    for key in (list(feats), list(feats) + [TARGET]):
-                        ctx = EstimatorContext(ds)
-                        assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
-            ctx = EstimatorContext(ds)
-            assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
+        # per-class slices, then one count of the joint code
+        for slice_rows in (0, n + 1):
+            with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
+                    mock.patch.object(estimators, "_SLICE_ROWS", slice_rows):
+                for r in range(1, 5):
+                    for feats in combinations(range(4), r):
+                        for key in (list(feats), list(feats) + [TARGET]):
+                            ctx = EstimatorContext(ds)
+                            assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+                ctx = EstimatorContext(ds)
+                assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
 
     def test_code_range_past_2_pow_32_keeps_int64(self):
         # two near-unique columns of arity 70,000: a joint code is
@@ -272,6 +275,37 @@ class TestNarrowCodes:
         ctx = EstimatorContext(ds)
         for key in ([0, 1], [0, 1, TARGET]):
             assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+
+
+class TestClassSlices:
+    """A pair table counted per class slice and one counted over the joint
+    code give the same entropies, whatever the class count, a declared class
+    without rows included."""
+
+    @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
+                             ids=["table", "unique"])
+    @pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 40])
+    def test_slices_match_joint_code(self, n_classes, table_rows):
+        rng = np.random.default_rng(n_classes)
+        n, arities = 400, (2, 5, 30, 400)
+        codes = np.column_stack([rng.integers(0, a, n) for a in arities])
+        # the last class holds no rows when there are several
+        target = rng.integers(0, max(1, n_classes - 1), n)
+        ds = DiscreteDataset(codes, arities, target, n_classes,
+                             tuple(f"f{i}" for i in range(4)))
+        keys = [list(feats) + tail for r in range(1, 5) for feats in combinations(range(4), r)
+                for tail in ([], [TARGET])] + [[TARGET]]
+        got = {}
+        for slice_rows in (0, n + 1):
+            with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
+                    mock.patch.object(estimators, "_SLICE_ROWS", slice_rows):
+                for estimator in ("plugin", "shrinkage"):
+                    ctx = EstimatorContext(ds, estimator=estimator)
+                    assert (ctx._class_slices is None) == bool(slice_rows)
+                    got[slice_rows, estimator] = [ctx.entropy(key) for key in keys]
+        for estimator in ("plugin", "shrinkage"):
+            assert got[0, estimator] == got[n + 1, estimator]
+        assert got[0, "plugin"] == [ref_entropy(*columns(ds, key)) for key in keys]
 
 
 class TestDatasetReadOnly:

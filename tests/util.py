@@ -31,16 +31,16 @@ def ref_cmi(a_cols, b_cols, z_cols) -> float:
 def joint_counts(ctx, cols) -> tuple[np.ndarray, float]:
     """Observed joint-state counts of a column set and its dense cell count.
 
-    Read off the context's pair table: the half with the target when the set
-    holds it, the half without otherwise, with the empty cells dropped.  The
-    order of the counts is unspecified.
+    Read off the context's pair profiles: the one with the target when the
+    set holds it, the one without otherwise.  Each count c appears as often
+    as the profile says; empty cells are dropped, and the counts are sorted.
     """
     mask = ctx._mask(cols)
     if not mask:
         raise ValueError("empty column list")
-    with_target, alone = ctx._pair_counts(mask & ~TARGET_BIT)
-    counts, dense = with_target if mask & TARGET_BIT else alone
-    return counts[counts > 0], dense
+    with_target, alone = ctx._pair_profiles(mask & ~TARGET_BIT)
+    profile, dense = with_target if mask & TARGET_BIT else alone
+    return np.repeat(np.arange(1, len(profile)), profile[1:]), dense
 
 
 def shrinkage_pmf(counts, n_cells=None) -> np.ndarray:
