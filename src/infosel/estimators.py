@@ -16,28 +16,27 @@ shrinkage weight and cell masses also depend on c alone, so
 get the same float, so neither the order of the rows, nor the labels of the
 codes, nor which sets happened to be cached can change a result.
 
-A column set is joint-encoded to one integer code per row.  Codes are
-unordered: the code of a set extends the code of any cached set one column
-smaller by the missing column, mixed-radix (``base * arity + column``), and
-is relabelled densely once its range exceeds N.  The searches grow column
-sets one column at a time, so the sets last encoded are kept in a small
-least-recently-used cache.
+A column set A is joint-encoded to one integer code per row, with the target
+Y as its top digit: ``y * size_A + code_A``, where the code of the empty set
+is the target itself.  Every criterion conditions on the target, so
+entropies come in pairs, H(A) and H(A, Y).  The table of A's codes is the
+table of (A, Y), one row of A's cells per class, and its sum over the classes
+is the table of A, so one ``np.bincount`` gives both entropies whatever the
+class count, and both go into the memo.  A table of more than ``_TABLE_ROWS``
+times N cells is counted by sorting instead.
 
-Every criterion conditions on the target Y, so entropies come in pairs: H(A)
-and H(A, Y).  The context keeps its own copy of the rows, stably sorted by
-class, so each class is one contiguous slice of the rows.  Each feature column
-is stored in the narrowest unsigned dtype that holds its arity (uint8 up to
-256, uint16 up to 2**16, int64 above).  A set's codes are int32 while their
-range is below 2**31 and int64 above, and a column is widened to that dtype
-when it extends a set's code.  An entropy miss on either of a pair takes the
-codes of A, the set without Y, and counts them once per class slice.  The
-class tables together are the table of (A, Y), so the profile of (A, Y) is
-the sum of their profiles, and their sum over the classes is the table of A;
-H(Y) alone is read off the class sizes.  Each class slice costs a few numpy
-calls, which pay off only when the classes average ``_SLICE_ROWS`` rows or
-more; below that, the context counts one table of the joint code ``code_A +
-size_A * y`` instead, with the target as its major axis.  Both entropies go
-into the memo, so a pair usually costs one O(N) extend and one O(N) count.
+Codes are unordered: the code of a set extends the code of any cached set one
+column smaller by the missing column, mixed-radix (``base * arity +
+column``), which keeps the target on top.  Once A's range exceeds N, A's
+digits are relabelled densely and the target is put back on top.  The
+searches grow column sets one column at a time, so the sets last encoded are
+kept in a small least-recently-used cache, and a pair of entropies usually
+costs one O(N) extend and one O(N) count.  Each feature column is stored in
+the narrowest unsigned dtype that holds its arity (uint8 up to 256, uint16 up
+to 2**16, int64 above), and a column of more than N values is relabelled
+once, up front.  A set's codes are int32 while their range is below 2**31
+and int64 above, and a column is widened to that dtype when it extends a
+set's code.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -71,9 +70,6 @@ _ENTROPY_CACHE_SIZE = 1 << 18
 #: count through a table while the code range is at most this many times the rows
 _TABLE_ROWS = 4
 
-#: count a pair table per class slice while the classes average at least this many rows
-_SLICE_ROWS = 4000
-
 
 def _narrow_dtype(arity: int) -> type:
     """The narrowest unsigned dtype that holds the codes 0..arity-1; int64 above 2**16."""
@@ -85,25 +81,19 @@ def _code_dtype(size: int) -> type:
     return np.int32 if size < 1 << 31 else np.int64
 
 
-def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int) -> tuple[np.ndarray, int]:
-    """Codes of a set joined by one more column, and their range.
+def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int,
+            n_classes: int) -> tuple[np.ndarray, int]:
+    """Joint codes of a set joined by one more column, and the set's new range.
 
-    Either array may be narrow, so the product is taken in the dtype of the
-    new range: a narrow array times an int keeps its dtype and would wrap.
+    The target is the codes' top digit, so they reach ``n_classes`` times the
+    range.  Either array may be narrow, so the product is taken in the dtype
+    of the codes' new range: a narrow array times an int keeps its dtype and
+    would wrap.
     """
     size *= arity
-    code = np.multiply(base, arity, dtype=_code_dtype(size))
+    code = np.multiply(base, arity, dtype=_code_dtype(n_classes * size))
     code += col
     return code, size
-
-
-def _sum_profiles(tables: list[np.ndarray]) -> np.ndarray:
-    """The count profile of several tables taken together: the sum of their profiles."""
-    profiles = [np.bincount(table) for table in tables]
-    total = np.zeros(max(map(len, profiles)), dtype=np.int64)
-    for profile in profiles:
-        total[:len(profile)] += profile
-    return total
 
 
 def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]:
@@ -186,10 +176,12 @@ class EstimatorContext:
     conditional MI to plain MI.  A mask below 0, or one with a bit above
     feature D-1, is rejected as a malformed set.
 
-    The context keeps its own copy of the feature codes: the rows stably
-    sorted by class, each column in the narrowest unsigned dtype that holds
-    its arity.  The dataset is only read.  To estimate on a subset of the
-    rows, build the context over ``dataset.restrict(rows)``.
+    The context keeps its own copy of the codes, in the dataset's row order:
+    each column in the narrowest unsigned dtype that holds its arity, a
+    column of more than N values relabelled densely.  The dataset is only
+    read.  A dataset whose class count times N**2 reaches 2**63 is rejected,
+    because joint codes up to that size must fit int64.  To estimate on a
+    subset of the rows, build the context over ``dataset.restrict(rows)``.
     """
 
     def __init__(self, dataset: DiscreteDataset, estimator: str = "plugin"):
@@ -197,7 +189,11 @@ class EstimatorContext:
             raise ValueError(f"unknown estimator kind {estimator!r}")
         if dataset.n_rows == 0:
             raise ValueError("dataset has no rows")
-        self.n_rows = dataset.n_rows
+        n_rows, n_classes = dataset.n_rows, dataset.n_classes
+        if n_classes * n_rows ** 2 >= 1 << 63:
+            raise ValueError(f"{n_rows} rows and {n_classes} classes: joint codes reach "
+                             f"classes * rows**2 = {n_classes * n_rows ** 2}, past int64")
+        self.n_rows = n_rows
         self.n_features = dataset.n_features
         self.estimator = estimator
         self.mi_calls = 0
@@ -205,23 +201,16 @@ class EstimatorContext:
         self.tables = 0
         self.rows_scanned = 0
         self._mask_end = 1 << (self.n_features + 1)
-        self._terms = cell_terms(self.n_rows)
-        # the rows in class order: class c holds rows bounds[c]:bounds[c + 1]
-        order = np.argsort(dataset.target, kind="stable")
-        class_counts = np.bincount(dataset.target, minlength=dataset.n_classes)
-        self._class_profile = np.bincount(class_counts)
-        if self.n_rows >= _SLICE_ROWS * dataset.n_classes:
-            bounds = [0, *np.cumsum(class_counts).tolist()]
-            self._class_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-            self._target = None
-        else:
-            self._class_slices = None
-            self._target = dataset.target[order]
-        # by feature bit: the column's class-ordered, narrowed codes and its arity
-        self._bit_columns = {
-            2 << j: (dataset.codes[:, j].astype(_narrow_dtype(arity), copy=False)[order], arity)
-            for j, arity in enumerate(dataset.arities)}
-        self._bit_arities = (dataset.n_classes, *dataset.arities)
+        self._terms = cell_terms(n_rows)
+        self._target = np.ascontiguousarray(dataset.target, dtype=_narrow_dtype(n_classes))
+        # by feature bit: the column's narrowed codes and their range, at most N
+        self._bit_columns: dict[int, tuple[np.ndarray, int]] = {}
+        for j, arity in enumerate(dataset.arities):
+            col = dataset.codes[:, j]
+            if arity > n_rows:
+                col, arity = _relabel(col, arity, n_rows)
+            self._bit_columns[2 << j] = np.ascontiguousarray(col, _narrow_dtype(arity)), arity
+        self._bit_arities = (n_classes, *dataset.arities)
         self._entropy_cache: dict[int, float] = {}
         self._code_cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
 
@@ -246,12 +235,11 @@ class EstimatorContext:
     def _pair_profiles(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
         """(count profile, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
 
-        ``a`` has no target bit.  The rows are in class order, so the counts of
-        ``a`` with the target are those of ``a``'s codes in each class's slice
-        of the rows, and ``a``'s counts are their sum over the classes.  When
-        the classes average fewer than ``_SLICE_ROWS`` rows, one count of the
-        joint code ``code_a + size_a * y`` replaces the per-class counts.  With
-        ``a`` empty the profiles are those of the class sizes and of N.
+        ``a`` has no target bit, and may be empty.  Its codes carry the target
+        as their top digit, so their table is that of ``a`` with the target,
+        one row of ``a``'s cells per class, and the sum of the rows is the
+        table of ``a``.  Above ``_TABLE_ROWS * N`` cells the codes are counted
+        by sorting, and ``a`` alone from their low digits.
         """
         arities = self._bit_arities
         n_classes = arities[0]
@@ -264,60 +252,55 @@ class EstimatorContext:
             dense_a *= arity
             dense_ay *= arity
             rest ^= low
-        if not a:
-            return (self._class_profile, dense_ay), (np.bincount([self.n_rows]), dense_a)
         code, size = self._codes_of(a)
-        fits = size * n_classes <= _TABLE_ROWS * self.n_rows
-        if self._class_slices is None:
-            joint = code + size * self._target
-            if fits:
-                table = np.bincount(joint, minlength=size * n_classes)
-                alone = table.reshape(n_classes, size).sum(0)
-            else:
-                table = np.unique(joint, return_counts=True)[1]
-                alone = np.bincount(code, minlength=size)
-            return (np.bincount(table), dense_ay), (np.bincount(alone), dense_a)
-        if fits:
-            tables = [np.bincount(code[rows], minlength=size) for rows in self._class_slices]
-            alone = sum(tables[1:], tables[0])
+        if n_classes * size <= _TABLE_ROWS * self.n_rows:
+            table = np.bincount(code, minlength=n_classes * size)
+            alone = table.reshape(n_classes, size).sum(0)
         else:
-            tables = [np.unique(code[rows], return_counts=True)[1] for rows in self._class_slices]
-            # every set's range is at most N, so A alone still fits a table
-            alone = np.bincount(code, minlength=size)
-        return (_sum_profiles(tables), dense_ay), (np.bincount(alone), dense_a)
+            table = np.unique(code, return_counts=True)[1]
+            alone = np.bincount(self._low_digits(code, size))
+        return (np.bincount(table), dense_ay), (np.bincount(alone), dense_a)
 
     def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:
-        """Unordered codes of the set's joint states, all below the returned size.
+        """Joint codes of the set with the target, and the set's range.
 
-        A multi-column set extends a cached set one column smaller, or else the
-        set without its lowest column, by the missing column.  Codes whose
-        range exceeds the row count are relabelled densely before they are
-        cached; keeping every range at most N keeps every extended range below
-        N**2, within int64.
+        A code is ``y * size + code_A`` for the returned size, the range of
+        the set's own digits; the empty set's code is the target.  A non-empty
+        set extends a cached set one column smaller, or else the set without
+        its lowest column, by the missing column.  Once the set's range
+        exceeds the row count, its digits are relabelled densely before the
+        codes are cached.  Every base's range and every column's is at most
+        N, so before a relabel a code is below ``n_classes * N**2``, which
+        ``__init__`` keeps within int64.
         """
+        if not mask:
+            return self._target, 1
         cache = self._code_cache
         hit = cache.get(mask)
         if hit is not None:
             cache.move_to_end(mask)
             return hit
-        if mask & (mask - 1):
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                if mask ^ bit in cache:
-                    break
-                rest ^= bit
-            else:
-                bit = mask & -mask
-            code, size = _extend(*self._codes_of(mask ^ bit), *self._codes_of(bit))
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            if mask ^ bit in cache:
+                break
+            rest ^= bit
         else:
-            code, size = self._bit_columns[mask]
-            if size <= self.n_rows:
-                return code, size
+            bit = mask & -mask
+        n_classes = self._bit_arities[0]
+        code, size = _extend(*self._codes_of(mask ^ bit), *self._bit_columns[bit], n_classes)
         if size > self.n_rows:
-            code, size = _relabel(code, size, self.n_rows)
+            # relabel the set's own digits and put the target back on top
+            low, size = _relabel(self._low_digits(code, size), size, self.n_rows)
+            code = np.multiply(self._target, size, dtype=_code_dtype(n_classes * size))
+            code += low
         self._keep(mask, code, size)
         return code, size
+
+    def _low_digits(self, code: np.ndarray, size: int) -> np.ndarray:
+        """The set's own digits of its joint codes: the codes less the target's top digit."""
+        return code - np.multiply(self._target, size, dtype=code.dtype)
 
     def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
         """Cache the set's codes, least recently used out first."""

@@ -105,12 +105,9 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
     increments: list[float] = []
     redundancy = 0.0
     n_sweeps = criterion.n if not adaptive else min(criterion.n_max, len(S))
-    threshold_fired = False
 
     for _ in range(n_sweeps):
         pool = S if not adaptive else [j for j in S if not z_mask & 2 << j]
-        if not pool:
-            break
         best_j, best_d = None, None
         for j in pool:
             jb = 2 << j
@@ -127,14 +124,8 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
         redundancy += best_d
         if adaptive and relevance > ZERO_RELEVANCE:
             if 1.0 - redundancy / relevance < criterion.epsilon_star:
-                threshold_fired = True
-                break
-    if threshold_fired:
-        stop = STOP_THRESHOLD
-    elif len(z) == len(S):
-        stop = STOP_EXHAUSTED
-    else:
-        stop = STOP_ORDER_LIMIT
+                return RedundancyTrace(k, z, increments, redundancy, STOP_THRESHOLD)
+    stop = STOP_EXHAUSTED if len(z) == len(S) else STOP_ORDER_LIMIT
     return RedundancyTrace(k, z, increments, redundancy, stop)
 
 

@@ -13,7 +13,7 @@ from infosel.selection import predicted_mi_calls, run_sfs
 from infosel.criteria import parse_criterion
 
 from util import (RefContext, columns, joint_counts, random_ds, ref_cmi, ref_entropy,
-                  shrinkage_pmf)
+                  ref_shrinkage_entropy, shrinkage_pmf)
 
 TOL = 1e-9
 
@@ -232,9 +232,9 @@ class TestPairTable:
 
 
 class TestNarrowCodes:
-    """The context's class-ordered copy keeps each column in the narrowest
-    unsigned dtype that holds its arity, and a set's codes are int32 only
-    while their range fits; every product is taken in the wider dtype."""
+    """The context's copy keeps each column in the narrowest unsigned dtype
+    that holds its arity, and a set's codes are int32 only while their range
+    fits; every product is taken in the wider dtype."""
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
@@ -250,17 +250,14 @@ class TestNarrowCodes:
         assert np.any(np.diff(target) < 0) and set(target) == {0, 1, 2}
         ds = DiscreteDataset(np.column_stack(cols).astype(np.int64), arities,
                              target.astype(np.int64), 3, tuple(f"f{i}" for i in range(4)))
-        # per-class slices, then one count of the joint code
-        for slice_rows in (0, n + 1):
-            with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
-                    mock.patch.object(estimators, "_SLICE_ROWS", slice_rows):
-                for r in range(1, 5):
-                    for feats in combinations(range(4), r):
-                        for key in (list(feats), list(feats) + [TARGET]):
-                            ctx = EstimatorContext(ds)
-                            assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
-                ctx = EstimatorContext(ds)
-                assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
+        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows):
+            for r in range(1, 5):
+                for feats in combinations(range(4), r):
+                    for key in (list(feats), list(feats) + [TARGET]):
+                        ctx = EstimatorContext(ds)
+                        assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+            ctx = EstimatorContext(ds)
+            assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
 
     def test_code_range_past_2_pow_32_keeps_int64(self):
         # two near-unique columns of arity 70,000: a joint code is
@@ -278,9 +275,11 @@ class TestNarrowCodes:
 
 
 class TestClassSlices:
-    """A pair table counted per class slice and one counted over the joint
-    code give the same entropies, whatever the class count, a declared class
-    without rows included."""
+    """Each set's codes carry the target as their top digit, so the table of
+    one joint code is the table of (A, Y), one slice of A's cells per class,
+    and the slices sum to the table of A.  That gives H(A, Y) and H(A)
+    whatever the class count, a declared class without rows included,
+    through the table and through sorting."""
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
@@ -295,17 +294,38 @@ class TestClassSlices:
                              tuple(f"f{i}" for i in range(4)))
         keys = [list(feats) + tail for r in range(1, 5) for feats in combinations(range(4), r)
                 for tail in ([], [TARGET])] + [[TARGET]]
-        got = {}
-        for slice_rows in (0, n + 1):
-            with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
-                    mock.patch.object(estimators, "_SLICE_ROWS", slice_rows):
-                for estimator in ("plugin", "shrinkage"):
-                    ctx = EstimatorContext(ds, estimator=estimator)
-                    assert (ctx._class_slices is None) == bool(slice_rows)
-                    got[slice_rows, estimator] = [ctx.entropy(key) for key in keys]
-        for estimator in ("plugin", "shrinkage"):
-            assert got[0, estimator] == got[n + 1, estimator]
-        assert got[0, "plugin"] == [ref_entropy(*columns(ds, key)) for key in keys]
+        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows):
+            plugin = EstimatorContext(ds)
+            shrinkage = EstimatorContext(ds, estimator="shrinkage")
+            for key in keys:
+                cols = columns(ds, key)
+                dense = float(np.prod([n_classes if c == TARGET else arities[c] for c in key]))
+                assert plugin.entropy(key) == ref_entropy(*cols), key
+                assert shrinkage.entropy(key) == pytest.approx(
+                    ref_shrinkage_entropy(*cols, dense=dense), abs=1e-12), key
+
+    def test_near_unique_target(self):
+        # an integer target with nearly one class per row: every pair table
+        # is counted by sorting, and sets past N cells are relabelled below it
+        rng = np.random.default_rng(23)
+        n, arities = 300, (7, 60, 300)
+        codes = np.column_stack([rng.integers(0, a, n) for a in arities])
+        target = rng.permutation(n)
+        target[:20] = target[20:40]
+        ds = DiscreteDataset(codes, arities, target, n, ("a", "b", "c"))
+        ctx = EstimatorContext(ds)
+        for r in range(1, 4):
+            for feats in combinations(range(3), r):
+                for key in (list(feats), list(feats) + [TARGET]):
+                    assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+        assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
+
+    def test_code_range_past_int64_rejected(self):
+        # a joint code can reach classes * N**2 before it is relabelled
+        ds = DiscreteDataset(np.zeros((10, 1), np.int64), (2,), np.zeros(10, np.int64),
+                             2 ** 60, ("a",))
+        with pytest.raises(ValueError, match="10 rows and 1152921504606846976 classes"):
+            EstimatorContext(ds)
 
 
 class TestDatasetReadOnly:

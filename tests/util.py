@@ -68,6 +68,18 @@ def shrinkage_pmf(counts, n_cells=None) -> np.ndarray:
     return lam * u + (1.0 - lam) * p
 
 
+def ref_shrinkage_entropy(*cols, dense: float) -> float:
+    """Shrinkage entropy in bits from ``shrinkage_pmf`` over the observed tuple
+    counts, each of the dense cells left unobserved carrying an equal share
+    of the mass the pmf leaves over."""
+    counts = np.unique(np.column_stack(cols), axis=0, return_counts=True)[1]
+    q = shrinkage_pmf(counts, dense)
+    h = float(-(q * np.log2(q)).sum())
+    n_empty = dense - len(counts)
+    q0 = (1.0 - q.sum()) / n_empty if n_empty else 0.0
+    return h - n_empty * q0 * np.log2(q0) if q0 > 0 else h
+
+
 def columns(ds, idxs):
     """Feature columns by index, with -1 meaning the target column."""
     return [ds.target if j == -1 else ds.codes[:, j] for j in idxs]
