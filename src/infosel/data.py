@@ -4,6 +4,8 @@ Everything downstream works on integer-coded columns: each feature j takes
 values in [0, arity_j) and the target takes class codes in [0, n_classes).
 Discretization is fit on a chosen row subset (the training rows in the
 benchmark harness) and can then be applied to any table with the same schema.
+A binned feature column is stored in the narrowest unsigned dtype that holds
+its arity (``_narrow_dtype``), so at a few bins each code takes one byte.
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ class DataError(ValueError):
 
 class BinningError(DataError):
     """Raised when a table cannot be binned as asked, on all rows or on a split's."""
+
+
+def _narrow_dtype(arity: int) -> type:
+    """The narrowest unsigned dtype that holds the codes 0..arity-1; int64 above 2**16."""
+    return np.uint8 if arity <= 1 << 8 else np.uint16 if arity <= 1 << 16 else np.int64
+
+
+def _stack(columns, n_rows: int) -> np.ndarray:
+    """Per-column code arrays as one (n_rows, D) column-major array, in the
+    dtype that holds every column's (uint8 when there are none)."""
+    if not columns:
+        return np.zeros((0, n_rows), np.uint8).T
+    return np.stack(columns).T
 
 
 def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
@@ -72,7 +87,8 @@ class ColumnSpec:
     Numeric columns carry equal-width cut points plus a raw-bin -> code table:
     ``codes[r]`` is the dense index, among the bins occupied on the fitting
     rows, of the occupied bin nearest to raw bin r, the lower one on a tie
-    (arity = number of occupied bins).  Categorical columns carry a label ->
+    (arity = number of occupied bins), held in ``_narrow_dtype(arity)`` so
+    that a lookup gives narrow codes.  Categorical columns carry a label ->
     code map in first-appearance order, with one extra code reserved for
     labels unseen at fit time.
     """
@@ -87,7 +103,8 @@ class ColumnSpec:
         if self.kind == "numeric":
             return self.codes[raw_bins(np.asarray(values, dtype=float), self.edges)]
         unknown = len(self.labels)
-        return np.fromiter(map(self.labels.get, values, repeat(unknown)), np.int64, len(values))
+        return np.fromiter(map(self.labels.get, values, repeat(unknown)),
+                           _narrow_dtype(self.arity), len(values))
 
 
 @dataclass(frozen=True)
@@ -103,9 +120,13 @@ class BinningSpec:
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Integer-coded table: N x D feature codes plus a class-label column."""
+    """Integer-coded table: N x D feature codes plus a class-label column.
 
-    codes: np.ndarray                   # (n_rows, n_features) int64
+    Any integer dtype is accepted.  Binned codes come in the narrowest
+    unsigned dtype that holds every column's arity, and the target in int64.
+    """
+
+    codes: np.ndarray                   # (n_rows, n_features), any integer dtype
     arities: tuple[int, ...]
     target: np.ndarray                  # (n_rows,) int64
     n_classes: int
@@ -124,15 +145,17 @@ class DiscreteDataset:
         if not (np.issubdtype(codes.dtype, np.integer)
                 and np.issubdtype(target.dtype, np.integer)):
             raise DataError("codes and target must be integers")
-        # arities are Python ints and may exceed int64, so compare as such
-        for name, arity, low, high in zip(self.feature_names, self.arities,
-                                          codes.min(axis=0, initial=0).tolist(),
-                                          codes.max(axis=0, initial=-1).tolist()):
-            if low < 0 or high >= arity:
-                raise DataError(f"feature {name!r}: code {low if low < 0 else high} "
-                                f"outside [0, {arity})")
-        if target.min(initial=0) < 0 or target.max(initial=-1) >= self.n_classes:
-            raise DataError(f"target codes outside [0, {self.n_classes})")
+        # arities are Python ints and may exceed int64, so compare as such; a
+        # max cannot start from -1 in an unsigned dtype, so no rows skip the check
+        if len(codes):
+            for name, arity, low, high in zip(self.feature_names, self.arities,
+                                              codes.min(axis=0).tolist(),
+                                              codes.max(axis=0).tolist()):
+                if low < 0 or high >= arity:
+                    raise DataError(f"feature {name!r}: code {low if low < 0 else high} "
+                                    f"outside [0, {arity})")
+            if int(target.min()) < 0 or int(target.max()) >= self.n_classes:
+                raise DataError(f"target codes outside [0, {self.n_classes})")
         self.codes.setflags(write=False)
         self.target.setflags(write=False)
 
@@ -145,7 +168,8 @@ class DiscreteDataset:
         return self.codes.shape[1]
 
     def restrict(self, rows) -> "DiscreteDataset":
-        """The dataset on the given rows, in that order, with column-major codes.
+        """The dataset on the given rows, in that order, with column-major codes
+        of the same dtype.
 
         Each row must be an integer in [0, n_rows); anything else raises ``DataError``.
         """
@@ -368,7 +392,7 @@ class _Codes(dict):
 
 def _first_appearance(labels, rows=None) -> tuple[dict, np.ndarray]:
     """label -> code in order of first appearance on ``rows`` (all when None),
-    and the codes of those rows, from one dict pass."""
+    and the int64 codes of those rows, from one dict pass."""
     n = len(labels) if rows is None else len(rows)
     if rows is not None:
         labels = map(labels.__getitem__, rows.tolist())
@@ -379,7 +403,8 @@ def _first_appearance(labels, rows=None) -> tuple[dict, np.ndarray]:
 
 def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, np.ndarray]:
     """One feature column's transform, fit on ``rows`` (all when None), and the
-    codes of those rows: the fit's own raw bins or label numbers, looked up once."""
+    codes of those rows in ``_narrow_dtype(arity)``: the fit's own raw bins or
+    label numbers, looked up once."""
     if kind == "numeric":
         values = np.asarray(values, dtype=float)
         if rows is not None:
@@ -390,17 +415,21 @@ def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, 
         # raw bin r is nearer the upper of two neighbouring occupied bins
         # only when 2r exceeds their sum (a tie stays low), so its code is
         # the number of neighbour sums below 2r
-        codes = np.searchsorted(occupied[:-1] + occupied[1:], 2 * np.arange(len(edges) + 1))
-        return (ColumnSpec("numeric", edges=edges, codes=codes, arity=len(occupied)),
-                codes[raw])
+        arity = len(occupied)
+        codes = np.searchsorted(occupied[:-1] + occupied[1:],
+                                2 * np.arange(len(edges) + 1)).astype(_narrow_dtype(arity))
+        return ColumnSpec("numeric", edges=edges, codes=codes, arity=arity), codes[raw]
     labels, codes = _first_appearance(values, rows)
     # reserve one shared code for labels unseen at fit time
-    return ColumnSpec("categorical", labels=labels, arity=len(labels) + 1), codes
+    arity = len(labels) + 1
+    return (ColumnSpec("categorical", labels=labels, arity=arity),
+            codes.astype(_narrow_dtype(arity)))
 
 
 def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec, np.ndarray]:
     """The spec fit on ``rows`` (all when None) and the target codes of those
-    rows; ``out[j]``, when given, receives feature j's codes of those rows."""
+    rows; ``out``, a list when given, receives each feature's codes of those
+    rows in turn, one narrow array per column."""
     if n_bins < 1:
         raise BinningError("n_bins must be >= 1")
     if rows is not None:
@@ -417,7 +446,7 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
         except BinningError as e:
             raise BinningError(f"column {name!r}: {e}") from None
         if out is not None:
-            out[len(specs)] = codes
+            out.append(codes)
         specs.append(spec)
 
     tcol = table.column(table.target_name)
@@ -448,7 +477,10 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     but only those rows' features are encoded; the target is still read on
     every row, so ``n_classes`` (one extra class when any row holds a class
     unseen at fit time) is the whole table's.  ``rows`` must be a list of
-    integers in [0, n_rows); anything else raises ``BinningError``.
+    integers in [0, n_rows); anything else raises ``BinningError``.  Each
+    column is encoded in ``_narrow_dtype`` of its arity, and the columns are
+    stacked once into one column-major array of the dtype that holds them
+    all: uint8 while every arity is at most 256.  The target is int64.
     """
     if tuple(n for n in table.names if n != table.target_name) != spec.feature_names \
             or table.target_name != spec.target_name:
@@ -466,7 +498,7 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
                 list(map(col.__getitem__, rows.tolist()))
         cols.append(cspec.encode(col))
     # column-major, so that each feature column is one contiguous run of memory
-    codes = np.array(cols).T if cols else np.zeros((n_rows, 0), np.int64)
+    codes = _stack(cols, n_rows)
 
     tcol = table.column(spec.target_name)
     if table.kind(spec.target_name) == "numeric":
@@ -487,13 +519,15 @@ def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
     Equal to ``apply_binning(table, fit_binning(table, n_bins))``, but each
     column is read once: the raw bins that fit a numeric column, looked up in
     its code table, are its codes, and a categorical column's first-appearance
-    pass numbers its labels and its rows together.  The codes are written
-    straight into one column-major array.
+    pass numbers its labels and its rows together.  Each column's codes come
+    out in ``_narrow_dtype`` of its arity, and are stacked once into one
+    column-major array of the dtype that holds them all, as in
+    ``apply_binning``; the target is int64.
     """
-    codes = np.empty((len(table.feature_names), table.n_rows), np.int64)
-    spec, target = _fit(table, n_bins, out=codes)
-    return DiscreteDataset(codes.T, tuple(s.arity for s in spec.feature_specs), target,
-                           len(spec.target_labels), spec.feature_names)
+    cols = []
+    spec, target = _fit(table, n_bins, out=cols)
+    return DiscreteDataset(_stack(cols, table.n_rows), tuple(s.arity for s in spec.feature_specs),
+                           target, len(spec.target_labels), spec.feature_names)
 
 
 def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -31,12 +31,12 @@ column``), which keeps the target on top.  Once A's range exceeds N, A's
 digits are relabelled densely and the target is put back on top.  The
 searches grow column sets one column at a time, so the sets last encoded are
 kept in a small least-recently-used cache, and a pair of entropies usually
-costs one O(N) extend and one O(N) count.  Each feature column is stored in
+costs one O(N) extend and one O(N) count.  Each feature column is read in
 the narrowest unsigned dtype that holds its arity (uint8 up to 256, uint16 up
-to 2**16, int64 above), and a column of more than N values is relabelled
-once, up front.  A set's codes are int32 while their range is below 2**31
-and int64 above, and a column is widened to that dtype when it extends a
-set's code.
+to 2**16, int64 above), which is how binning stores it, so a binned column is
+used in place; a column of more than N values is relabelled once, up front.
+A set's codes are int32 while their range is below 2**31 and int64 above,
+and a column is widened to that dtype when it extends a set's code.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -53,7 +53,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, _narrow_dtype
 
 #: pseudo-column index addressing the target/class column
 TARGET = -1
@@ -69,11 +69,6 @@ _ENTROPY_CACHE_SIZE = 1 << 18
 
 #: count through a table while the code range is at most this many times the rows
 _TABLE_ROWS = 4
-
-
-def _narrow_dtype(arity: int) -> type:
-    """The narrowest unsigned dtype that holds the codes 0..arity-1; int64 above 2**16."""
-    return np.uint8 if arity <= 1 << 8 else np.uint16 if arity <= 1 << 16 else np.int64
 
 
 def _code_dtype(size: int) -> type:
@@ -176,9 +171,11 @@ class EstimatorContext:
     conditional MI to plain MI.  A mask below 0, or one with a bit above
     feature D-1, is rejected as a malformed set.
 
-    The context keeps its own copy of the codes, in the dataset's row order:
-    each column in the narrowest unsigned dtype that holds its arity, a
-    column of more than N values relabelled densely.  The dataset is only
+    The context reads each column in the narrowest unsigned dtype that holds
+    its arity, in the dataset's row order.  A binned dataset stores its
+    columns that way, so they are used as they are, with no copy; a column
+    in a wider dtype (a hand-built int64 dataset, say) is copied narrow, and
+    one of more than N values is relabelled densely.  The dataset is only
     read.  A dataset whose class count times N**2 reaches 2**63 is rejected,
     because joint codes up to that size must fit int64.  To estimate on a
     subset of the rows, build the context over ``dataset.restrict(rows)``.

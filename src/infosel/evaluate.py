@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DiscreteDataset, RawTable, SplitSpec, _fit, apply_binning,
+from .data import (DiscreteDataset, RawTable, SplitSpec, _fit, _stack, apply_binning,
                    make_splits)
 from .selection import run_sfs
 
@@ -246,15 +246,14 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
     if knn_k < 1:
         raise ValueError("k must be >= 1")
     errors = np.empty((len(splits), k_max), dtype=float)
-    n_features = len(table.feature_names)
     for r, (train_rows, test_rows) in enumerate(splits):
         # the fit's own codes are the training rows' codes: only the test rows are encoded
-        train_codes = np.empty((n_features, len(train_rows)), np.int64)
+        train_codes = []
         spec, train_target = _fit(table, n_bins, train_rows, out=train_codes)
         test_ds = apply_binning(table, spec, test_rows)
         # the class count is the whole table's, a class unseen at fit time included
-        train_ds = DiscreteDataset(train_codes.T, test_ds.arities, train_target,
-                                   test_ds.n_classes, spec.feature_names)
+        train_ds = DiscreteDataset(_stack(train_codes, len(train_rows)), test_ds.arities,
+                                   train_target, test_ds.n_classes, spec.feature_names)
         if callable(selector):
             order = list(selector(train_ds))[:k_max]
         else:

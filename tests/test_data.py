@@ -18,8 +18,16 @@ from infosel.data import (BinningError, DataError, DiscreteDataset, RawTable, Sp
                           apply_binning, discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
+from infosel.evaluate import error_curve
 
 from util import ref_first_appearance, ref_load_csv, ref_numeric_codes
+
+
+def narrow_dtype(arities):
+    """The one dtype of binned codes: uint8 while every arity is at most 256,
+    uint16 while every one is at most 2**16, int64 above; uint8 for no columns."""
+    top = max(arities, default=1)
+    return np.uint8 if top <= 256 else np.uint16 if top <= 1 << 16 else np.int64
 
 
 @pytest.fixture
@@ -443,7 +451,7 @@ class TestSnapProperty:
     def test_matches_per_value_snap(self, case):
         table, fit_rows, n_bins = case
         ds = apply_binning(table, fit_binning(table, n_bins, fit_rows))
-        assert ds.codes.dtype == np.int64
+        assert ds.codes.dtype == narrow_dtype(ds.arities)
         for j, name in enumerate(table.feature_names):
             codes, arity = ref_numeric_codes(table.column(name), fit_rows, n_bins)
             assert ds.codes[:, j].tolist() == codes.tolist()
@@ -492,8 +500,9 @@ class TestOnePassFit:
                 discretize(table, n_bins)
             return
         got = discretize(table, n_bins)
-        for a, b in ((got.codes, want.codes), (got.target, want.target)):
-            assert a.dtype == b.dtype == np.int64
+        for a, b, dtype in ((got.codes, want.codes, narrow_dtype(want.arities)),
+                            (got.target, want.target, np.int64)):
+            assert a.dtype == b.dtype == dtype
             assert a.shape == b.shape and a.strides == b.strides
             assert np.array_equal(a, b)
         assert got.codes.flags["F_CONTIGUOUS"]
@@ -524,8 +533,9 @@ class TestApplyToRows:
             return
         got = apply_binning(table, spec, rows)
         want = apply_binning(table, spec).restrict(rows)
-        for a, b in ((got.codes, want.codes), (got.target, want.target)):
-            assert a.dtype == b.dtype == np.int64
+        for a, b, dtype in ((got.codes, want.codes, narrow_dtype(want.arities)),
+                            (got.target, want.target, np.int64)):
+            assert a.dtype == b.dtype == dtype
             assert a.shape == b.shape and np.array_equal(a, b)
         assert got.codes.flags["F_CONTIGUOUS"]
         assert (got.arities, got.n_classes, got.feature_names) == \
@@ -541,6 +551,95 @@ class TestApplyToRows:
         table = toy_table()
         with pytest.raises(BinningError, match=message):
             apply_binning(table, fit_binning(table, 5), rows)
+
+
+class TestNarrowCodes:
+    """Binned codes take one dtype for the whole table, the narrowest unsigned
+    one that holds every column's arity, on every path that bins."""
+
+    @staticmethod
+    def _labels_table(n_labels, extra=()):
+        # every label on two rows, so that each code reaches up to n_labels - 1
+        labels = [f"v{i}" for i in range(n_labels)] * 2 + list(extra)
+        y = np.arange(len(labels)) % 2
+        return RawTable(("L", "Y"), ("categorical", "numeric"), (labels, y.astype(float)),
+                        "Y", len(labels))
+
+    @pytest.mark.parametrize("n_labels, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_categorical_arity_boundary(self, n_labels, dtype):
+        # n labels and the code reserved for unseen ones: arity 256 fits uint8, 257 does not
+        table = self._labels_table(n_labels)
+        got = discretize(table)
+        want = apply_binning(table, fit_binning(table))
+        assert got.arities == want.arities == (n_labels + 1,)
+        assert got.codes.dtype == want.codes.dtype == dtype
+        assert got.codes[:, 0].tolist() == ref_first_appearance(table.column("L"))
+        assert np.array_equal(got.codes, want.codes)
+
+    def test_unseen_label_takes_the_top_uint8_code(self):
+        # 255 labels seen at fit time and one unseen: its code 255 is the top of uint8
+        table = self._labels_table(255, extra=["new"])
+        spec = fit_binning(table, fit_rows=range(table.n_rows - 1))
+        ds = apply_binning(table, spec)
+        assert ds.arities == (256,) and ds.codes.dtype == np.uint8
+        assert ds.codes[-1, 0] == 255
+
+    def test_300_bins_on_every_path(self):
+        # W takes 300 evenly spaced values, each in a bin of its own at 300 bins,
+        # so W needs uint16; the Gaussian column beside it fits uint8 alone
+        rng = np.random.default_rng(3)
+        n = 3_000
+        w = rng.permutation(np.arange(n) % 300).astype(float)
+        table = RawTable(("W", "G", "Y"), ("numeric",) * 3,
+                         (w, rng.normal(size=n), rng.integers(0, 2, n).astype(float)), "Y", n)
+        ds = discretize(table, n_bins=300)
+        assert ds.arities[0] == 300 and ds.arities[1] <= 256
+        assert ds.codes.dtype == np.uint16
+        assert np.array_equal(ds.codes[:, 0], w.astype(int))
+        rows = rng.integers(0, n, 200)
+        for sub in (apply_binning(table, fit_binning(table, 300), rows), ds.restrict(rows)):
+            assert sub.codes.dtype == np.uint16 and sub.target.dtype == np.int64
+            assert np.array_equal(sub.codes, ds.codes[rows])
+        seen = []
+
+        def selector(train_ds):
+            seen.append(train_ds)
+            return [0, 1]
+
+        splits = make_splits(n, SplitSpec(0.5, seed=1, n_repeats=2))
+        curve = error_curve(table, selector, splits, k_max=2, n_bins=300)
+        assert curve.shape == (2, 2)
+        for train_ds, (train, _) in zip(seen, splits):
+            want = apply_binning(table, fit_binning(table, 300, train), train)
+            assert train_ds.arities[0] > 256
+            assert train_ds.codes.dtype == want.codes.dtype == np.uint16
+            assert np.array_equal(train_ds.codes, want.codes)
+
+    def test_no_feature_columns(self):
+        table = RawTable(("Y",), ("numeric",), (np.array([0.0, 1.0, 1.0]),), "Y", 3)
+        got = discretize(table)
+        want = apply_binning(table, fit_binning(table))
+        assert got.codes.shape == want.codes.shape == (3, 0)
+        assert got.codes.dtype == want.codes.dtype == np.uint8
+        assert got.codes.strides == want.codes.strides
+
+    def test_discretize_peak_below_int64_codes(self):
+        # 20,000 x 20 floats: the int64 codes alone would take N * D * 8 bytes
+        rng = np.random.default_rng(0)
+        n, d = 20_000, 20
+        names = tuple(f"F{j}" for j in range(d)) + ("Y",)
+        cols = tuple(rng.normal(size=n) for _ in range(d)) + (rng.integers(0, 2, n) * 1.0,)
+        table = RawTable(names, ("numeric",) * (d + 1), cols, "Y", n)
+        tracemalloc.start()
+        try:
+            ds = discretize(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about a quarter of that: the one-byte columns, stacked once, and one
+        # column's raw bins at a time
+        assert peak < n * d * 8
+        assert ds.codes.dtype == np.uint8
 
 
 class TestSplits:
@@ -647,6 +746,21 @@ class TestDiscreteDataset:
         ds = self._make([[0, 1], [1, 0]])
         assert ds.n_rows == 2
         assert self._make(np.zeros((0, 2), np.int64), target=np.zeros(0, np.int64)).n_rows == 0
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    def test_unsigned_codes_accepted(self, dtype):
+        # a range check that starts its max from -1 overflows an unsigned dtype
+        ds = self._make(np.array([[0, 1], [1, 0]], dtype), target=np.array([0, 1], np.uint8))
+        assert ds.codes.dtype == dtype and ds.target.dtype == np.uint8
+        empty = self._make(np.zeros((0, 2), dtype), target=np.zeros(0, np.uint8))
+        assert empty.n_rows == 0
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    def test_unsigned_code_at_arity_rejected(self, dtype):
+        with pytest.raises(DataError, match=r"feature 'f1': code 2 outside \[0, 2\)"):
+            self._make(np.array([[0, 2], [1, 0]], dtype))
+        with pytest.raises(DataError, match=r"target codes outside \[0, 2\)"):
+            self._make(np.array([[0, 1], [1, 0]], dtype), target=np.array([0, 2], np.uint8))
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_restrict_copies_rows_column_major(self, order):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infosel import estimators
-from infosel.data import DiscreteDataset, toy_dataset
+from infosel.data import DiscreteDataset, discretize, make_xor_table, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import _grouped_entropy
 from infosel.selection import predicted_mi_calls, run_sfs
@@ -326,6 +326,34 @@ class TestClassSlices:
                              2 ** 60, ("a",))
         with pytest.raises(ValueError, match="10 rows and 1152921504606846976 classes"):
             EstimatorContext(ds)
+
+
+class TestBinnedColumnsInPlace:
+    """Binning stores each column in the dtype the context reads, so the
+    context uses a binned dataset's columns in place, and gives the same
+    floats as over the same rows in int64."""
+
+    def test_shared_columns_and_int64_twin(self):
+        ds = discretize(make_xor_table(seed=6, n_rows=400, n_noise=8), n_bins=5)
+        assert ds.codes.dtype == np.uint8
+        twin = DiscreteDataset(ds.codes.astype(np.int64), ds.arities, ds.target,
+                               ds.n_classes, ds.feature_names)
+        ctx, twin_ctx = EstimatorContext(ds), EstimatorContext(twin)
+        cols = [ctx._bit_columns[2 << j][0] for j in range(ds.n_features)]
+        assert all(np.shares_memory(col, ds.codes) for col in cols)
+        before = [col.tobytes() for col in cols]
+        crit = parse_criterion("hocmim")
+        got, want = run_sfs(ds, crit, 6), run_sfs(twin, crit, 6)
+        assert (got.order, got.scores, got.step_mi_calls) == \
+            (want.order, want.scores, want.step_mi_calls)
+        for r in range(1, 4):
+            for feats in combinations(range(ds.n_features), r):
+                for key in (list(feats), list(feats) + [TARGET]):
+                    assert ctx.entropy(key) == twin_ctx.entropy(key), key
+        for k in range(ds.n_features):
+            S = [j for j in got.order[:3] if j != k]
+            assert crit.score(ctx, k, S)[0] == crit.score(twin_ctx, k, S)[0], k
+        assert [col.tobytes() for col in cols] == before
 
 
 class TestDatasetReadOnly:
