@@ -25,6 +25,8 @@ class StageError(RuntimeError):
 def _load_table(args):
     if args.xor and args.dataset:
         raise StageError("load", "--xor and --dataset both given; use one of them")
+    if (args.xor or args.dataset == "toy") and args.target not in (None, "Y"):
+        raise StageError("load", f"--target {args.target!r}: the built-in tables' target is 'Y'")
     if args.xor:
         return make_xor_table(seed=args.seed), "xor-synthetic"
     if args.dataset == "toy":
@@ -223,6 +225,8 @@ def cmd_toy(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.instances < 0:
+        raise StageError("selection", f"--instances must be >= 0, got {args.instances}")
     report = run_oracle_checks(n_instances=args.instances, seed=args.seed)
     print(report.summary())
     for msg in report.messages:

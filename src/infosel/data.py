@@ -34,14 +34,6 @@ def _narrow_dtype(arity: int) -> type:
     return np.uint8 if arity <= 1 << 8 else np.uint16 if arity <= 1 << 16 else np.int64
 
 
-def _stack(columns, n_rows: int) -> np.ndarray:
-    """Per-column code arrays as one (n_rows, D) column-major array, in the
-    dtype that holds every column's (uint8 when there are none)."""
-    if not columns:
-        return np.zeros((0, n_rows), np.uint8).T
-    return np.stack(columns).T
-
-
 def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
     """``rows`` as an int64 array, or ``error`` unless each is an integer in [0, n_rows)."""
     rows = np.asarray(rows)
@@ -122,8 +114,7 @@ class BinningSpec:
 class DiscreteDataset:
     """Integer-coded table: N x D feature codes plus a class-label column.
 
-    Any integer dtype is accepted.  Binned codes come in the narrowest
-    unsigned dtype that holds every column's arity, and the target in int64.
+    Any integer dtype is accepted; ``_dataset`` gives the binned format.
     """
 
     codes: np.ndarray                   # (n_rows, n_features), any integer dtype
@@ -426,10 +417,20 @@ def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, 
             codes.astype(_narrow_dtype(arity)))
 
 
-def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec, np.ndarray]:
-    """The spec fit on ``rows`` (all when None) and the target codes of those
-    rows; ``out``, a list when given, receives each feature's codes of those
-    rows in turn, one narrow array per column."""
+def _dataset(spec: BinningSpec, columns, target: np.ndarray, n_classes: int) -> DiscreteDataset:
+    """Every binned dataset: ``columns``, each feature's codes in ``_narrow_dtype``
+    of its arity, stacked once into one column-major array of the dtype that
+    holds them all (uint8 while every arity is at most 256, or with no
+    features), with arities and names from ``spec`` and an int64 target."""
+    # column-major, so that each feature column is one contiguous run of memory
+    codes = np.stack(columns).T if columns else np.zeros((0, len(target)), np.uint8).T
+    return DiscreteDataset(codes, tuple(s.arity for s in spec.feature_specs), target,
+                           n_classes, spec.feature_names)
+
+
+def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, DiscreteDataset]:
+    """The spec fit on ``rows`` (all when None) and those rows binned by it,
+    from the fit's own codes, with ``n_classes`` the classes on those rows."""
     if n_bins < 1:
         raise BinningError("n_bins must be >= 1")
     if rows is not None:
@@ -437,7 +438,7 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
     if (table.n_rows if rows is None else len(rows)) == 0:
         raise BinningError("fit_rows must be nonempty")
 
-    specs = []
+    specs, cols = [], []
     for name, kind, col in zip(table.names, table.kinds, table.columns):
         if name == table.target_name:
             continue
@@ -445,9 +446,8 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
             spec, codes = _fit_column(kind, col, n_bins, rows)
         except BinningError as e:
             raise BinningError(f"column {name!r}: {e}") from None
-        if out is not None:
-            out.append(codes)
         specs.append(spec)
+        cols.append(codes)
 
     tcol = table.column(table.target_name)
     if table.kind(table.target_name) == "numeric":
@@ -457,8 +457,9 @@ def _fit(table: RawTable, n_bins: int, rows=None, out=None) -> tuple[BinningSpec
         target = target.astype(np.int64, copy=False)
     else:
         target_labels, target = _first_appearance(tcol, rows)
-    return (BinningSpec(n_bins, table.feature_names, tuple(specs), table.target_name,
-                        target_labels), target)
+    spec = BinningSpec(n_bins, table.feature_names, tuple(specs), table.target_name,
+                       target_labels)
+    return spec, _dataset(spec, cols, target, len(target_labels))
 
 
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
@@ -477,17 +478,13 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     but only those rows' features are encoded; the target is still read on
     every row, so ``n_classes`` (one extra class when any row holds a class
     unseen at fit time) is the whole table's.  ``rows`` must be a list of
-    integers in [0, n_rows); anything else raises ``BinningError``.  Each
-    column is encoded in ``_narrow_dtype`` of its arity, and the columns are
-    stacked once into one column-major array of the dtype that holds them
-    all: uint8 while every arity is at most 256.  The target is int64.
+    integers in [0, n_rows); anything else raises ``BinningError``.
     """
     if tuple(n for n in table.names if n != table.target_name) != spec.feature_names \
             or table.target_name != spec.target_name:
         raise BinningError("column mismatch between table and binning spec")
     if rows is not None:
         rows = _row_indices(rows, table.n_rows, "rows", BinningError)
-    n_rows = table.n_rows if rows is None else len(rows)
     cols = []
     for name, cspec in zip(spec.feature_names, spec.feature_specs):
         if table.kind(name) != cspec.kind:
@@ -497,8 +494,6 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
             col = np.asarray(col)[rows] if cspec.kind == "numeric" else \
                 list(map(col.__getitem__, rows.tolist()))
         cols.append(cspec.encode(col))
-    # column-major, so that each feature column is one contiguous run of memory
-    codes = _stack(cols, n_rows)
 
     tcol = table.column(spec.target_name)
     if table.kind(spec.target_name) == "numeric":
@@ -508,9 +503,7 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     n_fit = len(spec.target_labels)
     target = np.fromiter(map(spec.target_labels.get, raw, repeat(n_fit)), np.int64, len(raw))
     n_classes = n_fit + (1 if target.max(initial=-1) >= n_fit else 0)
-    return DiscreteDataset(codes, tuple(s.arity for s in spec.feature_specs),
-                           target if rows is None else target[rows], n_classes,
-                           spec.feature_names)
+    return _dataset(spec, cols, target if rows is None else target[rows], n_classes)
 
 
 def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
@@ -519,15 +512,9 @@ def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
     Equal to ``apply_binning(table, fit_binning(table, n_bins))``, but each
     column is read once: the raw bins that fit a numeric column, looked up in
     its code table, are its codes, and a categorical column's first-appearance
-    pass numbers its labels and its rows together.  Each column's codes come
-    out in ``_narrow_dtype`` of its arity, and are stacked once into one
-    column-major array of the dtype that holds them all, as in
-    ``apply_binning``; the target is int64.
+    pass numbers its labels and its rows together.
     """
-    cols = []
-    spec, target = _fit(table, n_bins, out=cols)
-    return DiscreteDataset(_stack(cols, table.n_rows), tuple(s.arity for s in spec.feature_specs),
-                           target, len(spec.target_labels), spec.feature_names)
+    return _fit(table, n_bins)[1]
 
 
 def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:

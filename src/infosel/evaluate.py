@@ -25,12 +25,11 @@ int64 the input is rejected.  A vote tie keeps the lowest class label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import (DiscreteDataset, RawTable, SplitSpec, _fit, _stack, apply_binning,
-                   make_splits)
+from .data import RawTable, SplitSpec, _fit, apply_binning, make_splits
 from .selection import run_sfs
 
 
@@ -247,13 +246,10 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
         raise ValueError("k must be >= 1")
     errors = np.empty((len(splits), k_max), dtype=float)
     for r, (train_rows, test_rows) in enumerate(splits):
-        # the fit's own codes are the training rows' codes: only the test rows are encoded
-        train_codes = []
-        spec, train_target = _fit(table, n_bins, train_rows, out=train_codes)
+        spec, train_ds = _fit(table, n_bins, train_rows)
         test_ds = apply_binning(table, spec, test_rows)
         # the class count is the whole table's, a class unseen at fit time included
-        train_ds = DiscreteDataset(_stack(train_codes, len(train_rows)), test_ds.arities,
-                                   train_target, test_ds.n_classes, spec.feature_names)
+        train_ds = replace(train_ds, n_classes=test_ds.n_classes)
         if callable(selector):
             order = list(selector(train_ds))[:k_max]
         else:

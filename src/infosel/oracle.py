@@ -183,6 +183,8 @@ def check_statement_cases(report: OracleReport, seed: int = 7) -> None:
 
 def run_oracle_checks(n_instances: int = 100, seed: int = 0) -> OracleReport:
     """The identities are exact plug-in facts, so the suite always runs plug-in."""
+    if n_instances < 0:
+        raise ValueError(f"n_instances must be >= 0, got {n_instances}")
     report = OracleReport()
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):

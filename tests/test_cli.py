@@ -5,6 +5,7 @@ import pytest
 
 from infosel.cli import main
 from infosel.data import write_toy_csv
+from infosel.oracle import run_oracle_checks
 
 
 @pytest.fixture
@@ -95,6 +96,15 @@ class TestSelect:
         assert rc != 0
         err = capsys.readouterr().err
         assert "load" in err and "--xor" in err and "--dataset" in err
+
+    @pytest.mark.parametrize("source", [["--dataset", "toy"], ["--xor"]], ids=["toy", "xor"])
+    def test_target_other_than_y_with_builtin_table_fails_in_load(self, source, capsys):
+        # --target was once ignored here and the run ranked against Y
+        rc = main(["select", *source, "--target", "Z", "--criterion", "mim", "--k", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("infosel: load: --target 'Z'")
+        assert main(["select", *source, "--target", "Y", "--criterion", "mim", "--k", "2"]) == 0
 
     def test_inline_order_with_n_fails_in_selection(self, toy_csv, capsys):
         rc = main(["select", "--dataset", toy_csv, "--target", "Y",
@@ -252,3 +262,15 @@ class TestOracleCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0 failed" in out.splitlines()[-1]
+
+    def test_negative_instances_fail(self, capsys):
+        # a negative count once ran no random instance and exited 0
+        rc = main(["oracle-check", "--instances", "-3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--instances" in captured.err and captured.out == ""
+        with pytest.raises(ValueError, match="n_instances must be >= 0, got -3"):
+            run_oracle_checks(n_instances=-3)
+        # zero runs only the constructed cases
+        assert main(["oracle-check", "--instances", "0"]) == 0
+        assert "0 failed" in capsys.readouterr().out.splitlines()[-1]

@@ -553,6 +553,34 @@ class TestApplyToRows:
             apply_binning(table, fit_binning(table, 5), rows)
 
 
+class TestHoldoutTrainingHalf:
+    """The training dataset that error_curve hands its selector, against the
+    whole table binned by a fit on the training rows, restricted to them."""
+
+    @given(mixed_tables().filter(lambda case: case[0].feature_names), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_apply_then_restrict(self, case, data):
+        table, n_bins = case
+        row = st.integers(0, table.n_rows - 1)
+        train = data.draw(st.lists(row, min_size=1, max_size=table.n_rows))
+        test = data.draw(st.lists(row, min_size=1, max_size=table.n_rows))
+        seen = []
+        run = lambda: error_curve(table, lambda ds: seen.append(ds) or [0],  # noqa: E731
+                                  [(train, test)], k_max=1, n_bins=n_bins)
+        try:
+            want = apply_binning(table, fit_binning(table, n_bins, train)).restrict(train)
+        except BinningError as e:
+            with pytest.raises(BinningError, match=f"^{re.escape(str(e))}$"):
+                run()
+            return
+        run()
+        got, = seen
+        for a, b in ((got.codes, want.codes), (got.target, want.target)):
+            assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b)
+        assert (got.arities, got.n_classes, got.feature_names) == \
+            (want.arities, want.n_classes, want.feature_names)
+
+
 class TestNarrowCodes:
     """Binned codes take one dtype for the whole table, the narrowest unsigned
     one that holds every column's arity, on every path that bins."""
