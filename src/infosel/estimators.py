@@ -30,25 +30,35 @@ column smaller by the missing column, mixed-radix (``base * arity +
 column``), which keeps the target on top.  Once A's range exceeds N, A's
 digits are relabelled densely and the target is put back on top.  The
 searches grow column sets one column at a time, so the sets last encoded are
-kept in a small least-recently-used cache, and a pair of entropies usually
-costs one O(N) extend and one O(N) count.  Each feature column is read in
-the narrowest unsigned dtype that holds its arity (uint8 up to 256, uint16 up
-to 2**16, int64 above), which is how binning stores it, so a binned column is
-used in place; a column of more than N values is relabelled once, up front.
-A set's codes are int32 while their range is below 2**31 and int64 above,
-and a column is widened to that dtype when it extends a set's code.
+kept in a least-recently-used cache of at most ``_CODE_CACHE_SIZE`` sets and
+``_CODE_CACHE_BYTES`` bytes, and a pair of entropies usually costs one O(N)
+extend and one O(N) count.  A feature column binned in uint8 or uint16, a
+dtype that holds its arity, is used in place, even where the table's widest
+column made it uint16; any other column is copied into the narrowest
+unsigned dtype that holds its arity (uint8 up to 256, uint16 up to 2**16,
+int64 above), and a column of more than N values is relabelled once, up
+front.  A set's codes are int32 while their range is below 2**31 and int64
+above, and a column is widened to that dtype when it extends a set's code.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
 MI terms).  Entropies are not MI terms and are not counted.  Entropies are
-memoized per mask, up to ``_ENTROPY_CACHE_SIZE`` of them, so repeated logical
-calls stay cheap while the counter still reflects what the algorithms ask for.
-Two plain ints count the work of the misses: ``tables`` (pair tables counted)
-and ``rows_scanned`` (N times the columns of each table).
+memoized per mask in a dict whose ``__missing__`` computes a miss: it checks
+the mask, counts the pair table of the set without the target, and stores
+both entropies of the pair.  Only a miss checks, so a malformed mask never
+enters the memo and a hit is one dict lookup; the MI methods read their
+three entropies from the memo directly, so repeated logical calls stay cheap
+while the counter still reflects what the algorithms ask for.  The memo is
+emptied when it could not take another pair within ``_ENTROPY_CACHE_SIZE``,
+and it holds its context through a weak proxy, so a context is freed as soon
+as its last reference goes.  Two plain ints count the work of the misses:
+``tables`` (pair tables counted) and ``rows_scanned`` (N times the columns of
+each table).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -63,6 +73,9 @@ TARGET_BIT = 1
 
 #: joint codes kept for reuse as bases of later column sets
 _CODE_CACHE_SIZE = 64
+
+#: bytes of joint codes kept at most: 64 sets of int32 codes up to N = 131,072 rows
+_CODE_CACHE_BYTES = 32 << 20
 
 #: entropies kept per context; the memo is emptied when it reaches this size
 _ENTROPY_CACHE_SIZE = 1 << 18
@@ -129,7 +142,7 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
     """
     n = len(terms) - 1
     if estimator == "plugin":
-        h = float((profile * terms[:len(profile)]).sum()) / n
+        h = float(np.add.reduce(profile * terms[:len(profile)])) / n
     else:
         c = np.flatnonzero(profile[1:]) + 1
         mc = profile[c]
@@ -141,7 +154,7 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
         if lam > 0 and n_empty > 0:
             q0 = lam / dense
             h += float(-n_empty * q0 * np.log2(q0))
-    return max(0.0, h)
+    return h if h > 0.0 else 0.0
 
 
 def _shrinkage_lambda(c: np.ndarray, mc: np.ndarray, total: float, m: float) -> float:
@@ -171,14 +184,15 @@ class EstimatorContext:
     conditional MI to plain MI.  A mask below 0, or one with a bit above
     feature D-1, is rejected as a malformed set.
 
-    The context reads each column in the narrowest unsigned dtype that holds
-    its arity, in the dataset's row order.  A binned dataset stores its
-    columns that way, so they are used as they are, with no copy; a column
-    in a wider dtype (a hand-built int64 dataset, say) is copied narrow, and
-    one of more than N values is relabelled densely.  The dataset is only
-    read.  A dataset whose class count times N**2 reaches 2**63 is rejected,
-    because joint codes up to that size must fit int64.  To estimate on a
-    subset of the rows, build the context over ``dataset.restrict(rows)``.
+    The context reads each column in the dataset's row order.  A column in
+    uint8 or uint16 whose dtype holds its arity, as binning stores it, is
+    used as it is, with no copy, also when a narrower dtype would do; any
+    other column (a hand-built int64 dataset, say) is copied into the
+    narrowest unsigned dtype that holds its arity, and one of more than N
+    values is relabelled densely.  The dataset is only read.  A dataset
+    whose class count times N**2 reaches 2**63 is rejected, because joint
+    codes up to that size must fit int64.  To estimate on a subset of the
+    rows, build the context over ``dataset.restrict(rows)``.
     """
 
     def __init__(self, dataset: DiscreteDataset, estimator: str = "plugin"):
@@ -206,10 +220,13 @@ class EstimatorContext:
             col = dataset.codes[:, j]
             if arity > n_rows:
                 col, arity = _relabel(col, arity, n_rows)
-            self._bit_columns[2 << j] = np.ascontiguousarray(col, _narrow_dtype(arity)), arity
+            if not (col.dtype in (np.uint8, np.uint16) and arity <= np.iinfo(col.dtype).max + 1):
+                col = col.astype(_narrow_dtype(arity))
+            self._bit_columns[2 << j] = np.ascontiguousarray(col), arity
         self._bit_arities = (n_classes, *dataset.arities)
-        self._entropy_cache: dict[int, float] = {}
+        self._entropy_cache = _EntropyMemo(self)
         self._code_cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
+        self._code_bytes = 0
 
     # -- column plumbing ----------------------------------------------------
 
@@ -252,7 +269,7 @@ class EstimatorContext:
         code, size = self._codes_of(a)
         if n_classes * size <= _TABLE_ROWS * self.n_rows:
             table = np.bincount(code, minlength=n_classes * size)
-            alone = table.reshape(n_classes, size).sum(0)
+            alone = np.add.reduce(table.reshape(n_classes, size), 0)
         else:
             table = np.unique(code, return_counts=True)[1]
             alone = np.bincount(self._low_digits(code, size))
@@ -300,49 +317,31 @@ class EstimatorContext:
         return code - np.multiply(self._target, size, dtype=code.dtype)
 
     def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
-        """Cache the set's codes, least recently used out first."""
-        self._code_cache[mask] = code, size
-        self._code_cache.move_to_end(mask)
-        if len(self._code_cache) > _CODE_CACHE_SIZE:
-            self._code_cache.popitem(last=False)
+        """Cache the new set's codes, least recently used out first, within both caps."""
+        cache = self._code_cache
+        cache[mask] = code, size
+        self._code_bytes += code.nbytes
+        while len(cache) > _CODE_CACHE_SIZE or self._code_bytes > _CODE_CACHE_BYTES:
+            self._code_bytes -= cache.popitem(last=False)[1][0].nbytes
 
     # -- entropies (not counted as MI terms) ---------------------------------
 
     def entropy(self, cols) -> float:
         """Joint Shannon entropy of the column set, in bits."""
-        if type(cols) is int and 0 < cols < self._mask_end:
-            mask = cols                       # the searches' masks skip the general check
-        else:
-            mask = self._mask(cols)
-        memo = self._entropy_cache
-        h = memo.get(mask)
-        if h is None:
-            if not mask:
-                raise ValueError("empty column list")
-            # one table gives H(A, Y) and H(A), which the criteria ask for in pairs
-            a = mask & ~TARGET_BIT
-            self.tables += 1
-            self.rows_scanned += self.n_rows * (a.bit_count() + 1)
-            if len(memo) > _ENTROPY_CACHE_SIZE - 2:
-                memo.clear()
-            for m, (profile, dense) in zip((a | TARGET_BIT, a), self._pair_profiles(a)):
-                if m:
-                    memo[m] = profile_entropy(profile, self._terms, self.estimator, dense)
-            h = memo[mask]
-        return h
+        return self._entropy_cache[cols if type(cols) is int else self._mask(cols)]
 
     # -- MI terms (counted) ---------------------------------------------------
-
-    def _raw_mi(self, a: int, b: int) -> float:
-        return max(0.0, self.entropy(a) + self.entropy(b) - self.entropy(a | b))
+    # Each term reads its three entropies straight from the memo, in the order
+    # H(A), H(B), H(A u B); an int mask is checked by the memo on a miss.
 
     def mutual_information(self, cols_a, cols_b) -> float:
         """I(A;B) in bits; negative floating-point residue is clamped to 0."""
         self.mi_calls += 1
-        # an int mask is checked by ``entropy``, where it is used
         a = cols_a if type(cols_a) is int else self._mask(cols_a)
         b = cols_b if type(cols_b) is int else self._mask(cols_b)
-        return self._raw_mi(a, b)
+        memo = self._entropy_cache
+        v = memo[a] + memo[b] - memo[a | b]
+        return v if v > 0.0 else 0.0
 
     def conditional_mutual_information(self, cols_a, cols_b, cols_z) -> float:
         """I(A;B|Z) = I(A u Z; B) - I(Z; B); empty Z reduces to plain MI.
@@ -353,12 +352,51 @@ class EstimatorContext:
         a = cols_a if type(cols_a) is int else self._mask(cols_a)
         b = cols_b if type(cols_b) is int else self._mask(cols_b)
         z = cols_z if type(cols_z) is int else self._mask(cols_z)
+        memo = self._entropy_cache
         if not z:
-            return self._raw_mi(a, b)
-        return self._raw_mi(a | z, b) - self._raw_mi(z, b)
+            v = memo[a] + memo[b] - memo[a | b]
+            return v if v > 0.0 else 0.0
+        az = a | z
+        v = memo[az] + memo[b] - memo[az | b]
+        w = memo[z] + memo[b] - memo[z | b]
+        return (v if v > 0.0 else 0.0) - (w if w > 0.0 else 0.0)
 
     def reset_and_read_counter(self) -> int:
         """MI-term evaluations since the last reset; zeroes the counter."""
         v = self.mi_calls
         self.mi_calls = 0
         return v
+
+
+class _EntropyMemo(dict):
+    """A context's entropies by mask; a missing mask is checked, then computed.
+
+    A miss counts the pair table of the mask's set without the target, and
+    stores both of its entropies, H(A, Y) and H(A); the memo is emptied first
+    when it could not take them.  Only a miss checks the mask, and a mask that
+    fails the check raises before anything is stored, so the memo holds valid
+    masks only and a hit needs no check.  The memo holds its context through a
+    weak proxy, so the two form no reference cycle and a context is freed as
+    soon as its last reference goes, not at the next garbage collection.
+    """
+
+    __slots__ = ("_ctx",)
+
+    def __init__(self, ctx: EstimatorContext):
+        super().__init__()
+        self._ctx = weakref.proxy(ctx)
+
+    def __missing__(self, mask: int) -> float:
+        ctx = self._ctx
+        if not ctx._mask(mask):
+            raise ValueError("empty column list")
+        a = mask & ~TARGET_BIT
+        ctx.tables += 1
+        ctx.rows_scanned += ctx.n_rows * (a.bit_count() + 1)
+        if len(self) > _ENTROPY_CACHE_SIZE - 2:
+            self.clear()
+        terms, estimator = ctx._terms, ctx.estimator
+        for m, (profile, dense) in zip((a | TARGET_BIT, a), ctx._pair_profiles(a)):
+            if m:
+                self[m] = profile_entropy(profile, terms, estimator, dense)
+        return self[mask]

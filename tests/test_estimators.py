@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infosel import estimators
+from infosel import estimators, selection
 from infosel.data import DiscreteDataset, discretize, make_xor_table, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.oracle import _grouped_entropy
@@ -355,6 +357,29 @@ class TestBinnedColumnsInPlace:
             assert crit.score(ctx, k, S)[0] == crit.score(twin_ctx, k, S)[0], k
         assert [col.tobytes() for col in cols] == before
 
+    def test_uint16_table_columns_in_place(self):
+        # one column of 301 values makes the whole table uint16; the columns
+        # of 5 and 4 values are read in uint16 too, with no uint8 copy
+        rng = np.random.default_rng(25)
+        n, arities = 600, (301, 5, 4)
+        codes = np.asfortranarray(np.column_stack(
+            [rng.permutation(np.arange(n) % a) for a in arities]).astype(np.uint16))
+        target = (codes[:, 0] % 3 == 0).astype(np.int64) ^ (rng.random(n) < 0.1)
+        ds = DiscreteDataset(codes, arities, target, 2, ("w", "a", "c"))
+        ctx = EstimatorContext(ds)
+        cols = [ctx._bit_columns[2 << j][0] for j in range(3)]
+        assert all(col.dtype == np.uint16 and np.shares_memory(col, ds.codes) for col in cols)
+        # an unsigned dtype of more than two bytes is copied into the narrowest one
+        wide = DiscreteDataset(codes.astype(np.uint64), arities, target, 2, ds.feature_names)
+        wide_ctx = EstimatorContext(wide)
+        assert [wide_ctx._bit_columns[2 << j][0].dtype for j in range(3)] == \
+            [np.uint16, np.uint8, np.uint8]
+        for r in range(1, 4):
+            for feats in combinations(range(3), r):
+                for key in (list(feats), list(feats) + [TARGET]):
+                    assert ctx.entropy(key) == wide_ctx.entropy(key) == \
+                        ref_entropy(*columns(ds, key)), key
+
 
 class TestDatasetReadOnly:
     def test_context_and_selection_leave_the_dataset_alone(self):
@@ -459,15 +484,15 @@ class TestColumnMasks:
         crit = parse_criterion("hocmim", epsilon_star=0.0)
         unbounded = run_sfs(ds, crit, 5, collect_traces=True)
         sizes = []
-        entropy = EstimatorContext.entropy
+        missing = estimators._EntropyMemo.__missing__
 
-        def spy(ctx, cols):
-            h = entropy(ctx, cols)
-            sizes.append(len(ctx._entropy_cache))
+        def spy(memo, mask):
+            h = missing(memo, mask)
+            sizes.append(len(memo))
             return h
 
         with mock.patch.object(estimators, "_ENTROPY_CACHE_SIZE", 16), \
-                mock.patch.object(EstimatorContext, "entropy", spy):
+                mock.patch.object(estimators._EntropyMemo, "__missing__", spy):
             bounded = run_sfs(ds, crit, 5, collect_traces=True)
         # a miss adds a pair of entropies, so the memo stops at 15 or 16
         assert 15 <= max(sizes) <= 16
@@ -478,6 +503,106 @@ class TestColumnMasks:
         assert bounded.scores == unbounded.scores
         assert bounded.step_mi_calls == unbounded.step_mi_calls
         assert bounded.traces_json() == unbounded.traces_json()
+
+    def test_warm_memo_rejects_bad_masks(self, toy_ctx):
+        # a hit is not checked, so a bad mask must never have entered the memo
+        d = toy_ctx.n_features
+        for j in range(d):
+            toy_ctx.conditional_mutual_information(2 << j, 1, 2 << (j + 1) % d)
+        memo = toy_ctx._entropy_cache
+        warm = dict(memo)
+        assert 1 in memo and 2 << 0 in memo       # True and np.int64(1) would hit
+        high = 2 << d
+        rejected = [
+            (ValueError, lambda: toy_ctx.entropy(-1)),
+            (ValueError, lambda: toy_ctx.mutual_information(-(2 << 0), 1)),
+            (ValueError, lambda: toy_ctx.mutual_information(2 << 0, -1)),
+            (ValueError, lambda: toy_ctx.conditional_mutual_information(2 << 0, 1, -(2 << 1))),
+            (IndexError, lambda: toy_ctx.entropy(high)),
+            (IndexError, lambda: toy_ctx.entropy(high | 1)),
+            (IndexError, lambda: toy_ctx.mutual_information(2 << 0, high)),
+            (IndexError, lambda: toy_ctx.conditional_mutual_information(high, 1, 2 << 1)),
+            (IndexError, lambda: toy_ctx.conditional_mutual_information(2 << 0, 1, high)),
+            (TypeError, lambda: toy_ctx.entropy(True)),
+            (TypeError, lambda: toy_ctx.entropy(np.int64(1))),
+            (TypeError, lambda: toy_ctx.mutual_information(True, 2 << 0)),
+            (TypeError, lambda: toy_ctx.mutual_information(2 << 0, np.int64(1))),
+            (TypeError, lambda: toy_ctx.conditional_mutual_information(2 << 0, np.bool_(True), 0)),
+            (TypeError, lambda: toy_ctx.conditional_mutual_information(2 << 0, 1, np.int32(4))),
+        ]
+        for error, call in rejected:
+            with pytest.raises(error):
+                call()
+            assert len(memo) == len(warm) and memo == warm
+
+
+@pytest.fixture
+def gc_off():
+    """The cyclic garbage collector off, so that only reference counts free objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestContextLifetime:
+    """The memo holds its context weakly: a context is freed when its last
+    reference goes, not at the next garbage collection."""
+
+    def test_context_freed_on_last_reference(self, gc_off):
+        ctx = EstimatorContext(random_ds(np.random.default_rng(24), d=5, n=60))
+        ctx.conditional_mutual_information(2 << 0, 1, 2 << 1 | 2 << 2)
+        assert ctx.tables > 0
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+
+    def test_selection_context_freed_on_return(self, gc_off):
+        refs = []
+
+        def context(*args, **kwargs):
+            ctx = EstimatorContext(*args, **kwargs)
+            refs.append(weakref.ref(ctx))
+            return ctx
+
+        ds = random_ds(np.random.default_rng(24), d=5, n=60)
+        with mock.patch.object(selection, "EstimatorContext", context):
+            result = run_sfs(ds, parse_criterion("hocmim"), 3, collect_traces=True)
+        assert len(result.order) == 3
+        assert len(refs) == 1 and refs[0]() is None
+
+
+class TestCodeCacheBytes:
+    """The code cache holds at most ``_CODE_CACHE_BYTES`` of codes, besides at
+    most ``_CODE_CACHE_SIZE`` sets, and what it holds never changes a result."""
+
+    @pytest.mark.parametrize("sets", [3, 0.5])
+    @pytest.mark.parametrize("kind", ["hocmim", "cmim4", "jmi4"])
+    def test_bytes_within_budget_and_selection_unchanged(self, kind, sets):
+        ds = random_ds(np.random.default_rng(26), d=9, n=200)
+        budget = int(sets * 4 * ds.n_rows)          # int32 codes: 4 bytes a row
+        crit = parse_criterion(kind)
+        with mock.patch.object(estimators, "_CODE_CACHE_BYTES", 1 << 62):
+            uncapped = run_sfs(ds, crit, 6, collect_traces=True)
+        held = []
+        keep = EstimatorContext._keep
+
+        def spy(ctx, mask, code, size):
+            keep(ctx, mask, code, size)
+            nbytes = sum(code.nbytes for code, _ in ctx._code_cache.values())
+            assert nbytes == ctx._code_bytes
+            held.append((nbytes, len(ctx._code_cache)))
+
+        with mock.patch.object(estimators, "_CODE_CACHE_BYTES", budget), \
+                mock.patch.object(EstimatorContext, "_keep", spy):
+            capped = run_sfs(ds, crit, 6, collect_traces=True)
+        assert max(nbytes for nbytes, _ in held) <= budget
+        assert max(n for _, n in held) == int(sets)
+        assert capped.order == uncapped.order
+        assert capped.scores == uncapped.scores
+        assert capped.step_mi_calls == uncapped.step_mi_calls
+        assert capped.traces_json() == uncapped.traces_json()
 
 
 class TestConditionalEntropy:
