@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 
 from . import __version__
@@ -22,12 +23,19 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+def _check_seed(args, stage: str) -> None:
+    if args.seed < 0:
+        raise StageError(stage, f"--seed must be >= 0, got {args.seed}")
+
+
 def _load_table(args):
     if args.xor and args.dataset:
         raise StageError("load", "--xor and --dataset both given; use one of them")
     if (args.xor or args.dataset == "toy") and args.target not in (None, "Y"):
         raise StageError("load", f"--target {args.target!r}: the built-in tables' target is 'Y'")
     if args.xor:
+        # the seed generates the table
+        _check_seed(args, "load")
         return make_xor_table(seed=args.seed), "xor-synthetic"
     if args.dataset == "toy":
         return toy_table(), "toy"
@@ -37,7 +45,7 @@ def _load_table(args):
         raise StageError("load", "--target is required with --dataset")
     try:
         return load_csv(args.dataset, args.target), args.dataset
-    except (OSError, DataError) as e:
+    except (OSError, DataError, UnicodeDecodeError, csv.Error) as e:
         raise StageError("load", str(e)) from e
 
 
@@ -73,6 +81,7 @@ def _write(path, text):
 
 def cmd_select(args) -> int:
     table, label = _load_table(args)
+    _check_seed(args, "selection")
     try:
         ds = discretize(table, n_bins=args.bins)
     except DataError as e:
@@ -111,6 +120,7 @@ def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise StageError("selection", "repeats must be >= 1")
     table, label = _load_table(args)
+    _check_seed(args, "selection")
     try:
         # a table that cannot be binned fails here, before the criteria are read
         fit_binning(table, args.bins)
@@ -227,6 +237,7 @@ def cmd_toy(args) -> int:
 def cmd_oracle_check(args) -> int:
     if args.instances < 0:
         raise StageError("selection", f"--instances must be >= 0, got {args.instances}")
+    _check_seed(args, "selection")
     report = run_oracle_checks(n_instances=args.instances, seed=args.seed)
     print(report.summary())
     for msg in report.messages:

@@ -167,11 +167,11 @@ KINDS = tuple(CRITERIA)
 class Criterion:
     """A criterion kind from ``CRITERIA`` plus its parameters.
 
-    ``beta`` is the MIFS weight (1 when None).  ``n`` fixes the order of the
-    high-order search; without it the search is adaptive and stops at the
-    relative threshold ``epsilon_star`` or at ``n_max``.  Kinds reject a
-    ``beta`` or ``n`` they do not take; ``epsilon_star`` and ``n_max`` are
-    range-checked for every kind.
+    ``beta`` is the MIFS weight (1 when None), finite and at least 0.
+    ``n`` fixes the order of the high-order search; without it the search is
+    adaptive and stops at the relative threshold ``epsilon_star`` or at
+    ``n_max``.  Kinds reject a ``beta`` or ``n`` they do not take;
+    ``epsilon_star`` and ``n_max`` are range-checked for every kind.
     """
 
     kind: str
@@ -186,8 +186,8 @@ class Criterion:
             raise CriterionError(f"unknown criterion {self.kind!r} (choose from {', '.join(KINDS)})")
         if self.beta is not None and row.takes != "beta":
             raise CriterionError(f"{self.kind} does not take beta")
-        if self.beta is not None and not 0.0 <= self.beta:
-            raise CriterionError("beta must be >= 0")
+        if self.beta is not None and not 0.0 <= self.beta < float("inf"):
+            raise CriterionError("beta must be finite and >= 0")
         if row.takes != "n" and self.n is not None:
             raise CriterionError(f"{self.kind} does not take order parameters")
         if not 0.0 <= self.epsilon_star <= 1.0:

@@ -246,8 +246,8 @@ class EstimatorContext:
             mask |= 1 << (c + 1)
         return mask
 
-    def _pair_profiles(self, a: int) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
-        """(count profile, dense cell count) of the set ``a`` with the target, and of ``a`` alone.
+    def _pair_profiles(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """The count profiles of the set ``a`` with the target, and of ``a`` alone.
 
         ``a`` has no target bit, and may be empty.  Its codes carry the target
         as their top digit, so their table is that of ``a`` with the target,
@@ -255,17 +255,7 @@ class EstimatorContext:
         table of ``a``.  Above ``_TABLE_ROWS * N`` cells the codes are counted
         by sorting, and ``a`` alone from their low digits.
         """
-        arities = self._bit_arities
-        n_classes = arities[0]
-        # the target comes first in the product, as in a set's bit order
-        dense_a, dense_ay = 1.0, 1.0 * n_classes
-        rest = a
-        while rest:
-            low = rest & -rest
-            arity = arities[low.bit_length() - 1]
-            dense_a *= arity
-            dense_ay *= arity
-            rest ^= low
+        n_classes = self._bit_arities[0]
         code, size = self._codes_of(a)
         if n_classes * size <= _TABLE_ROWS * self.n_rows:
             table = np.bincount(code, minlength=n_classes * size)
@@ -273,7 +263,24 @@ class EstimatorContext:
         else:
             table = np.unique(code, return_counts=True)[1]
             alone = np.bincount(self._low_digits(code, size))
-        return (np.bincount(table), dense_ay), (np.bincount(alone), dense_a)
+        return np.bincount(table), np.bincount(alone)
+
+    def _dense_cells(self, a: int) -> tuple[float, float]:
+        """The dense cell counts, as floats, of the set ``a`` with the target and of ``a`` alone.
+
+        Only the shrinkage estimator reads them.  The target comes first in
+        the product, as in a set's bit order.
+        """
+        arities = self._bit_arities
+        dense_a, dense_ay = 1.0, 1.0 * arities[0]
+        rest = a
+        while rest:
+            low = rest & -rest
+            arity = arities[low.bit_length() - 1]
+            dense_a *= arity
+            dense_ay *= arity
+            rest ^= low
+        return dense_ay, dense_a
 
     def _codes_of(self, mask: int) -> tuple[np.ndarray, int]:
         """Joint codes of the set with the target, and the set's range.
@@ -396,7 +403,8 @@ class _EntropyMemo(dict):
         if len(self) > _ENTROPY_CACHE_SIZE - 2:
             self.clear()
         terms, estimator = ctx._terms, ctx.estimator
-        for m, (profile, dense) in zip((a | TARGET_BIT, a), ctx._pair_profiles(a)):
+        denses = ctx._dense_cells(a) if estimator == "shrinkage" else (0.0, 0.0)
+        for m, profile, dense in zip((a | TARGET_BIT, a), ctx._pair_profiles(a), denses):
             if m:
                 self[m] = profile_entropy(profile, terms, estimator, dense)
         return self[mask]

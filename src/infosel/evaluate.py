@@ -2,9 +2,12 @@
 
 The protocol: per split, fit discretization on the training rows only, select
 on the training half, then score every prefix of the selected order on the
-test half with a K-nearest-neighbour vote over the integer codes.  Errors are
-averaged over splits; criteria are compared by average rank (1 = best, ties
-share the mean of their positions).
+test half with a K-nearest-neighbour vote over the integer codes.
+``error_curve`` runs it for one selector, a function from the training
+dataset to a feature order; ``benchmark`` is the one place that turns each
+criterion into such a function, through ``run_sfs``.  Errors are averaged
+over splits; criteria are compared by average rank (1 = best, ties share the
+mean of their positions).
 
 ``knn_classify`` and ``error_curve`` share one kernel, ``_knn_predict``.  It
 sorts the test rows once, so that the rows equal on the columns seen so far
@@ -77,18 +80,27 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
     if feature_subset is None:
         columns = list(range(n_columns))
     else:
-        columns = list(feature_subset)
+        columns = _column_list(feature_subset, n_columns, "feature subset")
         if not columns:
             raise ValueError("feature subset is empty")
-        for j in columns:
-            # a negative index would wrap and a bool would index as a mask
-            if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)) \
-                    or not 0 <= j < n_columns:
-                raise ValueError(f"feature subset entry {j!r} is not a column "
-                                 f"index in [0, {n_columns})")
     if n_classes is None:
         n_classes = int(train_labels.max()) + 1
     return _knn_predict(train_codes, train_labels, test_codes, [columns], k, n_classes)[0]
+
+
+def _column_list(columns, n_columns: int, what: str) -> list:
+    """``columns`` as a list whose every entry is an int column index in [0, n_columns).
+
+    Anything else raises ``ValueError`` naming ``what`` and the entry: a
+    negative index would wrap to another column and a bool would index as a
+    mask.
+    """
+    columns = list(columns)
+    for j in columns:
+        if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)) \
+                or not 0 <= j < n_columns:
+            raise ValueError(f"{what} entry {j!r} is not a column index in [0, {n_columns})")
+    return columns
 
 
 def _shift_and_narrow(train_codes, test_codes, columns):
@@ -234,13 +246,16 @@ def average_ranks(errors) -> np.ndarray:
 
 
 def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
-                knn_k: int = 3, estimator: str = "plugin") -> np.ndarray:
+                knn_k: int = 3) -> np.ndarray:
     """Per-split misclassification error of every prefix size 1..k_max.
 
-    ``selector`` is a Criterion (selection runs on the training half) or a
-    callable mapping a training DiscreteDataset to a feature order.  Returns
-    an (n_splits, k_max) array.  ``knn_k`` below 1 raises ``ValueError``, as
-    in ``knn_classify``.
+    ``selector`` maps each split's training DiscreteDataset to a feature
+    order, of which the first ``k_max`` entries are scored; ``benchmark``
+    passes one that runs ``run_sfs``.  Every entry of the order must be a
+    feature index in [0, D), as in ``knn_classify``'s ``feature_subset``,
+    and an order shorter than ``k_max`` raises ``ValueError``.  Returns an
+    (n_splits, k_max) array.  ``knn_k`` below 1 raises ``ValueError``, as in
+    ``knn_classify``.
     """
     if knn_k < 1:
         raise ValueError("k must be >= 1")
@@ -250,10 +265,7 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
         test_ds = apply_binning(table, spec, test_rows)
         # the class count is the whole table's, a class unseen at fit time included
         train_ds = replace(train_ds, n_classes=test_ds.n_classes)
-        if callable(selector):
-            order = list(selector(train_ds))[:k_max]
-        else:
-            order = run_sfs(train_ds, selector, k_max, estimator=estimator).order
+        order = _column_list(selector(train_ds), train_ds.n_features, "selector order")[:k_max]
         if len(order) < k_max:
             raise ValueError("selector returned fewer features than k_max")
         preds = _knn_predict(train_ds.codes, train_ds.target, test_ds.codes,
@@ -325,14 +337,17 @@ class EvalReport:
 def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
               n_bins: int = 5, knn_k: int = 3, estimator: str = "plugin",
               dataset_label: str = "") -> EvalReport:
-    """Run the repeated-holdout protocol for several criteria on one table."""
+    """Run the repeated-holdout protocol for several criteria on one table:
+    one ``error_curve`` per criterion, selecting with ``run_sfs``."""
     criteria = list(criteria)
     if len(criteria) < 2:
         raise ValueError("benchmark needs at least two criteria")
     splits = make_splits(table.n_rows, split_spec)
-    errs = np.stack([error_curve(table, c, splits, k_max, n_bins, knn_k, estimator)
+    errs = np.stack([error_curve(table,
+                                 lambda ds, c=c: run_sfs(ds, c, k_max, estimator=estimator).order,
+                                 splits, k_max, n_bins, knn_k)
                      for c in criteria])
-    labels = [getattr(c, "label", str(c)) for c in criteria]
+    labels = [c.label for c in criteria]
     meta = {"dataset": dataset_label, "n_rows": table.n_rows,
             "seed": split_spec.seed, "repeats": split_spec.n_repeats,
             "train_fraction": split_spec.train_fraction, "k_max": k_max,

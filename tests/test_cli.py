@@ -49,6 +49,25 @@ class TestSelect:
         assert rc != 0
         assert "load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"A,Y\n1,0\ncaf\xe9,1\n", "'utf-8' codec can't decode byte 0xe9"),
+        (b"A,Y\n" + b"x" * 131073 + b",0\n1,1\n", "field larger than field limit"),
+    ], ids=["latin-1", "oversized-cell"])
+    def test_unreadable_file_fails_in_load(self, tmp_path, capsys, content, message):
+        # both once escaped the command line as a traceback
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        rc = main(["select", "--dataset", str(path), "--target", "Y"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"infosel: load: {message}")
+
+    def test_infinite_beta_fails_in_selection(self, toy_csv, capsys):
+        # MIFS once scored -inf or NaN, and the lowest index won every step
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y", "--criterion", "mifs",
+                   "--beta", "inf"])
+        assert rc == 1
+        assert capsys.readouterr().err == "infosel: selection: beta must be finite and >= 0\n"
+
     def test_overflowing_range_fails_in_binning(self, tmp_path, capsys):
         # the column once binned to arity 1 and the run exited 0
         path = tmp_path / "wide.csv"
@@ -274,3 +293,22 @@ class TestOracleCheck:
         # zero runs only the constructed cases
         assert main(["oracle-check", "--instances", "0"]) == 0
         assert "0 failed" in capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["select", "--xor"], "load"),
+    (["benchmark", "--xor", "--criterion", "mim,cmim"], "load"),
+    (["benchmark", "--dataset", "toy", "--criterion", "mim,cmim", "--repeats", "2"],
+     "selection"),
+    (["select", "--dataset", "toy"], "selection"),
+    (["oracle-check"], "selection"),
+], ids=["select-xor", "benchmark-xor", "benchmark-dataset", "select-dataset",
+        "oracle-check"])
+def test_negative_seed_fails(capsys, argv, stage):
+    # numpy's "expected non-negative integer" once escaped as a traceback, and
+    # select on a file accepted the seed it does not use
+    rc = main([*argv, "--seed", "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"infosel: {stage}: --seed must be >= 0, got -1\n"
+    assert captured.out == ""

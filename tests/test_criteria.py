@@ -190,6 +190,13 @@ class TestCriterionObject:
         with pytest.raises(CriterionError):
             Criterion(kind="jmi", n=2)
 
+    @pytest.mark.parametrize("beta", [float("inf"), float("-inf"), float("nan"), -0.5])
+    def test_beta_must_be_finite_and_non_negative(self, beta):
+        # beta = inf once made MIFS score -inf, or NaN where a candidate's
+        # summed redundancy is 0
+        with pytest.raises(CriterionError, match="beta must be finite and >= 0"):
+            Criterion(kind="mifs", beta=beta)
+
     def test_hocmim_param_ranges(self):
         with pytest.raises(CriterionError):
             Criterion(kind="hocmim", n=20, n_max=15)

@@ -759,6 +759,20 @@ class TestShrinkage:
         want = ctx.mutual_information(a + z, b) - ctx.mutual_information(z, b)
         assert ctx.conditional_mutual_information(a, b, z) == pytest.approx(want, abs=TOL)
 
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    def test_dense_cells_counted_only_under_shrinkage(self, estimator):
+        # the plug-in estimator reads no dense cell count, so its misses skip
+        # the product over the set's arities
+        ctx = EstimatorContext(toy_dataset(), estimator=estimator)
+        real = EstimatorContext._dense_cells
+        with mock.patch.object(EstimatorContext, "_dense_cells", autospec=True,
+                               side_effect=real) as spy:
+            for k in range(1, 5):
+                ctx.conditional_mutual_information([k], [TARGET], [0])
+        assert ctx.tables > 0
+        assert spy.call_count == (ctx.tables if estimator == "shrinkage" else 0)
+        assert ctx._dense_cells(2 << 0 | 2 << 3) == (2.0 * 2 * 2, 2.0 * 2)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             EstimatorContext(toy_dataset(), estimator="knn")

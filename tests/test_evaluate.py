@@ -12,6 +12,7 @@ from infosel.data import (DataError, RawTable, SplitSpec, apply_binning, fit_bin
                           load_csv, make_splits, make_xor_table, toy_dataset, toy_table)
 from infosel.evaluate import (average_ranks, benchmark, error_curve,
                               knn_classify)
+from infosel.selection import run_sfs
 
 
 class TestKnn:
@@ -343,11 +344,26 @@ class TestErrorCurve:
         b = error_curve(table, lambda ds: [2, 1, 0], splits, k_max=3)
         assert np.array_equal(a, b)
 
-    def test_criterion_selector(self):
+    def test_criterion_is_not_a_selector(self):
+        # a Criterion once ran run_sfs, under an estimator argument that a
+        # function selector silently ignored; benchmark now makes the function
         table = toy_table()
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        curve = error_curve(table, parse_criterion("mim"), splits, k_max=2)
-        assert curve.shape == (2, 2)
+        with pytest.raises(TypeError):
+            error_curve(table, parse_criterion("mim"), splits, k_max=2)
+
+    @pytest.mark.parametrize("order, entry", [
+        ([-1, 0], "-1"), ([True, 0], "True"), ([1.5, 0], "1.5"), ([5, 0], "5"),
+        ([0, 1, -1], "-1"),
+    ], ids=["negative", "bool", "float", "past-the-end", "negative-past-k_max"])
+    def test_malformed_selector_order_rejected(self, order, entry):
+        # -1 once scored as column 4, True raised a broadcast error and 5 a
+        # bare IndexError
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        with pytest.raises(ValueError, match=rf"selector order entry {entry} is not a column "
+                                             r"index in \[0, 5\)"):
+            error_curve(table, lambda ds: order, splits, k_max=2)
 
     def test_training_rows_coded_as_the_split_binning(self, tmp_path):
         # classes "y" and "z" and label "q" are missing from some training
@@ -412,7 +428,51 @@ class TestErrorCurve:
             error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
 
 
+def rare_class_table(tmp_path):
+    """60 rows whose class 'rare' (3 rows) misses some training halves of
+    ``make_splits(60, SplitSpec(0.5, 5, 4))``."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for i in range(60):
+        b = "pqr"[rng.integers(3)] if rng.random() < 0.3 else "pq"[i % 2]
+        y = "rare" if i in (7, 31, 52) else ("lo", "hi")[i % 2]
+        rows.append(f"{rng.normal(i % 2):.3f},{b},{'uvwx'[rng.integers(4)]},{rng.random():.3f},{y}")
+    path = tmp_path / "rare.csv"
+    path.write_text("A,B,C,D,Y\n" + "\n".join(rows) + "\n")
+    return load_csv(path, "Y")
+
+
 class TestBenchmark:
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    def test_errors_are_error_curves_of_run_sfs_orders(self, tmp_path, estimator):
+        # each criterion's errors are error_curve's over a selector that
+        # returns run_sfs's order on the training half it is handed
+        table = rare_class_table(tmp_path)
+        spec = SplitSpec(0.5, seed=4, n_repeats=5)
+        splits = make_splits(table.n_rows, spec)
+        rare = {i for i, y in enumerate(table.column("Y")) if y == "rare"}
+        assert any(not rare & set(train.tolist()) for train, _ in splits)
+        criteria = [parse_criterion(name) for name in ("mim", "hocmim", "cmim", "jmi")]
+        seen, real = [], evaluate.error_curve
+
+        def spy(table, selector, *args, **kwargs):
+            picks = []
+            seen.append(picks)
+            return real(table, lambda ds: picks.append((ds, selector(ds))) or picks[-1][1],
+                        *args, **kwargs)
+
+        with mock.patch.object(evaluate, "error_curve", spy):
+            report = benchmark(table, criteria, spec, k_max=3, estimator=estimator)
+        assert report.criteria == ["mim", "hocmim", "cmim", "jmi"]
+        assert len(seen) == len(criteria)
+        for c, crit in enumerate(criteria):
+            def order(ds, crit=crit):
+                return run_sfs(ds, crit, 3, estimator=estimator).order
+            assert len(seen[c]) == len(splits)
+            for ds, picked in seen[c]:
+                assert ds.n_classes == 3 and picked == order(ds)
+            assert np.array_equal(report.errors[c], error_curve(table, order, splits, k_max=3))
+
     def test_report_shapes_and_rank_rules(self):
         rep = benchmark(toy_table(), [parse_criterion("mim"),
                                       parse_criterion("hocmim", n=2)],
