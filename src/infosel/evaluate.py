@@ -5,9 +5,13 @@ on the training half, then score every prefix of the selected order on the
 test half with a K-nearest-neighbour vote over the integer codes.
 ``error_curve`` runs it for one selector, a function from the training
 dataset to a feature order; ``benchmark`` is the one place that turns each
-criterion into such a function, through ``run_sfs``.  Errors are averaged
-over splits; criteria are compared by average rank (1 = best, ties share the
-mean of their positions).
+criterion into such a function, through ``run_sfs``.  Both go through one
+loop, ``_curve``.  A split's binning is the same for every criterion, so
+``benchmark`` bins each split once per call and hands the same training and
+test datasets to all its criteria, holding at most ``_HELD_SPLIT_BYTES`` of
+codes and targets; a split past that bound is binned again per criterion.
+Errors are averaged over splits; criteria are compared by average rank
+(1 = best, ties share the mean of their positions).
 
 ``knn_classify`` and ``error_curve`` share one kernel, ``_knn_predict``.  It
 sorts the test rows once, so that the rows equal on the columns seen so far
@@ -42,6 +46,10 @@ _BLOCK = 256
 _INT16_MAX = int(np.iinfo(np.int16).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+#: bytes of binned splits that ``benchmark`` keeps for its later criteria:
+#: 64 MiB holds all 30 splits of a 50,000 x 20 table in uint8 codes
+_HELD_SPLIT_BYTES = 64 << 20
 
 
 def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
@@ -253,18 +261,43 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
     order, of which the first ``k_max`` entries are scored; ``benchmark``
     passes one that runs ``run_sfs``.  Every entry of the order must be a
     feature index in [0, D), as in ``knn_classify``'s ``feature_subset``,
-    and an order shorter than ``k_max`` raises ``ValueError``.  Returns an
-    (n_splits, k_max) array.  ``knn_k`` below 1 raises ``ValueError``, as in
-    ``knn_classify``.
+    and an order shorter than ``k_max`` raises ``ValueError``.  Each split is
+    binned once, for this one selector.  Returns an (n_splits, k_max) array.
+    ``k_max`` or ``knn_k`` below 1, no splits, or a split without test rows
+    raises ``ValueError``.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if len(splits) == 0:
+        raise ValueError("no splits given")
+    for r, (_, test_rows) in enumerate(splits):
+        if len(test_rows) == 0:
+            raise ValueError(f"split {r} has no test rows")
+    return _curve(table, selector, splits, k_max, n_bins, knn_k, None)
+
+
+def _curve(table, selector, splits, k_max, n_bins, knn_k, held):
+    """The one loop of the protocol: ``error_curve``'s array for ``selector``.
+
+    Each split is fit on its training rows and its test rows are encoded
+    with that binning, unless ``held`` (a dict, split index -> pair of
+    training and test datasets) holds the pair from an earlier call.  A new
+    pair goes into ``held`` while the codes and targets of all the held pairs
+    stay within ``_HELD_SPLIT_BYTES``; with ``held`` None nothing is kept.
     """
     if knn_k < 1:
         raise ValueError("k must be >= 1")
     errors = np.empty((len(splits), k_max), dtype=float)
     for r, (train_rows, test_rows) in enumerate(splits):
-        spec, train_ds = _fit(table, n_bins, train_rows)
-        test_ds = apply_binning(table, spec, test_rows)
-        # the class count is the whole table's, a class unseen at fit time included
-        train_ds = replace(train_ds, n_classes=test_ds.n_classes)
+        pair = held.get(r) if held is not None else None
+        if pair is None:
+            spec, train_ds = _fit(table, n_bins, train_rows)
+            test_ds = apply_binning(table, spec, test_rows)
+            # the class count is the whole table's, a class unseen at fit time included
+            pair = replace(train_ds, n_classes=test_ds.n_classes), test_ds
+            if held is not None and _nbytes(*held.values(), pair) <= _HELD_SPLIT_BYTES:
+                held[r] = pair
+        train_ds, test_ds = pair
         order = _column_list(selector(train_ds), train_ds.n_features, "selector order")[:k_max]
         if len(order) < k_max:
             raise ValueError("selector returned fewer features than k_max")
@@ -273,6 +306,11 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
         wrong = np.count_nonzero(preds != test_ds.target, axis=1)
         errors[r] = wrong / len(test_rows)
     return errors
+
+
+def _nbytes(*pairs) -> int:
+    """Bytes of the codes and targets of the (training, test) dataset pairs."""
+    return sum(ds.codes.nbytes + ds.target.nbytes for pair in pairs for ds in pair)
 
 
 @dataclass
@@ -337,15 +375,23 @@ class EvalReport:
 def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
               n_bins: int = 5, knn_k: int = 3, estimator: str = "plugin",
               dataset_label: str = "") -> EvalReport:
-    """Run the repeated-holdout protocol for several criteria on one table:
-    one ``error_curve`` per criterion, selecting with ``run_sfs``."""
+    """Run the repeated-holdout protocol for several criteria on one table.
+
+    Criterion by criterion, each split's training half is selected on with
+    ``run_sfs`` and scored as in ``error_curve``.  Each split is binned once,
+    when the first criterion reaches it, and the same training and test
+    datasets go to every later criterion, as long as the held pairs fit in
+    ``_HELD_SPLIT_BYTES``; a split past that bound is binned again for each
+    criterion.
+    """
     criteria = list(criteria)
     if len(criteria) < 2:
         raise ValueError("benchmark needs at least two criteria")
     splits = make_splits(table.n_rows, split_spec)
-    errs = np.stack([error_curve(table,
-                                 lambda ds, c=c: run_sfs(ds, c, k_max, estimator=estimator).order,
-                                 splits, k_max, n_bins, knn_k)
+    held = {}
+    errs = np.stack([_curve(table,
+                            lambda ds, c=c: run_sfs(ds, c, k_max, estimator=estimator).order,
+                            splits, k_max, n_bins, knn_k, held)
                      for c in criteria])
     labels = [c.label for c in criteria]
     meta = {"dataset": dataset_label, "n_rows": table.n_rows,

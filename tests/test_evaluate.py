@@ -428,6 +428,27 @@ class TestErrorCurve:
             error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
 
 
+    @pytest.mark.parametrize("k_max", [0, -2])
+    def test_k_max_below_one_rejected(self, k_max):
+        # 0 once raised a bare TypeError from np.lexsort
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
+            error_curve(table, lambda ds: [0, 1], splits, k_max=k_max)
+
+    def test_split_without_test_rows_rejected(self):
+        # an empty test side once gave a NaN row and a RuntimeWarning
+        table = toy_table()
+        splits = [(np.arange(5), np.arange(5, 10)), (np.arange(10), np.arange(0))]
+        with pytest.raises(ValueError, match="split 1 has no test rows"):
+            error_curve(table, lambda ds: [0, 1], splits, k_max=2)
+
+    def test_no_splits_rejected(self):
+        # no splits once gave a (0, k_max) array
+        with pytest.raises(ValueError, match="no splits given"):
+            error_curve(toy_table(), lambda ds: [0, 1], [], k_max=2)
+
+
 def rare_class_table(tmp_path):
     """60 rows whose class 'rare' (3 rows) misses some training halves of
     ``make_splits(60, SplitSpec(0.5, 5, 4))``."""
@@ -445,33 +466,81 @@ def rare_class_table(tmp_path):
 class TestBenchmark:
     @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
     def test_errors_are_error_curves_of_run_sfs_orders(self, tmp_path, estimator):
-        # each criterion's errors are error_curve's over a selector that
-        # returns run_sfs's order on the training half it is handed
+        # each criterion's errors are error_curve's over run_sfs's order on
+        # each training half; run_sfs runs criterion-major, at call c * R + r,
+        # and every criterion gets split r's one training dataset
         table = rare_class_table(tmp_path)
         spec = SplitSpec(0.5, seed=4, n_repeats=5)
         splits = make_splits(table.n_rows, spec)
         rare = {i for i, y in enumerate(table.column("Y")) if y == "rare"}
         assert any(not rare & set(train.tolist()) for train, _ in splits)
         criteria = [parse_criterion(name) for name in ("mim", "hocmim", "cmim", "jmi")]
-        seen, real = [], evaluate.error_curve
+        seen = []
 
-        def spy(table, selector, *args, **kwargs):
-            picks = []
-            seen.append(picks)
-            return real(table, lambda ds: picks.append((ds, selector(ds))) or picks[-1][1],
-                        *args, **kwargs)
+        def spy(ds, criterion, *args, **kwargs):
+            result = run_sfs(ds, criterion, *args, **kwargs)
+            seen.append((ds, criterion, result.order))
+            return result
 
-        with mock.patch.object(evaluate, "error_curve", spy):
+        with mock.patch.object(evaluate, "run_sfs", spy):
             report = benchmark(table, criteria, spec, k_max=3, estimator=estimator)
         assert report.criteria == ["mim", "hocmim", "cmim", "jmi"]
-        assert len(seen) == len(criteria)
+        R = len(splits)
+        assert len(seen) == len(criteria) * R
         for c, crit in enumerate(criteria):
             def order(ds, crit=crit):
                 return run_sfs(ds, crit, 3, estimator=estimator).order
-            assert len(seen[c]) == len(splits)
-            for ds, picked in seen[c]:
+            for r in range(R):
+                ds, called, picked = seen[c * R + r]
+                assert called is crit and ds is seen[r][0]
                 assert ds.n_classes == 3 and picked == order(ds)
             assert np.array_equal(report.errors[c], error_curve(table, order, splits, k_max=3))
+
+    @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
+    def test_each_split_binned_once(self, tmp_path, estimator, monkeypatch):
+        # the criteria share each split's binning; with no bytes to hold it,
+        # every criterion bins every split again, and the report is the same
+        table = rare_class_table(tmp_path)
+        spec = SplitSpec(0.5, seed=4, n_repeats=5)
+        criteria = [parse_criterion(name) for name in ("mim", "hocmim", "cmim")]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return apply_binning(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "apply_binning", spy)
+        held = benchmark(table, criteria, spec, k_max=3, estimator=estimator).to_json()
+        splits = make_splits(table.n_rows, spec)
+        assert len(calls) == len(splits)
+        assert all(np.array_equal(got, test) for got, (_, test) in zip(calls, splits))
+        calls.clear()
+        monkeypatch.setattr(evaluate, "_HELD_SPLIT_BYTES", 0)
+        rebinned = benchmark(table, criteria, spec, k_max=3, estimator=estimator).to_json()
+        assert len(calls) == len(splits) * len(criteria)
+        assert rebinned == held
+
+    def test_held_splits_bounded_in_bytes(self, monkeypatch):
+        # a bound that holds exactly two splits' pairs keeps those two and
+        # bins the rest again for each later criterion
+        table = make_xor_table(seed=3, n_rows=200)
+        spec = SplitSpec(0.5, seed=2, n_repeats=4)
+        criteria = [parse_criterion("mim"), parse_criterion("cmim")]
+        one = 200 * len(table.feature_names) + 200 * 8     # uint8 codes, int64 targets
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return apply_binning(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "apply_binning", spy)
+        monkeypatch.setattr(evaluate, "_HELD_SPLIT_BYTES", 2 * one)
+        report = benchmark(table, criteria, spec, k_max=3)
+        assert len(calls) == 4 + 2
+        monkeypatch.setattr(evaluate, "_HELD_SPLIT_BYTES", 2 * one - 1)
+        calls.clear()
+        assert benchmark(table, criteria, spec, k_max=3).to_json() == report.to_json()
+        assert len(calls) == 4 + 3
 
     def test_report_shapes_and_rank_rules(self):
         rep = benchmark(toy_table(), [parse_criterion("mim"),
