@@ -14,9 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -191,28 +189,31 @@ def load_csv(path, target_name: str) -> RawTable:
     names, and empty tables are hard errors; the first one row by row is
     reported, once the whole file has parsed as CSV.
 
-    The file is read in one pass, ``_CHUNK_ROWS`` rows at a time, and no row
-    list is kept, so memory is bounded by one chunk of cells plus the typed
-    columns.  A chunk is kept cache-sized: turning thousands of rows of cells
-    into columns misses the cache and is slower, not faster.  A numeric
-    column grows by one float64 array per chunk.  A categorical column holds
-    its stripped labels, one shared ``str`` per distinct label, looked up by
-    raw cell so that a cell seen before is not stripped again; a column that
-    turns categorical after the first chunk re-reads only its own earlier
-    cells from the file.  Input that cannot be read twice, such as a pipe, is
-    held as text first.
+    The file is parsed ``_CHUNK_ROWS`` rows at a time, and no row list is
+    kept, so memory is bounded by one chunk of cells plus the typed columns.
+    A chunk is kept cache-sized: turning thousands of rows of cells into
+    columns misses the cache and is slower, not faster.  A numeric column
+    grows by one float64 array per chunk.  A categorical column holds its
+    stripped labels, one shared ``str`` per distinct label, looked up by raw
+    cell so that a cell seen before is not stripped again.  Each column's
+    kind is fixed for a whole pass over the text: a column that turns
+    categorical after the first chunk ends the pass, and the text is parsed
+    again from the top with that column read as labels from row 1, so the
+    rows before the switch are parsed twice.  Input that cannot be read
+    twice, such as a pipe, is held as text first.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if fh.seekable():
-            return _read_table(fh, target_name,
-                               partial(open, path, newline="", encoding="utf-8-sig"))
-        text = fh.read()
-    return _read_table(io.StringIO(text, newline=""), target_name,
-                       partial(io.StringIO, text, newline=""))
+        stream = fh if fh.seekable() else io.StringIO(fh.read(), newline="")
+        late = set()                    # columns read as labels from row 1
+        while (table := _read_table(stream, target_name, late)) is None:
+            stream.seek(0)
+        return table
 
 
-def _read_table(fh, target_name: str, reopen) -> RawTable:
-    """``load_csv`` over an open text stream; ``reopen()`` opens the same text anew."""
+def _read_table(fh, target_name: str, late: set) -> RawTable | None:
+    """One pass of ``load_csv`` over an open text stream, with the columns in
+    ``late`` read as labels from row 1; or None, with ``late`` grown, when a
+    column that parsed as numbers turns categorical after the first chunk."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -227,36 +228,34 @@ def _read_table(fh, target_name: str, reopen) -> RawTable:
         _fail(reader, f"duplicate header names {dupes}")
     if target_name not in header:
         _fail(reader, f"target column {target_name!r} not in header {header}")
-    parts = [[] for _ in header]        # numeric column: its arrays, one per chunk
-    labels = [None for _ in header]     # categorical column: its labels so far
+    numeric = [j not in late for j in range(len(header))]
+    parts = [[] for _ in header]        # numeric: one array per chunk; categorical: labels
     interned = [_Labels() for _ in header]
     n_rows = 0
     while chunk:
-        converted, error = _convert_chunk(chunk, header, [lab is None for lab in labels],
-                                          n_rows, interned)
+        converted, error = _convert_chunk(chunk, header, numeric, n_rows, interned)
         if error:
             _fail(reader, error)
-        late = [j for j, col in enumerate(converted)
-                if isinstance(col, list) and labels[j] is None]
-        if late:
-            earlier = (_reread_labels(reopen, n_rows, late, interned) if n_rows
-                       else {j: [] for j in late})
-            for j in late:
-                labels[j], parts[j] = earlier[j], None
+        turned = [j for j, col in enumerate(converted) if numeric[j] and isinstance(col, list)]
+        if turned and n_rows:
+            late.update(turned)
+            return None
+        for j in turned:
+            numeric[j] = False
         for j, col in enumerate(converted):
-            if labels[j] is None:
+            if numeric[j]:
                 parts[j].append(col)
             else:
-                labels[j].extend(col)
+                parts[j].extend(col)
         n_rows += len(chunk)
         chunk = list(islice(reader, _CHUNK_ROWS))
 
-    kinds, columns = [], []
-    for j, lab in enumerate(labels):
-        kinds.append("numeric" if lab is None else "categorical")
-        columns.append(np.concatenate(parts[j]) if lab is None else lab)
-        parts[j] = None
-    return RawTable(tuple(header), tuple(kinds), tuple(columns), target_name, n_rows)
+    columns = []
+    for j, is_numeric in enumerate(numeric):
+        columns.append(np.concatenate(parts[j]) if is_numeric else parts[j])
+        parts[j] = None                 # its chunk arrays go before the next column is joined
+    kinds = tuple("numeric" if is_numeric else "categorical" for is_numeric in numeric)
+    return RawTable(tuple(header), kinds, tuple(columns), target_name, n_rows)
 
 
 def _fail(reader, message: str):
@@ -325,17 +324,6 @@ def _finite_floats(cells):
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None
-
-
-def _reread_labels(reopen, n_rows: int, columns, interned) -> dict[int, list[str]]:
-    """The stripped, interned labels of ``columns`` on the first ``n_rows`` data rows."""
-    labels = {j: [] for j in columns}
-    with reopen() as fh:
-        rows = islice(csv.reader(fh), 1, n_rows + 1)
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            for j in columns:
-                labels[j].extend(map(interned[j].__getitem__, map(itemgetter(j), chunk)))
-    return labels
 
 
 def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:

@@ -237,10 +237,16 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
 
 
 def average_ranks(errors) -> np.ndarray:
-    """Average-rank the entries (1 = lowest error); ties share their mean rank."""
+    """Average-rank the entries (1 = lowest error); ties share their mean rank.
+
+    Fewer than two entries, or a NaN among them, raises ``ValueError``.
+    """
     errors = np.asarray(errors, dtype=float)
     if len(errors) < 2:
         raise ValueError("need at least two entries to rank")
+    nan = np.flatnonzero(np.isnan(errors))
+    if len(nan):
+        raise ValueError(f"cannot rank NaN (entry {nan[0]})")
     order = np.argsort(errors, kind="stable")
     ranks = np.empty(len(errors), dtype=float)
     i = 0

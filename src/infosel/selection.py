@@ -11,6 +11,8 @@ can be verified call-for-call in fixed-order mode.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -53,9 +55,12 @@ class SelectionResult:
         return json.dumps(self.to_dict(), indent=indent)
 
     def to_rank_csv(self) -> str:
-        lines = ["rank,feature"]
-        lines += [f"{i + 1},{name}" for i, name in enumerate(self.names)]
-        return "\n".join(lines) + "\n"
+        """``rank,feature`` rows, a name quoted where it holds a comma, quote or newline."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["rank", "feature"])
+        writer.writerows(enumerate(self.names, 1))
+        return out.getvalue()
 
     def traces_json(self, indent: int = 2) -> str:
         """Full per-candidate trace dump (requires run_sfs(..., collect_traces=True))."""

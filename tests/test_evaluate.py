@@ -325,6 +325,14 @@ class TestAverageRanks:
         with pytest.raises(ValueError):
             average_ranks([0.5])
 
+    @pytest.mark.parametrize("errors, entry", [
+        ([np.nan, 0.1, np.nan], 0), ([0.1, 0.2, np.nan], 2),
+    ])
+    def test_nan_rejected(self, errors, entry):
+        # argsort puts NaN last, so the NaN entries would be ranked by position
+        with pytest.raises(ValueError, match=rf"cannot rank NaN \(entry {entry}\)"):
+            average_ranks(errors)
+
 
 class TestErrorCurve:
     def test_stub_selector_is_split_deterministic(self):
@@ -343,6 +351,12 @@ class TestErrorCurve:
         a = error_curve(table, lambda ds: [2, 1, 0], splits, k_max=3)
         b = error_curve(table, lambda ds: [2, 1, 0], splits, k_max=3)
         assert np.array_equal(a, b)
+
+    def test_short_selector_order_rejected(self):
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        with pytest.raises(ValueError, match="selector returned fewer features than k_max"):
+            error_curve(table, lambda ds: [2, 0], splits, k_max=3)
 
     def test_criterion_is_not_a_selector(self):
         # a Criterion once ran run_sfs, under an estimator argument that a

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from unittest import mock
 
@@ -263,6 +265,16 @@ class TestSerialization:
         lines = res.to_rank_csv().strip().splitlines()
         assert lines[0] == "rank,feature"
         assert lines[1] == "1,X3"
+
+    def test_rank_csv_quotes_names(self):
+        # written bare, "a,b" would read back as three fields on its row
+        names = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        res = run_sfs(toy_dataset(), parse_criterion("mim"), 4)
+        res.names = names
+        text = res.to_rank_csv()
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows == [["rank", "feature"]] + [[str(i), n] for i, n in enumerate(names, 1)]
+        assert text.endswith("4,plain\n")
 
     def test_trace_dump_requires_flag(self):
         res = run_sfs(toy_dataset(), parse_criterion("hocmim", n=1), 2)
