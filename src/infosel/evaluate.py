@@ -19,14 +19,18 @@ form contiguous runs, and ranks each run once: equal rows have equal
 distances, hence equal neighbours and votes.  It goes through the sorted rows
 in blocks of ``_BLOCK`` rows, so no array larger than ``_BLOCK x n_train`` is
 made.  Squared distances are exact integers: each
-column is shifted to start at 0, and the distances are held in int16 when the
-sum of the squared column spans fits in it, in int64 otherwise.  Each distance
-then becomes the key ``distance * n_train + row``: the keys are unique and sort
-in (distance, row) order, so a partition that keeps the k smallest keys keeps
-exactly the k nearest rows, a distance tie going to the lower training index.
-The keys are int32 when the largest one, ``(reach + 1) * n_train - 1`` with
-``reach`` the sum of the squared spans, fits in it, int64 otherwise; beyond
-int64 the input is rejected.  A vote tie keeps the lowest class label.
+column is shifted to start at 0, and the distances are held in int16 when
+``reach``, the sum of the squared column spans, fits in it, in int64
+otherwise.  The k nearest rows of a run are its k smallest distances in
+(distance, row) order, so a distance tie goes to the lower training index; two
+paths pick them, and ``_by_argmin`` chooses one per call.  For k up to 4 on
+enough training rows, k ``argmin`` passes each take the first minimum and set
+it to the dtype's maximum, which exceeds every distance while ``reach`` is
+below it.  Otherwise each distance becomes the unique key
+``distance * n_train + row`` and a partition keeps the k smallest keys, at
+O(n_train) per run whatever k.  The keys are int32 when the largest one,
+``(reach + 1) * n_train - 1``, fits in it, int64 otherwise; beyond int64 the
+input is rejected on either path.  A vote tie keeps the lowest class label.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _BLOCK = 256
 _INT16_MAX = int(np.iinfo(np.int16).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: the measured rule of ``_by_argmin``
+_MAX_PASSES = 4
+_ROWS_PER_PASS = 300
 
 #: bytes of binned splits that ``benchmark`` keeps for its later criteria:
 #: 64 MiB holds all 30 splits of a 50,000 x 20 table in uint8 codes
@@ -58,21 +65,21 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
 
     Distances are exact squared Euclidean distances between the integer codes
     of ``feature_subset`` (every column when None); a repeated column counts
-    once per repetition.  The k nearest rows are the k smallest of the unique
-    keys ``distance * n_train + row``, found by a partition, so distance ties
-    prefer the lower training-row index; vote ties prefer the lowest class
-    label.  Codes must be integers and labels must lie in [0, n_classes)
-    (default: the largest training label plus one); anything else, or code
-    spans so wide that the largest key exceeds int64, raises ``ValueError``.
-    See ``_knn_predict`` for the kernel.
+    once per repetition.  The k nearest rows are the first k in (distance,
+    row) order, so distance ties prefer the lower training-row index; vote
+    ties prefer the lowest class label.  ``k`` and ``n_classes`` must be ints
+    of at least 1 (numpy integers too, bools not), codes must be integers and
+    labels must lie in [0, n_classes) (default: the largest training label
+    plus one); anything else, or code spans so wide that the largest key
+    ``distance * n_train + row`` exceeds int64, raises ``ValueError``.  See
+    ``_knn_predict`` for the kernel.
     """
     train_codes = np.asarray(train_codes)
     test_codes = np.asarray(test_codes)
     train_labels = np.asarray(train_labels)
     if len(train_labels) == 0:
         raise ValueError("empty training set")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _at_least_one(k, "k")
     for name, arr in (("training codes", train_codes), ("test codes", test_codes),
                       ("training labels", train_labels)):
         if not np.issubdtype(arr.dtype, np.integer):
@@ -93,7 +100,22 @@ def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
             raise ValueError("feature subset is empty")
     if n_classes is None:
         n_classes = int(train_labels.max()) + 1
+    else:
+        n_classes = _at_least_one(n_classes, "n_classes")
     return _knn_predict(train_codes, train_labels, test_codes, [columns], k, n_classes)[0]
+
+
+def _at_least_one(value, name: str) -> int:
+    """``value`` as an int when it is an int or numpy integer of at least 1.
+
+    Anything else raises ``ValueError`` naming ``name``: a bool is not a
+    count, and a float would fail deep in numpy or be truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _column_list(columns, n_columns: int, what: str) -> list:
@@ -156,6 +178,48 @@ def _key_dtype(reach: int, n_train: int):
     raise ValueError("code spans too wide for exact int64 distance keys")
 
 
+def _by_argmin(k: int, n_train: int, reach: int, dtype) -> bool:
+    """Whether ``_knn_predict`` picks the k nearest rows by argmin passes.
+
+    A pass marks its picks with the largest value of the distance ``dtype``,
+    so the passes are exact only while ``reach`` is below it.  Timed on the
+    selection step alone, one pass beats the key partition at any size; k
+    passes cost O(k * n_train) per run, and beat it for k up to
+    ``_MAX_PASSES`` once each pass covers ``_ROWS_PER_PASS`` training rows.
+    """
+    if reach >= np.iinfo(dtype).max:
+        return False
+    return k <= _MAX_PASSES and (k == 1 or n_train >= _ROWS_PER_PASS * k)
+
+
+def _nearest(dist, k, keys):
+    """Columns of the first k entries of each row of ``dist`` in (value,
+    column) order, as an (n, k) array in no set order within a row.
+
+    With ``keys`` None, by argmin passes over ``dist`` itself, whose entries
+    must lie below its dtype's maximum; the passes leave it as it was.
+    Otherwise by a partition of the keys written into ``keys``, an array of
+    the shape of ``dist`` whose dtype holds them.  See ``_knn_predict``.
+    """
+    n, n_train = dist.shape
+    if keys is None:
+        runs, top = np.arange(n), np.iinfo(dist.dtype).max
+        picks, saved = [], []
+        for _ in range(k - 1):
+            pick = dist.argmin(axis=1)
+            picks.append(pick)
+            saved.append(dist[runs, pick])
+            dist[runs, pick] = top
+        picks.append(dist.argmin(axis=1))
+        for pick, value in zip(picks, saved):
+            dist[runs, pick] = value
+        return np.stack(picks, axis=1)
+    np.multiply(dist, n_train, out=keys, dtype=keys.dtype)
+    keys += np.arange(n_train, dtype=keys.dtype)
+    keys.partition(k - 1, axis=1)
+    return keys[:, :k] % n_train
+
+
 def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     """KNN predictions after each group of columns: shape (len(groups), n_test).
 
@@ -172,13 +236,22 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     prefix once per block and predicts exactly what ranking every row would;
     the sort only makes the runs long, and any row order predicts the same.
 
-    Each exact integer distance becomes the unique key
-    ``distance * n_train + row`` (dtype from ``_key_dtype``), which sorts in
-    (distance, row) order; a partition at k - 1 puts the k smallest keys
-    first, and ``key % n_train`` gives back their rows.  So a distance tie
-    keeps the lower training index, as a stable sort would, without sorting
-    the other n_train - k rows.  ``argmax`` over the vote counts keeps the
-    lowest label on a vote tie.  Labels must lie in [0, n_classes).
+    The k nearest rows of a run are the first k in (distance, row) order,
+    so a distance tie keeps the lower training index, as a stable sort would,
+    without sorting the other n_train - k rows; ``_nearest`` picks them.
+    When ``_by_argmin`` allows it (small k on enough training rows, ``reach``
+    below the distance dtype's maximum), it takes k ``argmin`` passes over
+    the run's distance row: ``argmin`` returns the first minimum, which is
+    the lower row on a tie, and a picked row is set to the dtype's maximum,
+    above every real distance, until the passes end; the distances are put
+    back in place, which costs less than passing over a copy.  Otherwise each
+    distance becomes the unique key ``distance * n_train + row`` (dtype from
+    ``_key_dtype``), which sorts in (distance, row) order, a partition at
+    k - 1 puts the k smallest keys first, and ``key % n_train`` gives back
+    their rows; that costs O(n_train) per run whatever k, where the passes
+    cost O(k * n_train).  ``_key_dtype`` runs on both paths, so the same
+    inputs are rejected whichever picks.  ``argmax`` over the vote counts
+    keeps the lowest label on a vote tie.  Labels must lie in [0, n_classes).
     """
     n_train, n_test = len(train_labels), len(test_codes)
     if train_labels.min() < 0 or train_labels.max() >= n_classes:
@@ -190,14 +263,14 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     columns = [j for group in groups for j in group]
     train, test, reach = _shift_and_narrow(train_codes, test_codes, columns)
     key_dtype = _key_dtype(reach, n_train)
-    rows = np.arange(n_train, dtype=key_dtype)
     # lexsort takes its last key as the primary one
     order = np.lexsort(test[::-1])
     test = test[:, order]
     block = min(_BLOCK, n_test)
     dist = np.empty((block, n_train), dtype=train.dtype)
     spare, sq = np.empty_like(dist), np.empty_like(dist)
-    keys = np.empty((block, n_train), dtype=key_dtype)
+    keys = None if _by_argmin(k, n_train, reach, train.dtype) \
+        else np.empty((block, n_train), dtype=key_dtype)
     offsets = np.arange(block)[:, None] * n_classes
     for start in range(0, n_test, block):
         stop = min(start + block, n_test)
@@ -224,11 +297,7 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
                 dist[:n] += s
                 c += 1
             n = len(heads)
-            key = keys[:n]
-            np.multiply(dist[:n], n_train, out=key, dtype=key_dtype)
-            key += rows
-            key.partition(k - 1, axis=1)
-            nearest = key[:, :k] % n_train
+            nearest = _nearest(dist[:n], k, None if keys is None else keys[:n])
             votes = np.bincount((offsets[:n] + train_labels[nearest]).ravel(),
                                 minlength=n * n_classes)
             run_preds = votes.reshape(-1, n_classes).argmax(axis=1)
@@ -269,8 +338,8 @@ def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
     feature index in [0, D), as in ``knn_classify``'s ``feature_subset``,
     and an order shorter than ``k_max`` raises ``ValueError``.  Each split is
     binned once, for this one selector.  Returns an (n_splits, k_max) array.
-    ``k_max`` or ``knn_k`` below 1, no splits, or a split without test rows
-    raises ``ValueError``.
+    ``k_max`` below 1, a ``knn_k`` that is not an int of at least 1, no
+    splits, or a split without test rows raises ``ValueError``.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -291,8 +360,7 @@ def _curve(table, selector, splits, k_max, n_bins, knn_k, held):
     pair goes into ``held`` while the codes and targets of all the held pairs
     stay within ``_HELD_SPLIT_BYTES``; with ``held`` None nothing is kept.
     """
-    if knn_k < 1:
-        raise ValueError("k must be >= 1")
+    knn_k = _at_least_one(knn_k, "knn_k")
     errors = np.empty((len(splits), k_max), dtype=float)
     for r, (train_rows, test_rows) in enumerate(splits):
         pair = held.get(r) if held is not None else None
@@ -403,5 +471,5 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
     meta = {"dataset": dataset_label, "n_rows": table.n_rows,
             "seed": split_spec.seed, "repeats": split_spec.n_repeats,
             "train_fraction": split_spec.train_fraction, "k_max": k_max,
-            "bins": n_bins, "knn_k": knn_k, "estimator": estimator}
+            "bins": n_bins, "knn_k": int(knn_k), "estimator": estimator}
     return EvalReport(labels, errs, meta)

@@ -102,6 +102,32 @@ class TestKnn:
             knn_classify(np.array([[0, 0], [2, 1]]), np.array([0, 1]), np.array([[1, 0]]),
                          k=1, feature_subset=subset)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"k": 2.5}, "k must be an int, got 2.5"),
+        ({"k": True}, "k must be an int, got True"),
+        ({"k": np.True_}, "k must be an int, got np.True_"),
+        ({"k": "1"}, "k must be an int, got '1'"),
+        ({"k": -1}, "k must be >= 1, got -1"),
+        ({"n_classes": 2.5}, "n_classes must be an int, got 2.5"),
+        ({"n_classes": True}, "n_classes must be an int, got True"),
+        ({"n_classes": 0}, "n_classes must be >= 1, got 0"),
+    ], ids=["float-k", "bool-k", "numpy-bool-k", "string-k", "negative-k",
+            "float-classes", "bool-classes", "zero-classes"])
+    def test_count_that_is_not_an_int_rejected(self, change, message):
+        # k=2.5 once raised numpy's bare TypeError from the partition, k=True
+        # ran as k=1, and n_classes=2.5 raised a casting TypeError from bincount
+        args = {"train_codes": np.array([[0, 0], [2, 1]]), "train_labels": np.array([0, 1]),
+                "test_codes": np.array([[1, 0]]), "k": 1}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            knn_classify(**{**args, **change})
+
+    def test_numpy_integer_counts_accepted(self):
+        train, labels = np.array([[0], [2], [9]]), np.array([1, 0, 0])
+        preds = knn_classify(train, labels, np.array([[1]]), k=np.int64(2),
+                             n_classes=np.int32(3))
+        assert preds.tolist() == knn_classify(train, labels, np.array([[1]]), k=2,
+                                              n_classes=3).tolist() == [0]
+
     def test_numpy_integer_subset_accepted(self):
         train, labels = np.array([[0, 9], [5, 0]]), np.array([0, 1])
         preds = knn_classify(train, labels, np.array([[4, 9]]), k=1,
@@ -149,32 +175,102 @@ def _case(train_cols, test_cols, labels, k, n_classes=2):
             np.array(test_cols, np.int64).T, k, n_classes)
 
 
+#: the sum of squared spans (181, 2, 1, 1) is the int16 maximum, 32,767, and
+#: the three rows after the first lie at that distance from the test row: a
+#: pass that marked its pick with a sentinel equal to a real distance would
+#: pick the first row again and vote 1, where the nearest rows vote 0
+AT_INT16_MAX = [[0, 181, 181, 181], [0, 2, 2, 2], [0, 1, 1, 1], [0, 1, 1, 1]]
+
+
+def kernel_examples(test):
+    """The explicit cases of the kernel properties."""
+    for case in (
+            # reach at the int16 limit (32,767) and one above it
+            _case([[0, 181], [0, 2], [0, 1], [0, 1]], [[90], [1], [0], [1]], [0, 1], 1),
+            _case([[0, 181], [0, 2], [0, 1], [0, 1], [0, 1]], [[90], [1], [0], [1], [1]],
+                  [0, 1], 1),
+            _case(AT_INT16_MAX, [[0]] * 4, [1, 0, 0, 1], 2),
+            _case(AT_INT16_MAX, [[0]] * 4, [1, 0, 0, 1], 3)):
+        test = example(case=case)(test)
+    return test
+
+
+def selection_path(path):
+    """Patch the kernel onto one way of picking the k nearest rows: "argmin"
+    wherever its sentinel is exact (at any k and n_train), "partition" always."""
+    if path == "argmin":
+        return mock.patch.multiple(evaluate, _MAX_PASSES=10 ** 9, _ROWS_PER_PASS=0)
+    return mock.patch.multiple(evaluate, _MAX_PASSES=0)
+
+
+def check_kernel(case):
+    """``knn_classify`` and every prefix of ``_knn_predict`` against brute force."""
+    train, labels, test, k, n_classes = case
+    d = train.shape[1]
+    both = np.vstack([train, test])
+    reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
+    narrowed, _, got_reach = evaluate._shift_and_narrow(train, test, list(range(d)))
+    assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
+    assert got_reach == reach
+    with mock.patch.object(evaluate, "_BLOCK", 3):
+        got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
+        prefixes = evaluate._knn_predict(train, labels, test, [[j] for j in range(d)],
+                                         k, n_classes)
+    assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes))
+    for size in range(1, d + 1):
+        want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
+        assert np.array_equal(prefixes[size - 1], want), size
+
+
 class TestKnnKernel:
     """The blocked kernel against a brute-force KNN, prefix by prefix."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=knn_cases())
-    # the sum of squared spans at the int16 limit (32,767) and one above it
-    @example(case=_case([[0, 181], [0, 2], [0, 1], [0, 1]], [[90], [1], [0], [1]],
-                        [0, 1], 1))
-    @example(case=_case([[0, 181], [0, 2], [0, 1], [0, 1], [0, 1]],
-                        [[90], [1], [0], [1], [1]], [0, 1], 1))
+    @kernel_examples
     def test_matches_brute_force(self, case):
-        train, labels, test, k, n_classes = case
-        d = train.shape[1]
-        both = np.vstack([train, test])
-        reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
-        narrowed, _, got_reach = evaluate._shift_and_narrow(train, test, list(range(d)))
-        assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
-        assert got_reach == reach
-        with mock.patch.object(evaluate, "_BLOCK", 3):
-            got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
-            prefixes = evaluate._knn_predict(train, labels, test, [[j] for j in range(d)],
-                                             k, n_classes)
-        assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes))
-        for size in range(1, d + 1):
-            want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
-            assert np.array_equal(prefixes[size - 1], want), size
+        check_kernel(case)
+
+    @pytest.mark.parametrize("path", ["argmin", "partition"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=knn_cases())
+    @kernel_examples
+    def test_each_path_matches_brute_force(self, path, case):
+        # n_train <= 40 seldom takes the argmin path on its own
+        train, _, test, k, _ = case
+        with selection_path(path):
+            both = np.vstack([train, test])
+            reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
+            dtype = np.int16 if reach <= 32767 else np.int64
+            assert evaluate._by_argmin(min(k, len(train)), len(train), reach, dtype) == \
+                (path == "argmin" and reach < np.iinfo(dtype).max)
+            check_kernel(case)
+
+    @pytest.mark.parametrize("k, n_train, reach, dtype, argmin", [
+        (1, 1, 0, np.int16, True),
+        (1, 10 ** 6, 96, np.int16, True),
+        (2, 599, 96, np.int16, False),
+        (2, 600, 96, np.int16, True),
+        (3, 1000, 96, np.int16, True),           # the bench's knn-holdout splits
+        (4, 1199, 96, np.int16, False),
+        (4, 1200, 2 ** 40, np.int64, True),
+        (5, 10 ** 6, 96, np.int16, False),
+        (1, 1000, 32766, np.int16, True),
+        (1, 1000, 32767, np.int16, False),       # the sentinel would equal a distance
+        (3, 1000, 32767, np.int16, False),
+    ])
+    def test_selection_path_rule(self, k, n_train, reach, dtype, argmin):
+        assert evaluate._by_argmin(k, n_train, reach, dtype) is argmin
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_k_on_many_rows_takes_argmin(self, k):
+        rng = np.random.default_rng(k)
+        train, test = rng.integers(0, 5, (1000, 3)), rng.integers(0, 5, (300, 3))
+        labels = rng.integers(0, 2, 1000)
+        with mock.patch.object(evaluate, "_nearest", wraps=evaluate._nearest) as spy:
+            got = knn_classify(train, labels, test, k=k)
+        assert spy.call_count == 2 and all(call.args[2] is None for call in spy.call_args_list)
+        assert np.array_equal(got, brute_knn(train, labels, test, k, 2))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ties_across_the_k_boundary(self, seed):
@@ -232,6 +328,16 @@ class TestKnnKernel:
         preds = knn_classify(train, np.array([0, 1]), np.array([[99]], np.int8), k=1)
         assert preds.tolist() == [1]
 
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_key_beyond_int64_rejected_on_argmin_path(self, k):
+        # the distances fit in int64 and the rule would pick argmin passes,
+        # which need no keys, yet the input is rejected as on the partition path
+        train = np.zeros((1200, 1), np.int64)
+        train[0] = 2 ** 31
+        assert evaluate._by_argmin(k, 1200, 2 ** 62, np.int64)
+        with pytest.raises(ValueError, match="too wide for exact int64 distance keys"):
+            knn_classify(train, np.arange(1200) % 2, np.array([[1]]), k=k)
+
     def test_span_beyond_int64_rejected(self):
         train = np.array([[0], [2 ** 62]])
         with pytest.raises(ValueError, match="too wide"):
@@ -286,6 +392,18 @@ def repeated_row_cases(draw):
             np.array([pool[i] for i in picks], np.int64), groups, k, n_classes)
 
 
+def check_runs(case, block):
+    """``_knn_predict`` after each group against brute force, ``block`` rows a block."""
+    train, labels, test, groups, k, n_classes = case
+    with mock.patch.object(evaluate, "_BLOCK", block):
+        got = evaluate._knn_predict(train, labels, test, groups, k, n_classes)
+    columns = []
+    for g, group in enumerate(groups):
+        columns += group
+        want = brute_knn(train[:, columns], labels, test[:, columns], k, n_classes)
+        assert np.array_equal(got[g], want), (g, columns)
+
+
 class TestKnnRuns:
     """Test rows that repeat, ranked once per run of equal sorted rows."""
 
@@ -293,14 +411,14 @@ class TestKnnRuns:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=repeated_row_cases())
     def test_matches_brute_force(self, block, case):
-        train, labels, test, groups, k, n_classes = case
-        with mock.patch.object(evaluate, "_BLOCK", block):
-            got = evaluate._knn_predict(train, labels, test, groups, k, n_classes)
-        columns = []
-        for g, group in enumerate(groups):
-            columns += group
-            want = brute_knn(train[:, columns], labels, test[:, columns], k, n_classes)
-            assert np.array_equal(got[g], want), (g, columns)
+        check_runs(case, block)
+
+    @pytest.mark.parametrize("path", ["argmin", "partition"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=repeated_row_cases())
+    def test_each_path_matches_brute_force(self, path, case):
+        with selection_path(path):
+            check_runs(case, 3)
 
 
 class TestAverageRanks:
@@ -440,6 +558,22 @@ class TestErrorCurve:
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
         with pytest.raises(ValueError, match="k must be >= 1"):
             error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
+
+    @pytest.mark.parametrize("knn_k", [2.5, True, np.True_], ids=["float", "bool", "numpy-bool"])
+    def test_knn_k_not_an_int_rejected_before_binning(self, knn_k, monkeypatch):
+        # 2.5 once failed in numpy's partition after the first split was
+        # binned, and True ran as k = 1
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=f"^knn_k must be an int, got {knn_k!r}$"):
+            error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
+
+    def test_numpy_integer_knn_k_accepted(self):
+        table = toy_table()
+        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
+        curve = error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=np.int64(3))
+        assert np.array_equal(curve, error_curve(table, lambda ds: [0, 1], splits, k_max=2))
 
 
     @pytest.mark.parametrize("k_max", [0, -2])
@@ -581,6 +715,20 @@ class TestBenchmark:
     @pytest.mark.parametrize("knn_k", [0, -3])
     def test_knn_k_below_one_rejected(self, knn_k):
         with pytest.raises(ValueError, match="k must be >= 1"):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=0, n_repeats=2), k_max=2, knn_k=knn_k)
+
+    def test_numpy_integer_knn_k_reported_as_int(self):
+        # the meta once kept the numpy integer, which json cannot write
+        criteria = [parse_criterion("mim"), parse_criterion("cmim")]
+        spec = SplitSpec(0.5, seed=0, n_repeats=2)
+        assert benchmark(toy_table(), criteria, spec, k_max=2, knn_k=np.int64(3)).to_json() == \
+            benchmark(toy_table(), criteria, spec, k_max=2, knn_k=3).to_json()
+
+    @pytest.mark.parametrize("knn_k", [2.5, True, "3"], ids=["float", "bool", "string"])
+    def test_knn_k_not_an_int_rejected_before_binning(self, knn_k, monkeypatch):
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=f"^knn_k must be an int, got {knn_k!r}$"):
             benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
                       SplitSpec(0.5, seed=0, n_repeats=2), k_max=2, knn_k=knn_k)
 
