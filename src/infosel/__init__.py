@@ -14,7 +14,7 @@ from .data import (BinningSpec, DiscreteDataset, RawTable, SplitSpec,
                    apply_binning, discretize, fit_binning, load_csv,
                    make_splits, make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
-from .evaluate import EvalReport, average_ranks, benchmark, error_curve, knn_classify
+from .evaluate import EvalReport, average_ranks, benchmark
 from .hocmim import (RedundancyTrace, greedy_representative_set, hocmim_score,
                      hocmim_score_exhaustive, total_redundancy)
 from .oracle import run_oracle_checks
@@ -24,9 +24,9 @@ __all__ = [
     "BinningSpec", "Criterion", "DiscreteDataset", "EstimatorContext",
     "EvalReport", "RawTable", "RedundancyTrace",
     "SelectionResult", "SplitSpec", "TARGET", "apply_binning",
-    "average_ranks", "benchmark", "discretize", "error_curve", "fit_binning",
+    "average_ranks", "benchmark", "discretize", "fit_binning",
     "greedy_representative_set", "hocmim_score", "hocmim_score_exhaustive",
-    "knn_classify", "load_csv", "make_splits", "make_xor_table",
+    "load_csv", "make_splits", "make_xor_table",
     "parse_criterion", "predicted_mi_calls",
     "run_oracle_checks", "run_sfs", "toy_dataset",
     "toy_table", "total_redundancy",

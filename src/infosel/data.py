@@ -32,6 +32,16 @@ def _narrow_dtype(arity: int) -> type:
     return np.uint8 if arity <= 1 << 8 else np.uint16 if arity <= 1 << 16 else np.int64
 
 
+def _int_at_least(value, name: str, low: int | None = 1, error=ValueError) -> int:
+    """``value`` as an int, or ``error`` naming ``name`` unless it is an int or
+    numpy integer (a bool is not) of at least ``low``; None checks the type only."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
     """``rows`` as an int64 array, or ``error`` unless each is an integer in [0, n_rows)."""
     rows = np.asarray(rows)
@@ -419,8 +429,7 @@ def _dataset(spec: BinningSpec, columns, target: np.ndarray, n_classes: int) -> 
 def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, DiscreteDataset]:
     """The spec fit on ``rows`` (all when None) and those rows binned by it,
     from the fit's own codes, with ``n_classes`` the classes on those rows."""
-    if n_bins < 1:
-        raise BinningError("n_bins must be >= 1")
+    n_bins = _int_at_least(n_bins, "n_bins", error=BinningError)
     if rows is not None:
         rows = _row_indices(rows, table.n_rows, "fit_rows", BinningError)
     if (table.n_rows if rows is None else len(rows)) == 0:
@@ -453,8 +462,9 @@ def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, Discrete
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     """Fit per-column transforms on ``fit_rows`` (all rows when None).
 
-    ``fit_rows`` must be a nonempty list of integers in [0, n_rows); anything
-    else raises ``BinningError``.
+    ``n_bins`` must be an int of at least 1 (a numpy integer too, a bool
+    not) and ``fit_rows`` a nonempty list of integers in [0, n_rows);
+    anything else raises ``BinningError``.
     """
     return _fit(table, n_bins, fit_rows)[0]
 
@@ -506,19 +516,26 @@ def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
 
 
 def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Seeded random train/test index pairs, one per repeat."""
+    """Seeded random train/test index pairs, one per repeat.
+
+    ``n_repeats`` must be an int of at least 1 and ``seed`` one of at least 0
+    (numpy integers too, bools not), and ``train_fraction`` must leave rows on
+    both sides; anything else raises ``DataError`` naming the field.
+    """
     if n_rows < 2:
         raise DataError("need at least 2 rows to split")
-    if spec.n_repeats < 1:
-        raise DataError(f"need at least one repeat, got {spec.n_repeats}")
+    n_repeats = _int_at_least(spec.n_repeats, "n_repeats", None, DataError)
+    if n_repeats < 1:
+        raise DataError(f"need at least one repeat, got {n_repeats}")
+    seed = _int_at_least(spec.seed, "seed", 0, DataError)
     if not math.isfinite(spec.train_fraction):
         raise DataError(f"train fraction {spec.train_fraction} is not finite")
     cut = math.floor(spec.train_fraction * n_rows)
     if cut < 1 or cut >= n_rows:
         raise DataError(f"train fraction {spec.train_fraction} leaves an empty side")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     out = []
-    for _ in range(spec.n_repeats):
+    for _ in range(n_repeats):
         perm = rng.permutation(n_rows)
         out.append((np.sort(perm[:cut]), np.sort(perm[cut:])))
     return out

@@ -1,27 +1,23 @@
 """KNN evaluation of selected subsets over repeated random splits.
 
-The protocol: per split, fit discretization on the training rows only, select
-on the training half, then score every prefix of the selected order on the
-test half with a K-nearest-neighbour vote over the integer codes.
-``error_curve`` runs it for one selector, a function from the training
-dataset to a feature order; ``benchmark`` is the one place that turns each
-criterion into such a function, through ``run_sfs``.  Both go through one
-loop, ``_curve``.  A split's binning is the same for every criterion, so
-``benchmark`` bins each split once per call and hands the same training and
-test datasets to all its criteria, holding at most ``_HELD_SPLIT_BYTES`` of
-codes and targets; a split past that bound is binned again per criterion.
-Errors are averaged over splits; criteria are compared by average rank
-(1 = best, ties share the mean of their positions).
+The protocol, which ``benchmark`` runs: per split, fit discretization on the
+training rows only, select on the training half with ``run_sfs``, then score
+every prefix of the selected order on the test half with a K-nearest-neighbour
+vote over the integer codes.  A split's binning is the same for every
+criterion, so ``benchmark`` bins each split once per call and hands the same
+training and test datasets to all its criteria, holding at most
+``_HELD_SPLIT_BYTES`` of codes and targets; a split past that bound is binned
+again per criterion.  Errors are averaged over splits; criteria are compared
+by average rank (1 = best, ties share the mean of their positions).
 
-``knn_classify`` and ``error_curve`` share one kernel, ``_knn_predict``.  It
-sorts the test rows once, so that the rows equal on the columns seen so far
-form contiguous runs, and ranks each run once: equal rows have equal
-distances, hence equal neighbours and votes.  It goes through the sorted rows
-in blocks of ``_BLOCK`` rows, so no array larger than ``_BLOCK x n_train`` is
-made.  Squared distances are exact integers: each
-column is shifted to start at 0, and the distances are held in int16 when
-``reach``, the sum of the squared column spans, fits in it, in int64
-otherwise.  The k nearest rows of a run are its k smallest distances in
+The vote is ``_knn_predict``'s.  It sorts the test rows once, so that the
+rows equal on the columns seen so far form contiguous runs, and ranks each
+run once: equal rows have equal distances, hence equal neighbours and votes.
+It goes through the sorted rows in blocks of ``_BLOCK`` rows, so no array
+larger than ``_BLOCK x n_train`` is made.  Squared distances are exact
+integers: each column is shifted to start at 0, and the distances are held in
+int16 when ``reach``, the sum of the squared column spans, fits in it, in
+int64 otherwise.  The k nearest rows of a run are its k smallest distances in
 (distance, row) order, so a distance tie goes to the lower training index; two
 paths pick them, and ``_by_argmin`` chooses one per call.  For k up to 4 on
 enough training rows, k ``argmin`` passes each take the first minimum and set
@@ -40,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import RawTable, SplitSpec, _fit, apply_binning, make_splits
+from .data import RawTable, SplitSpec, _fit, _int_at_least, apply_binning, make_splits
 from .selection import run_sfs
 
 
@@ -57,80 +53,6 @@ _ROWS_PER_PASS = 300
 #: bytes of binned splits that ``benchmark`` keeps for its later criteria:
 #: 64 MiB holds all 30 splits of a 50,000 x 20 table in uint8 codes
 _HELD_SPLIT_BYTES = 64 << 20
-
-
-def knn_classify(train_codes, train_labels, test_codes, k: int = 3,
-                 feature_subset=None, n_classes: int | None = None) -> np.ndarray:
-    """Majority vote among the k nearest training rows by Euclidean distance.
-
-    Distances are exact squared Euclidean distances between the integer codes
-    of ``feature_subset`` (every column when None); a repeated column counts
-    once per repetition.  The k nearest rows are the first k in (distance,
-    row) order, so distance ties prefer the lower training-row index; vote
-    ties prefer the lowest class label.  ``k`` and ``n_classes`` must be ints
-    of at least 1 (numpy integers too, bools not), codes must be integers and
-    labels must lie in [0, n_classes) (default: the largest training label
-    plus one); anything else, or code spans so wide that the largest key
-    ``distance * n_train + row`` exceeds int64, raises ``ValueError``.  See
-    ``_knn_predict`` for the kernel.
-    """
-    train_codes = np.asarray(train_codes)
-    test_codes = np.asarray(test_codes)
-    train_labels = np.asarray(train_labels)
-    if len(train_labels) == 0:
-        raise ValueError("empty training set")
-    k = _at_least_one(k, "k")
-    for name, arr in (("training codes", train_codes), ("test codes", test_codes),
-                      ("training labels", train_labels)):
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
-    if train_codes.ndim != 2 or test_codes.ndim != 2 or train_labels.ndim != 1:
-        raise ValueError("codes must be 2-D and labels 1-D")
-    if train_codes.shape[1] != test_codes.shape[1]:
-        raise ValueError(f"training codes have {train_codes.shape[1]} columns, "
-                         f"test codes {test_codes.shape[1]}")
-    if len(train_codes) != len(train_labels):
-        raise ValueError(f"{len(train_codes)} training rows but {len(train_labels)} labels")
-    n_columns = train_codes.shape[1]
-    if feature_subset is None:
-        columns = list(range(n_columns))
-    else:
-        columns = _column_list(feature_subset, n_columns, "feature subset")
-        if not columns:
-            raise ValueError("feature subset is empty")
-    if n_classes is None:
-        n_classes = int(train_labels.max()) + 1
-    else:
-        n_classes = _at_least_one(n_classes, "n_classes")
-    return _knn_predict(train_codes, train_labels, test_codes, [columns], k, n_classes)[0]
-
-
-def _at_least_one(value, name: str) -> int:
-    """``value`` as an int when it is an int or numpy integer of at least 1.
-
-    Anything else raises ``ValueError`` naming ``name``: a bool is not a
-    count, and a float would fail deep in numpy or be truncated.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
-def _column_list(columns, n_columns: int, what: str) -> list:
-    """``columns`` as a list whose every entry is an int column index in [0, n_columns).
-
-    Anything else raises ``ValueError`` naming ``what`` and the entry: a
-    negative index would wrap to another column and a bool would index as a
-    mask.
-    """
-    columns = list(columns)
-    for j in columns:
-        if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)) \
-                or not 0 <= j < n_columns:
-            raise ValueError(f"{what} entry {j!r} is not a column index in [0, {n_columns})")
-    return columns
 
 
 def _shift_and_narrow(train_codes, test_codes, columns):
@@ -220,21 +142,23 @@ def _nearest(dist, k, keys):
     return keys[:, :k] % n_train
 
 
-def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
-    """KNN predictions after each group of columns: shape (len(groups), n_test).
+def _knn_predict(train_codes, train_labels, test_codes, order, k, n_classes):
+    """KNN predictions after each column of ``order``: shape (len(order), n_test).
 
-    The test rows are sorted once, lexicographically with the first column
-    as the primary key, so the rows that are equal on the columns seen so far
-    lie in contiguous runs, and each further column can only split a run.
-    The sorted rows go through in blocks of ``_BLOCK``; within a block each
-    run keeps one row of distances to every training row, which accumulates
-    one column at a time: when a column splits a run, the new runs start from
-    a copy of their parent's row.  After the last column of group g the k
-    nearest rows vote once per run, the vote goes to every row of the run,
-    and row g of the result, back in input order, uses the columns of groups
-    0..g.  Equal rows have equal distances, so this ranks each distinct test
-    prefix once per block and predicts exactly what ranking every row would;
-    the sort only makes the runs long, and any row order predicts the same.
+    The test rows are sorted once on the columns of ``order``,
+    lexicographically with its first column as the primary key, so the rows
+    that are equal on the columns seen so far lie in contiguous runs, and
+    each further column can only split a run.  The sorted rows go through in
+    blocks of ``_BLOCK``; within a block each run keeps one row of distances
+    to every training row, which accumulates one column at a time: when a
+    column splits a run, the new runs start from a copy of their parent's
+    row.  After each column c the k nearest rows vote once per run, the vote
+    goes to every row of the run, and row c of the result, back in input
+    order, uses the columns ``order[:c + 1]``; a repeated column counts once
+    per repetition.  Equal rows have equal distances, so this ranks each
+    distinct test prefix once per block and predicts exactly what ranking
+    every row would; the sort only makes the runs long, and any row order
+    predicts the same.
 
     The k nearest rows of a run are the first k in (distance, row) order,
     so a distance tie keeps the lower training index, as a stable sort would,
@@ -257,15 +181,14 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
     if train_labels.min() < 0 or train_labels.max() >= n_classes:
         raise ValueError(f"training labels must lie in [0, {n_classes})")
     k = min(k, n_train)
-    preds = np.empty((len(groups), n_test), dtype=np.int64)
+    preds = np.empty((len(order), n_test), dtype=np.int64)
     if n_test == 0:
         return preds
-    columns = [j for group in groups for j in group]
-    train, test, reach = _shift_and_narrow(train_codes, test_codes, columns)
+    train, test, reach = _shift_and_narrow(train_codes, test_codes, order)
     key_dtype = _key_dtype(reach, n_train)
     # lexsort takes its last key as the primary one
-    order = np.lexsort(test[::-1])
-    test = test[:, order]
+    rows = np.lexsort(test[::-1])
+    test = test[:, rows]
     block = min(_BLOCK, n_test)
     dist = np.empty((block, n_train), dtype=train.dtype)
     spare, sq = np.empty_like(dist), np.empty_like(dist)
@@ -278,30 +201,25 @@ def _knn_predict(train_codes, train_labels, test_codes, groups, k, n_classes):
         new_run[0] = True
         heads = np.flatnonzero(new_run)
         dist[0] = 0
-        c = 0
-        for g, group in enumerate(groups):
-            for _ in group:
-                col = test[c, start:stop]
-                new_run[1:] |= col[1:] != col[:-1]
-                split = np.flatnonzero(new_run)
-                if len(split) > len(heads):
-                    parents = heads.searchsorted(split, side="right") - 1
-                    # parents are in range; mode="raise" would copy through a buffer
-                    np.take(dist[:len(heads)], parents, axis=0, out=spare[:len(split)],
-                            mode="clip")
-                    dist, spare, heads = spare, dist, split
-                n = len(heads)
-                s = sq[:n]
-                np.subtract(col[heads, None], train[c], out=s)
-                np.multiply(s, s, out=s)
-                dist[:n] += s
-                c += 1
+        for c, col in enumerate(test[:, start:stop]):
+            new_run[1:] |= col[1:] != col[:-1]
+            split = np.flatnonzero(new_run)
+            if len(split) > len(heads):
+                parents = heads.searchsorted(split, side="right") - 1
+                # parents are in range; mode="raise" would copy through a buffer
+                np.take(dist[:len(heads)], parents, axis=0, out=spare[:len(split)],
+                        mode="clip")
+                dist, spare, heads = spare, dist, split
             n = len(heads)
+            s = sq[:n]
+            np.subtract(col[heads, None], train[c], out=s)
+            np.multiply(s, s, out=s)
+            dist[:n] += s
             nearest = _nearest(dist[:n], k, None if keys is None else keys[:n])
             votes = np.bincount((offsets[:n] + train_labels[nearest]).ravel(),
                                 minlength=n * n_classes)
             run_preds = votes.reshape(-1, n_classes).argmax(axis=1)
-            preds[g, order[start:stop]] = run_preds[np.cumsum(new_run) - 1]
+            preds[c, rows[start:stop]] = run_preds[np.cumsum(new_run) - 1]
     return preds
 
 
@@ -326,60 +244,6 @@ def average_ranks(errors) -> np.ndarray:
         ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
-
-
-def error_curve(table: RawTable, selector, splits, k_max: int, n_bins: int = 5,
-                knn_k: int = 3) -> np.ndarray:
-    """Per-split misclassification error of every prefix size 1..k_max.
-
-    ``selector`` maps each split's training DiscreteDataset to a feature
-    order, of which the first ``k_max`` entries are scored; ``benchmark``
-    passes one that runs ``run_sfs``.  Every entry of the order must be a
-    feature index in [0, D), as in ``knn_classify``'s ``feature_subset``,
-    and an order shorter than ``k_max`` raises ``ValueError``.  Each split is
-    binned once, for this one selector.  Returns an (n_splits, k_max) array.
-    ``k_max`` below 1, a ``knn_k`` that is not an int of at least 1, no
-    splits, or a split without test rows raises ``ValueError``.
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if len(splits) == 0:
-        raise ValueError("no splits given")
-    for r, (_, test_rows) in enumerate(splits):
-        if len(test_rows) == 0:
-            raise ValueError(f"split {r} has no test rows")
-    return _curve(table, selector, splits, k_max, n_bins, knn_k, None)
-
-
-def _curve(table, selector, splits, k_max, n_bins, knn_k, held):
-    """The one loop of the protocol: ``error_curve``'s array for ``selector``.
-
-    Each split is fit on its training rows and its test rows are encoded
-    with that binning, unless ``held`` (a dict, split index -> pair of
-    training and test datasets) holds the pair from an earlier call.  A new
-    pair goes into ``held`` while the codes and targets of all the held pairs
-    stay within ``_HELD_SPLIT_BYTES``; with ``held`` None nothing is kept.
-    """
-    knn_k = _at_least_one(knn_k, "knn_k")
-    errors = np.empty((len(splits), k_max), dtype=float)
-    for r, (train_rows, test_rows) in enumerate(splits):
-        pair = held.get(r) if held is not None else None
-        if pair is None:
-            spec, train_ds = _fit(table, n_bins, train_rows)
-            test_ds = apply_binning(table, spec, test_rows)
-            # the class count is the whole table's, a class unseen at fit time included
-            pair = replace(train_ds, n_classes=test_ds.n_classes), test_ds
-            if held is not None and _nbytes(*held.values(), pair) <= _HELD_SPLIT_BYTES:
-                held[r] = pair
-        train_ds, test_ds = pair
-        order = _column_list(selector(train_ds), train_ds.n_features, "selector order")[:k_max]
-        if len(order) < k_max:
-            raise ValueError("selector returned fewer features than k_max")
-        preds = _knn_predict(train_ds.codes, train_ds.target, test_ds.codes,
-                             [[j] for j in order], knn_k, test_ds.n_classes)
-        wrong = np.count_nonzero(preds != test_ds.target, axis=1)
-        errors[r] = wrong / len(test_rows)
-    return errors
 
 
 def _nbytes(*pairs) -> int:
@@ -451,25 +315,42 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
               dataset_label: str = "") -> EvalReport:
     """Run the repeated-holdout protocol for several criteria on one table.
 
-    Criterion by criterion, each split's training half is selected on with
-    ``run_sfs`` and scored as in ``error_curve``.  Each split is binned once,
-    when the first criterion reaches it, and the same training and test
-    datasets go to every later criterion, as long as the held pairs fit in
-    ``_HELD_SPLIT_BYTES``; a split past that bound is binned again for each
-    criterion.
+    Criterion by criterion, ``run_sfs`` selects on each split's training half
+    and ``errors[c, r, size - 1]`` scores the first ``size`` features of its
+    order on the test half, for every size up to ``k_max``.  Each split is
+    binned once, when the first criterion reaches it, and the same datasets go
+    to every later criterion while the held pairs fit in ``_HELD_SPLIT_BYTES``;
+    a split past that bound is binned again for each criterion.  ``k_max`` and
+    ``knn_k`` must be ints of at least 1 (numpy integers too, bools not); they
+    are checked before any split is binned.
     """
     criteria = list(criteria)
     if len(criteria) < 2:
         raise ValueError("benchmark needs at least two criteria")
+    k_max = _int_at_least(k_max, "k_max")
+    knn_k = _int_at_least(knn_k, "knn_k")
     splits = make_splits(table.n_rows, split_spec)
     held = {}
-    errs = np.stack([_curve(table,
-                            lambda ds, c=c: run_sfs(ds, c, k_max, estimator=estimator).order,
-                            splits, k_max, n_bins, knn_k, held)
-                     for c in criteria])
+    errs = np.empty((len(criteria), len(splits), k_max))
+    for c, criterion in enumerate(criteria):
+        for r, (train_rows, test_rows) in enumerate(splits):
+            pair = held.get(r)
+            if pair is None:
+                spec, train_ds = _fit(table, n_bins, train_rows)
+                test_ds = apply_binning(table, spec, test_rows)
+                # the class count is the whole table's, a class unseen at fit time included
+                pair = replace(train_ds, n_classes=test_ds.n_classes), test_ds
+                if _nbytes(*held.values(), pair) <= _HELD_SPLIT_BYTES:
+                    held[r] = pair
+            train_ds, test_ds = pair
+            order = run_sfs(train_ds, criterion, k_max, estimator=estimator).order
+            preds = _knn_predict(train_ds.codes, train_ds.target, test_ds.codes, order,
+                                 knn_k, test_ds.n_classes)
+            errs[c, r] = np.count_nonzero(preds != test_ds.target, axis=1) / len(test_rows)
     labels = [c.label for c in criteria]
+    # the checks above passed numpy integers; json writes only ints
     meta = {"dataset": dataset_label, "n_rows": table.n_rows,
-            "seed": split_spec.seed, "repeats": split_spec.n_repeats,
+            "seed": int(split_spec.seed), "repeats": len(splits),
             "train_fraction": split_spec.train_fraction, "k_max": k_max,
-            "bins": n_bins, "knn_k": int(knn_k), "estimator": estimator}
+            "bins": int(n_bins), "knn_k": knn_k, "estimator": estimator}
     return EvalReport(labels, errs, meta)

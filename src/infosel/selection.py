@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .criteria import CRITERIA
-from .data import DiscreteDataset
+from .data import DiscreteDataset, _int_at_least
 from .estimators import TARGET, EstimatorContext
 from .hocmim import RedundancyTrace
 
@@ -75,9 +75,12 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, estimator: str = "plugi
     """Select K features; ``criterion`` is a Criterion or any scorer with
     ``.score(ctx, k, S) -> (score, trace or None)`` and a ``.label``/``.kind``.
 
-    To select on a subset of the rows, pass ``dataset.restrict(rows)``.
+    ``K`` must be an int in [1, D] (a numpy integer too, a bool not);
+    anything else raises ``ValueError``.  To select on a subset of the rows,
+    pass ``dataset.restrict(rows)``.
     """
     D = dataset.n_features
+    K = _int_at_least(K, "K", None)
     if not 1 <= K <= D:
         raise ValueError(f"K must be in [1, {D}], got {K}")
     ctx = EstimatorContext(dataset, estimator=estimator)
@@ -128,7 +131,10 @@ def predicted_mi_calls(criterion, K: int, D: int) -> int:
     candidates costs the ``calls`` of the criterion's row in
     ``criteria.CRITERIA``.  In adaptive mode the search stops early, so the
     value returned (at n_max) is an upper bound rather than an exact count.
+    ``K`` and ``D`` must be ints with 1 <= K <= D; anything else raises
+    ``ValueError``.
     """
+    K, D = _int_at_least(K, "K", None), _int_at_least(D, "D", None)
     if K < 1 or D < 1 or K > D:
         raise ValueError("need 1 <= K <= D")
     row = CRITERIA.get(getattr(criterion, "kind", None))

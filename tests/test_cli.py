@@ -155,6 +155,32 @@ class TestSelect:
         dump = json.loads(traces.read_text())
         assert len(dump["steps"]) == 3
 
+    def test_text_format(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y", "--criterion", "mim",
+                   "--k", "2", "--out", str(out), "--format", "text"])
+        assert rc == 0
+        assert out.read_text().splitlines() == [
+            "criterion: mim", "total MI terms: 9", "rank  feature  score  step_mi_calls",
+            "1  X3  0.256426  5", "2  X5  0.170951  4"]
+
+    def test_out_into_missing_directory_fails_in_write(self, toy_csv, tmp_path, capsys):
+        rc = main(["select", "--dataset", toy_csv, "--target", "Y", "--criterion", "mim",
+                   "--k", "2", "--out", str(tmp_path / "missing" / "r.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# ")        # the ranking printed before the write
+        assert captured.err.startswith("infosel: write: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--criterion", "mim"], "no dataset given"),
+        (["--dataset", "data.csv", "--criterion", "mim"], "--target is required with --dataset"),
+    ], ids=["no-dataset", "no-target"])
+    def test_missing_source_fails_in_load(self, argv, message, capsys):
+        rc = main(["select", *argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"infosel: load: {message}")
+
 
 class TestBenchmark:
     def test_deterministic_outputs(self, toy_csv, tmp_path, capsys):

@@ -18,9 +18,8 @@ from infosel.data import (BinningError, DataError, DiscreteDataset, RawTable, Sp
                           apply_binning, discretize, equal_width_edges, fit_binning, load_csv,
                           make_splits, make_xor_table, toy_dataset, toy_table,
                           write_toy_csv)
-from infosel.evaluate import error_curve
 
-from util import ref_first_appearance, ref_load_csv, ref_numeric_codes
+from util import fixed_order_benchmark, ref_first_appearance, ref_load_csv, ref_numeric_codes
 
 
 def narrow_dtype(arities):
@@ -432,6 +431,23 @@ class TestBinning:
         with pytest.raises(DataError, match="column 'A': range .* too narrow"):
             fit_binning(table, n_bins)
 
+    @pytest.mark.parametrize("n_bins, message", [
+        (2.5, "n_bins must be an int, got 2.5"),
+        (True, "n_bins must be an int, got True"),
+        (0, "n_bins must be >= 1, got 0"),
+    ], ids=["float", "bool", "zero"])
+    def test_bin_count_that_is_not_an_int_rejected(self, n_bins, message):
+        # 2.5 once cut every numeric column into 3 bins, and True into 1
+        for fit in (fit_binning, discretize):
+            with pytest.raises(BinningError, match=f"^{message}$"):
+                fit(toy_table(), n_bins)
+
+    def test_numpy_integer_bin_count_accepted(self):
+        table = make_xor_table(seed=1, n_rows=50)
+        got = fit_binning(table, np.int64(3))
+        assert got.n_bins == 3 and type(got.n_bins) is int
+        assert np.array_equal(discretize(table, np.int64(3)).codes, discretize(table, 3).codes)
+
     def test_narrowest_distinct_cut_is_kept(self):
         # one cut point strictly between two neighbouring floats is enough
         vals = np.array([1.0, 1.0 + 2.0 ** -50])
@@ -612,9 +628,16 @@ class TestApplyToRows:
         with pytest.raises(BinningError, match=message):
             apply_binning(table, fit_binning(table, 5), rows)
 
+    def test_column_that_changed_type_rejected(self):
+        fitted = RawTable(("A", "Y"), ("numeric",) * 2, (np.arange(4.0), np.zeros(4)), "Y", 4)
+        table = RawTable(("A", "Y"), ("categorical", "numeric"),
+                         (["0", "1", "2", "3"], np.zeros(4)), "Y", 4)
+        with pytest.raises(BinningError, match="^column 'A' changed type since fitting$"):
+            apply_binning(table, fit_binning(fitted, 2))
+
 
 class TestHoldoutTrainingHalf:
-    """The training dataset that error_curve hands its selector, against the
+    """The training dataset that the holdout protocol selects on, against the
     whole table binned by a fit on the training rows, restricted to them."""
 
     @given(mixed_tables().filter(lambda case: case[0].feature_names), st.data())
@@ -625,8 +648,8 @@ class TestHoldoutTrainingHalf:
         train = data.draw(st.lists(row, min_size=1, max_size=table.n_rows))
         test = data.draw(st.lists(row, min_size=1, max_size=table.n_rows))
         seen = []
-        run = lambda: error_curve(table, lambda ds: seen.append(ds) or [0],  # noqa: E731
-                                  [(train, test)], k_max=1, n_bins=n_bins)
+        run = lambda: seen.extend(  # noqa: E731
+            fixed_order_benchmark(table, [0], [(train, test)], n_bins=n_bins)[1])
         try:
             want = apply_binning(table, fit_binning(table, n_bins, train)).restrict(train)
         except BinningError as e:
@@ -634,7 +657,8 @@ class TestHoldoutTrainingHalf:
                 run()
             return
         run()
-        got, = seen
+        got, again = seen
+        assert again is got
         for a, b in ((got.codes, want.codes), (got.target, want.target)):
             assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b)
         assert (got.arities, got.n_classes, got.feature_names) == \
@@ -688,15 +712,10 @@ class TestNarrowCodes:
         for sub in (apply_binning(table, fit_binning(table, 300), rows), ds.restrict(rows)):
             assert sub.codes.dtype == np.uint16 and sub.target.dtype == np.int64
             assert np.array_equal(sub.codes, ds.codes[rows])
-        seen = []
-
-        def selector(train_ds):
-            seen.append(train_ds)
-            return [0, 1]
-
         splits = make_splits(n, SplitSpec(0.5, seed=1, n_repeats=2))
-        curve = error_curve(table, selector, splits, k_max=2, n_bins=300)
-        assert curve.shape == (2, 2)
+        report, seen = fixed_order_benchmark(table, [0, 1], splits, n_bins=300)
+        assert report.errors.shape == (2, 2, 2)
+        assert all(a is b for a, b in zip(seen[2:], seen[:2]))
         for train_ds, (train, _) in zip(seen, splits):
             want = apply_binning(table, fit_binning(table, 300, train), train)
             assert train_ds.arities[0] > 256
@@ -758,12 +777,29 @@ class TestSplits:
         (SplitSpec(0.5, seed=0, n_repeats=-1), "at least one repeat, got -1"),
         (SplitSpec(float("nan"), seed=0, n_repeats=2), "train fraction nan is not finite"),
         (SplitSpec(float("inf"), seed=0, n_repeats=2), "train fraction inf is not finite"),
-    ], ids=["zero-repeats", "negative-repeats", "nan-fraction", "inf-fraction"])
+        (SplitSpec(0.5, seed=0, n_repeats=2.5), "^n_repeats must be an int, got 2.5$"),
+        (SplitSpec(0.5, seed=0, n_repeats=True), "^n_repeats must be an int, got True$"),
+        (SplitSpec(0.5, seed=1.5, n_repeats=2), "^seed must be an int, got 1.5$"),
+        (SplitSpec(0.5, seed=True, n_repeats=2), "^seed must be an int, got True$"),
+        (SplitSpec(0.5, seed=None, n_repeats=2), "^seed must be an int, got None$"),
+        (SplitSpec(0.5, seed=-1, n_repeats=2), "^seed must be >= 0, got -1$"),
+    ], ids=["zero-repeats", "negative-repeats", "nan-fraction", "inf-fraction",
+            "float-repeats", "bool-repeats", "float-seed", "bool-seed", "none-seed",
+            "negative-seed"])
     def test_degenerate_spec_rejected(self, spec, message):
         # no repeats once gave an empty split list, and a non-finite fraction
-        # a bare conversion error from math.floor
+        # a bare conversion error from math.floor; 2.5 repeats raised a bare
+        # TypeError from range, seed 1.5 and -1 numpy's SeedSequence errors,
+        # seed True ran as seed 1, and seed None drew fresh entropy each call
         with pytest.raises(DataError, match=message):
             make_splits(10, spec)
+
+    def test_numpy_integer_fields_accepted(self):
+        got = make_splits(20, SplitSpec(0.5, seed=np.int64(9), n_repeats=np.int32(3)))
+        want = make_splits(20, SplitSpec(0.5, seed=9, n_repeats=3))
+        assert len(got) == 3
+        for (t1, s1), (t2, s2) in zip(got, want):
+            assert np.array_equal(t1, t2) and np.array_equal(s1, s2)
 
 
 class TestProperties:

@@ -395,6 +395,12 @@ class TestDatasetReadOnly:
         assert ds.codes.dtype == np.int64 and ds.codes.tobytes() == raw
         assert np.array_equal(ds.target, target) and ds.target.dtype == target.dtype
 
+    def test_dataset_without_rows_rejected(self):
+        empty = DiscreteDataset(np.zeros((0, 2), np.int64), (2, 2), np.zeros(0, np.int64), 2,
+                                ("a", "b"))
+        with pytest.raises(ValueError, match="^dataset has no rows$"):
+            EstimatorContext(empty)
+
 
 def mask_of(cols) -> int:
     """The context's bitmask of a column set: the target is bit 0, feature j bit j+1."""

@@ -10,35 +10,45 @@ from infosel import evaluate
 from infosel.criteria import parse_criterion
 from infosel.data import (DataError, RawTable, SplitSpec, apply_binning, fit_binning,
                           load_csv, make_splits, make_xor_table, toy_dataset, toy_table)
-from infosel.evaluate import (average_ranks, benchmark, error_curve,
-                              knn_classify)
+from infosel.evaluate import average_ranks, benchmark
 from infosel.selection import run_sfs
+
+from util import fixed_order_benchmark
+
+
+def knn(train, labels, test, k, subset=None, n_classes=None):
+    """The kernel's vote on the columns of ``subset`` (every column when
+    None): the last row of its predictions after each column."""
+    train, labels = np.asarray(train), np.asarray(labels)
+    order = range(train.shape[1]) if subset is None else subset
+    n_classes = int(labels.max()) + 1 if n_classes is None else n_classes
+    return evaluate._knn_predict(train, labels, np.asarray(test), list(order), k, n_classes)[-1]
 
 
 class TestKnn:
     def test_nearest_self(self):
         train = np.array([[0, 0], [5, 5], [9, 1]])
         labels = np.array([0, 1, 2])
-        preds = knn_classify(train, labels, np.array([[5, 5]]), k=1)
+        preds = knn(train, labels, np.array([[5, 5]]), k=1)
         assert preds.tolist() == [1]
 
     def test_constant_labels(self):
         train = np.array([[0], [1], [2]])
         labels = np.array([1, 1, 1])
-        preds = knn_classify(train, labels, np.array([[0], [9]]), k=3)
+        preds = knn(train, labels, np.array([[0], [9]]), k=3)
         assert preds.tolist() == [1, 1]
 
     def test_distance_tie_prefers_lower_row(self):
         # both training rows are equidistant; k=1 must take row 0
         train = np.array([[0], [2]])
         labels = np.array([1, 0])
-        preds = knn_classify(train, labels, np.array([[1]]), k=1)
+        preds = knn(train, labels, np.array([[1]]), k=1)
         assert preds.tolist() == [1]
 
     def test_vote_tie_prefers_lowest_label(self):
         train = np.array([[0], [2]])
         labels = np.array([1, 0])
-        preds = knn_classify(train, labels, np.array([[1]]), k=2)
+        preds = knn(train, labels, np.array([[1]]), k=2)
         assert preds.tolist() == [0]
 
     def test_toy_leave_one_out_relevant_beats_noise(self):
@@ -50,89 +60,23 @@ class TestKnn:
             wrong = 0
             for i in range(ds.n_rows):
                 tr = [r for r in range(ds.n_rows) if r != i]
-                pred = knn_classify(ds.codes[tr], ds.target[tr],
-                                    ds.codes[[i]], k=3, feature_subset=feats)
+                pred = knn(ds.codes[tr], ds.target[tr], ds.codes[[i]], k=3, subset=feats)
                 wrong += int(pred[0]) != ds.target[i]
             errs[tuple(feats)] = wrong / ds.n_rows
         assert errs[(0, 1, 2, 3)] == pytest.approx(0.7)
         assert errs[(4,)] == pytest.approx(0.8)
         assert errs[(0, 1, 2, 3)] < errs[(4,)]
 
-    def test_empty_train_rejected(self):
-        with pytest.raises(ValueError):
-            knn_classify(np.zeros((0, 2)), np.zeros(0, int), np.zeros((1, 2)), k=1)
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError):
-            knn_classify(np.zeros((2, 2), int), np.array([0, 1]),
-                         np.zeros((1, 2), int), k=1, feature_subset=[])
-
     @pytest.mark.parametrize("change, message", [
-        ({"k": 0}, "k must be >= 1"),
-        ({"train_codes": np.array([[0.4, 0], [2.0, 1]])}, "training codes must be integers"),
-        ({"test_codes": np.array([[1.0, 0]])}, "test codes must be integers"),
-        ({"train_labels": np.array([0.0, 1.0])}, "training labels must be integers"),
-        ({"test_codes": np.array([[1, 0, 0]])}, "training codes have 2 columns, test codes 3"),
-        ({"train_labels": np.array([0, 1, 1])}, "2 training rows but 3 labels"),
         ({"train_labels": np.array([0, -1]), "n_classes": 2},
          r"training labels must lie in \[0, 2\)"),
         ({"n_classes": 1}, r"training labels must lie in \[0, 1\)"),
-    ], ids=["k-zero", "float-train", "float-test",
-            "float-labels", "column-mismatch", "label-count", "negative-label",
-            "label-above-classes"])
+    ], ids=["negative-label", "label-above-classes"])
     def test_malformed_input_rejected(self, change, message):
         args = {"train_codes": np.array([[0, 0], [2, 1]]), "train_labels": np.array([0, 1]),
-                "test_codes": np.array([[1, 0]]), "k": 1}
+                "test_codes": np.array([[1, 0]]), "order": [0, 1], "k": 1, "n_classes": 2}
         with pytest.raises(ValueError, match=message):
-            knn_classify(**{**args, **change})
-
-    @pytest.mark.parametrize("subset, message", [
-        ([-1], "entry -1 is not"),
-        ([0, 2], "entry 2 is not"),
-        ([True], "entry True is not"),
-        ([np.True_], "entry np.True_ is not"),
-        ([1.0], "entry 1.0 is not"),
-        (["0"], "entry '0' is not"),
-    ], ids=["negative", "past-the-end", "bool", "numpy-bool", "float", "string"])
-    def test_malformed_feature_subset_rejected(self, subset, message):
-        # -1 once voted on the last column, 2 raised a bare IndexError and
-        # True a numpy broadcast error
-        with pytest.raises(ValueError, match=rf"feature subset {message} a column index "
-                                             r"in \[0, 2\)"):
-            knn_classify(np.array([[0, 0], [2, 1]]), np.array([0, 1]), np.array([[1, 0]]),
-                         k=1, feature_subset=subset)
-
-    @pytest.mark.parametrize("change, message", [
-        ({"k": 2.5}, "k must be an int, got 2.5"),
-        ({"k": True}, "k must be an int, got True"),
-        ({"k": np.True_}, "k must be an int, got np.True_"),
-        ({"k": "1"}, "k must be an int, got '1'"),
-        ({"k": -1}, "k must be >= 1, got -1"),
-        ({"n_classes": 2.5}, "n_classes must be an int, got 2.5"),
-        ({"n_classes": True}, "n_classes must be an int, got True"),
-        ({"n_classes": 0}, "n_classes must be >= 1, got 0"),
-    ], ids=["float-k", "bool-k", "numpy-bool-k", "string-k", "negative-k",
-            "float-classes", "bool-classes", "zero-classes"])
-    def test_count_that_is_not_an_int_rejected(self, change, message):
-        # k=2.5 once raised numpy's bare TypeError from the partition, k=True
-        # ran as k=1, and n_classes=2.5 raised a casting TypeError from bincount
-        args = {"train_codes": np.array([[0, 0], [2, 1]]), "train_labels": np.array([0, 1]),
-                "test_codes": np.array([[1, 0]]), "k": 1}
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            knn_classify(**{**args, **change})
-
-    def test_numpy_integer_counts_accepted(self):
-        train, labels = np.array([[0], [2], [9]]), np.array([1, 0, 0])
-        preds = knn_classify(train, labels, np.array([[1]]), k=np.int64(2),
-                             n_classes=np.int32(3))
-        assert preds.tolist() == knn_classify(train, labels, np.array([[1]]), k=2,
-                                              n_classes=3).tolist() == [0]
-
-    def test_numpy_integer_subset_accepted(self):
-        train, labels = np.array([[0, 9], [5, 0]]), np.array([0, 1])
-        preds = knn_classify(train, labels, np.array([[4, 9]]), k=1,
-                             feature_subset=np.array([1, 1]))
-        assert preds.tolist() == [0]
+            evaluate._knn_predict(**{**args, **change})
 
 
 def brute_knn(train, labels, test, k, n_classes):
@@ -204,7 +148,7 @@ def selection_path(path):
 
 
 def check_kernel(case):
-    """``knn_classify`` and every prefix of ``_knn_predict`` against brute force."""
+    """Every prefix of ``_knn_predict`` against brute force."""
     train, labels, test, k, n_classes = case
     d = train.shape[1]
     both = np.vstack([train, test])
@@ -213,10 +157,8 @@ def check_kernel(case):
     assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
     assert got_reach == reach
     with mock.patch.object(evaluate, "_BLOCK", 3):
-        got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
-        prefixes = evaluate._knn_predict(train, labels, test, [[j] for j in range(d)],
-                                         k, n_classes)
-    assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes))
+        prefixes = evaluate._knn_predict(train, labels, test, list(range(d)), k, n_classes)
+    assert prefixes.shape == (d, len(test))
     for size in range(1, d + 1):
         want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
         assert np.array_equal(prefixes[size - 1], want), size
@@ -268,8 +210,10 @@ class TestKnnKernel:
         train, test = rng.integers(0, 5, (1000, 3)), rng.integers(0, 5, (300, 3))
         labels = rng.integers(0, 2, 1000)
         with mock.patch.object(evaluate, "_nearest", wraps=evaluate._nearest) as spy:
-            got = knn_classify(train, labels, test, k=k)
-        assert spy.call_count == 2 and all(call.args[2] is None for call in spy.call_args_list)
+            got = knn(train, labels, test, k=k)
+        # two blocks of test rows, one vote after each of the three columns
+        assert spy.call_count == 2 * 3 and all(call.args[2] is None
+                                               for call in spy.call_args_list)
         assert np.array_equal(got, brute_knn(train, labels, test, k, 2))
 
     @pytest.mark.parametrize("seed", range(12))
@@ -285,10 +229,8 @@ class TestKnnKernel:
         labels = rng.integers(0, n_classes, n_train)
         for k in (1, 2, 5, int(rng.integers(6, n_train))):
             with mock.patch.object(evaluate, "_BLOCK", 4):
-                got = knn_classify(train, labels, test, k=k, n_classes=n_classes)
-                prefixes = evaluate._knn_predict(train, labels, test,
-                                                 [[j] for j in range(d)], k, n_classes)
-            assert np.array_equal(got, brute_knn(train, labels, test, k, n_classes)), k
+                prefixes = evaluate._knn_predict(train, labels, test, list(range(d)), k,
+                                                 n_classes)
             for size in range(1, d + 1):
                 want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
                 assert np.array_equal(prefixes[size - 1], want), (k, size)
@@ -301,7 +243,7 @@ class TestKnnKernel:
         labels[:k] = 1
         want = brute_knn(train, labels, test, k, 2)
         assert want.tolist() == [1, 1, 1]
-        assert knn_classify(train, labels, test, k=k).tolist() == want.tolist()
+        assert knn(train, labels, test, k=k).tolist() == want.tolist()
 
     @pytest.mark.parametrize("reach, n_train, dtype", [
         (1, 2 ** 30, np.int32),            # largest key 2**31 - 1
@@ -319,13 +261,13 @@ class TestKnnKernel:
             evaluate._key_dtype(reach, n_train)
 
     def test_empty_test_set(self):
-        preds = knn_classify(np.array([[0], [1]]), np.array([0, 1]), np.zeros((0, 1), int), k=1)
+        preds = knn(np.array([[0], [1]]), np.array([0, 1]), np.zeros((0, 1), int), k=1)
         assert preds.shape == (0,)
 
     def test_narrow_dtype_codes(self):
         # int8 codes whose differences leave the int8 range
         train = np.array([[-100], [100]], np.int8)
-        preds = knn_classify(train, np.array([0, 1]), np.array([[99]], np.int8), k=1)
+        preds = knn(train, np.array([0, 1]), np.array([[99]], np.int8), k=1)
         assert preds.tolist() == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -336,12 +278,12 @@ class TestKnnKernel:
         train[0] = 2 ** 31
         assert evaluate._by_argmin(k, 1200, 2 ** 62, np.int64)
         with pytest.raises(ValueError, match="too wide for exact int64 distance keys"):
-            knn_classify(train, np.arange(1200) % 2, np.array([[1]]), k=k)
+            knn(train, np.arange(1200) % 2, np.array([[1]]), k=k)
 
     def test_span_beyond_int64_rejected(self):
         train = np.array([[0], [2 ** 62]])
         with pytest.raises(ValueError, match="too wide"):
-            knn_classify(train, np.array([0, 1]), np.array([[1]]), k=1)
+            knn(train, np.array([0, 1]), np.array([[1]]), k=1)
 
     def test_memory_bounded_by_block(self):
         # ranking all 2,048 x 512 pairs at once needs 8 MiB for the argsort
@@ -351,24 +293,11 @@ class TestKnnKernel:
         labels = rng.integers(0, 3, 512)
         tracemalloc.start()
         try:
-            knn_classify(train, labels, test, k=3)
+            knn(train, labels, test, k=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2048 * 512 * 8 / 2
-
-    def test_error_curve_is_knn_classify_per_prefix(self):
-        table = make_xor_table(seed=2, n_rows=80)
-        splits = make_splits(table.n_rows, SplitSpec(0.6, seed=4, n_repeats=3))
-        order = [3, 0, 7, 1, 2]
-        with mock.patch.object(evaluate, "_BLOCK", 3):
-            curve = error_curve(table, lambda ds: order, splits, k_max=5, knn_k=3)
-        for r, (train, test) in enumerate(splits):
-            ds = apply_binning(table, fit_binning(table, 5, train))
-            for size in range(1, 6):
-                pred = knn_classify(ds.codes[train], ds.target[train], ds.codes[test], k=3,
-                                    feature_subset=order[:size], n_classes=ds.n_classes)
-                assert curve[r, size - 1] == np.mean(pred != ds.target[test])
 
 
 @st.composite
@@ -393,15 +322,16 @@ def repeated_row_cases(draw):
 
 
 def check_runs(case, block):
-    """``_knn_predict`` after each group against brute force, ``block`` rows a block."""
+    """``_knn_predict`` after each column of the groups, one after another,
+    against brute force, ``block`` rows a block."""
     train, labels, test, groups, k, n_classes = case
+    order = [j for group in groups for j in group]
     with mock.patch.object(evaluate, "_BLOCK", block):
-        got = evaluate._knn_predict(train, labels, test, groups, k, n_classes)
-    columns = []
-    for g, group in enumerate(groups):
-        columns += group
+        got = evaluate._knn_predict(train, labels, test, order, k, n_classes)
+    for size in range(1, len(order) + 1):
+        columns = order[:size]
         want = brute_knn(train[:, columns], labels, test[:, columns], k, n_classes)
-        assert np.array_equal(got[g], want), (g, columns)
+        assert np.array_equal(got[size - 1], want), columns
 
 
 class TestKnnRuns:
@@ -453,49 +383,22 @@ class TestAverageRanks:
 
 
 class TestErrorCurve:
+    """The per-prefix error curves of ``benchmark``, for orders fixed in advance."""
+
     def test_stub_selector_is_split_deterministic(self):
         table = toy_table()
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=3, n_repeats=4))
-        stub = lambda ds: [0, 1, 2, 3, 4]  # noqa: E731
-        a = error_curve(table, stub, splits, k_max=3)
-        b = error_curve(table, stub, splits, k_max=3)
+        a = fixed_order_benchmark(table, [0, 1, 2], splits)[0].errors
+        b = fixed_order_benchmark(table, [0, 1, 2], splits)[0].errors
         assert np.array_equal(a, b)
-        assert a.shape == (4, 3)
+        assert a.shape == (2, 4, 3)
         assert np.all((0 <= a) & (a <= 1))
 
     def test_identical_orders_give_identical_curves(self):
         table = toy_table()
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=5, n_repeats=3))
-        a = error_curve(table, lambda ds: [2, 1, 0], splits, k_max=3)
-        b = error_curve(table, lambda ds: [2, 1, 0], splits, k_max=3)
-        assert np.array_equal(a, b)
-
-    def test_short_selector_order_rejected(self):
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        with pytest.raises(ValueError, match="selector returned fewer features than k_max"):
-            error_curve(table, lambda ds: [2, 0], splits, k_max=3)
-
-    def test_criterion_is_not_a_selector(self):
-        # a Criterion once ran run_sfs, under an estimator argument that a
-        # function selector silently ignored; benchmark now makes the function
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        with pytest.raises(TypeError):
-            error_curve(table, parse_criterion("mim"), splits, k_max=2)
-
-    @pytest.mark.parametrize("order, entry", [
-        ([-1, 0], "-1"), ([True, 0], "True"), ([1.5, 0], "1.5"), ([5, 0], "5"),
-        ([0, 1, -1], "-1"),
-    ], ids=["negative", "bool", "float", "past-the-end", "negative-past-k_max"])
-    def test_malformed_selector_order_rejected(self, order, entry):
-        # -1 once scored as column 4, True raised a broadcast error and 5 a
-        # bare IndexError
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        with pytest.raises(ValueError, match=rf"selector order entry {entry} is not a column "
-                                             r"index in \[0, 5\)"):
-            error_curve(table, lambda ds: order, splits, k_max=2)
+        errors = fixed_order_benchmark(table, [2, 1, 0], splits)[0].errors
+        assert np.array_equal(errors[0], errors[1])
 
     def test_training_rows_coded_as_the_split_binning(self, tmp_path):
         # classes "y" and "z" and label "q" are missing from some training
@@ -509,8 +412,7 @@ class TestErrorCurve:
         table = load_csv(p, "Y")
         # the second split leaves out rows 0, 3, 6 and 9, which hold its unseen classes
         splits = [(np.arange(0, 8, 2), np.arange(1, 10, 2)), (np.array([5, 1, 2]), np.array([4]))]
-        seen = []
-        error_curve(table, lambda ds: seen.append(ds) or [1, 0], splits, k_max=2, n_bins=3)
+        seen = fixed_order_benchmark(table, [1, 0], splits, n_bins=3)[1]
         for (train, _), got in zip(splits, seen):
             want = apply_binning(table, fit_binning(table, 3, train)).restrict(train)
             assert want.n_classes == len(set(want.target.tolist())) + 1
@@ -537,8 +439,7 @@ class TestErrorCurve:
         else:
             raw = xor
         splits = make_splits(raw.n_rows, SplitSpec(0.5, seed=3, n_repeats=2))
-        curve = error_curve(raw, lambda ds: order, splits, k_max=len(order), n_bins=n_bins,
-                            knn_k=5)
+        errors = fixed_order_benchmark(raw, order, splits, n_bins=n_bins, knn_k=5)[0].errors
         for r, (train, test) in enumerate(splits):
             ds = apply_binning(raw, fit_binning(raw, n_bins, train))
             for size in range(1, len(order) + 1):
@@ -546,55 +447,41 @@ class TestErrorCurve:
                 pred = brute_knn(ds.codes[train][:, cols], ds.target[train],
                                  ds.codes[test][:, cols], 5, ds.n_classes)
                 want = np.count_nonzero(pred != ds.target[test]) / len(test)
-                assert curve[r, size - 1] == want, (r, size)
+                assert errors[0, r, size - 1] == errors[1, r, size - 1] == want, (r, size)
             distinct = len(np.unique(ds.codes[test][:, order], axis=0))
             assert (distinct < len(test) / 4) == repeated, distinct
 
     @pytest.mark.parametrize("knn_k", [0, -3])
-    def test_knn_k_below_one_rejected(self, knn_k):
+    def test_knn_k_below_one_rejected(self, knn_k, monkeypatch):
         # k = 0 once left every prediction at label 0, and k = -3 let all but
-        # three training rows vote
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
+        # three training rows vote; the check comes before any split is binned
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=f"^knn_k must be >= 1, got {knn_k}$"):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=1, n_repeats=2), k_max=2, knn_k=knn_k)
 
     @pytest.mark.parametrize("knn_k", [2.5, True, np.True_], ids=["float", "bool", "numpy-bool"])
     def test_knn_k_not_an_int_rejected_before_binning(self, knn_k, monkeypatch):
         # 2.5 once failed in numpy's partition after the first split was
         # binned, and True ran as k = 1
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
         monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
         with pytest.raises(ValueError, match=f"^knn_k must be an int, got {knn_k!r}$"):
-            error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=knn_k)
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=1, n_repeats=2), k_max=2, knn_k=knn_k)
 
     def test_numpy_integer_knn_k_accepted(self):
         table = toy_table()
         splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        curve = error_curve(table, lambda ds: [0, 1], splits, k_max=2, knn_k=np.int64(3))
-        assert np.array_equal(curve, error_curve(table, lambda ds: [0, 1], splits, k_max=2))
-
+        errors = fixed_order_benchmark(table, [0, 1], splits, knn_k=np.int64(3))[0].errors
+        assert np.array_equal(errors, fixed_order_benchmark(table, [0, 1], splits)[0].errors)
 
     @pytest.mark.parametrize("k_max", [0, -2])
-    def test_k_max_below_one_rejected(self, k_max):
+    def test_k_max_below_one_rejected(self, k_max, monkeypatch):
         # 0 once raised a bare TypeError from np.lexsort
-        table = toy_table()
-        splits = make_splits(table.n_rows, SplitSpec(0.5, seed=1, n_repeats=2))
-        with pytest.raises(ValueError, match=f"k_max must be >= 1, got {k_max}"):
-            error_curve(table, lambda ds: [0, 1], splits, k_max=k_max)
-
-    def test_split_without_test_rows_rejected(self):
-        # an empty test side once gave a NaN row and a RuntimeWarning
-        table = toy_table()
-        splits = [(np.arange(5), np.arange(5, 10)), (np.arange(10), np.arange(0))]
-        with pytest.raises(ValueError, match="split 1 has no test rows"):
-            error_curve(table, lambda ds: [0, 1], splits, k_max=2)
-
-    def test_no_splits_rejected(self):
-        # no splits once gave a (0, k_max) array
-        with pytest.raises(ValueError, match="no splits given"):
-            error_curve(toy_table(), lambda ds: [0, 1], [], k_max=2)
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=f"^k_max must be >= 1, got {k_max}$"):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=1, n_repeats=2), k_max=k_max)
 
 
 def rare_class_table(tmp_path):
@@ -614,7 +501,7 @@ def rare_class_table(tmp_path):
 class TestBenchmark:
     @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
     def test_errors_are_error_curves_of_run_sfs_orders(self, tmp_path, estimator):
-        # each criterion's errors are error_curve's over run_sfs's order on
+        # each criterion's errors are a per-row KNN's over run_sfs's order on
         # each training half; run_sfs runs criterion-major, at call c * R + r,
         # and every criterion gets split r's one training dataset
         table = rare_class_table(tmp_path)
@@ -635,14 +522,21 @@ class TestBenchmark:
         assert report.criteria == ["mim", "hocmim", "cmim", "jmi"]
         R = len(splits)
         assert len(seen) == len(criteria) * R
-        for c, crit in enumerate(criteria):
-            def order(ds, crit=crit):
-                return run_sfs(ds, crit, 3, estimator=estimator).order
-            for r in range(R):
+        for r, (train, test) in enumerate(splits):
+            whole = apply_binning(table, fit_binning(table, 5, train))
+            codes, y = whole.codes, whole.target
+            for c, crit in enumerate(criteria):
                 ds, called, picked = seen[c * R + r]
                 assert called is crit and ds is seen[r][0]
-                assert ds.n_classes == 3 and picked == order(ds)
-            assert np.array_equal(report.errors[c], error_curve(table, order, splits, k_max=3))
+                assert ds.n_classes == 3
+                assert picked == run_sfs(whole.restrict(train), crit, 3,
+                                         estimator=estimator).order
+                for size in range(1, 4):
+                    cols = picked[:size]
+                    pred = brute_knn(codes[train][:, cols], y[train], codes[test][:, cols], 3,
+                                     whole.n_classes)
+                    want = np.count_nonzero(pred != y[test]) / len(test)
+                    assert report.errors[c, r, size - 1] == want, (c, r, size)
 
     @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
     def test_each_split_binned_once(self, tmp_path, estimator, monkeypatch):
@@ -731,6 +625,24 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"^knn_k must be an int, got {knn_k!r}$"):
             benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
                       SplitSpec(0.5, seed=0, n_repeats=2), k_max=2, knn_k=knn_k)
+
+    @pytest.mark.parametrize("k_max", [2.5, True, "3"], ids=["float", "bool", "string"])
+    def test_k_max_not_an_int_rejected_before_binning(self, k_max, monkeypatch):
+        # 2.5 once raised a bare TypeError from inside selection, and True
+        # ran as k_max = 1
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=f"^k_max must be an int, got {k_max!r}$"):
+            benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
+                      SplitSpec(0.5, seed=0, n_repeats=2), k_max=k_max)
+
+    def test_numpy_integers_reported_as_ints(self):
+        # a numpy k_max, seed, repeat count or bin count once stayed in the
+        # meta, which json cannot write
+        criteria = [parse_criterion("mim"), parse_criterion("cmim")]
+        got = benchmark(toy_table(), criteria, SplitSpec(0.5, np.int64(3), np.int32(2)),
+                        k_max=np.int64(2), n_bins=np.int64(4))
+        want = benchmark(toy_table(), criteria, SplitSpec(0.5, 3, 2), k_max=2, n_bins=4)
+        assert got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("spec", [SplitSpec(0.5, 0, 0), SplitSpec(0.5, 0, -1),
                                       SplitSpec(float("nan"), 0, 2)],

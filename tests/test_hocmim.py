@@ -52,6 +52,10 @@ class TestTotalRedundancy:
         with pytest.raises(ValueError):
             total_redundancy(ctx, 2, [1, 2])
 
+    def test_empty_z_is_zero(self, ctx):
+        assert total_redundancy(ctx, 2, []) == 0.0
+        assert ctx.reset_and_read_counter() == 0
+
     def test_matches_reference(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -133,6 +137,16 @@ class TestGreedySearch:
         assert sorted(tr.z) == [1, 2]
 
 
+@pytest.mark.parametrize("search", [
+    lambda c, k, S: greedy_representative_set(c, k, S, Criterion("hocmim", n=1)),
+    lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim")),
+    lambda c, k, S: hocmim_score_exhaustive(c, k, S, 1),
+], ids=["greedy", "score", "exhaustive"])
+def test_selected_candidate_rejected(ctx, search):
+    with pytest.raises(ValueError, match="^candidate 2 already selected$"):
+        search(ctx, 2, [1, 2])
+
+
 class TestScores:
     def test_toy_third_iteration(self, ctx):
         score, tr = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))
@@ -150,7 +164,13 @@ class TestScores:
     def test_empty_s_gives_relevance_and_empty_trace(self, ctx):
         score, tr = hocmim_score(ctx, 2, [], Criterion("hocmim"))
         assert score == pytest.approx(0.256426, abs=1e-5)
-        assert tr.z == [] and tr.redundancy == 0.0
+        assert tr.z == [] and tr.redundancy == 0.0 and tr.order == 0
+
+    def test_trace_order_is_the_representative_set_size(self, ctx):
+        # the order the search reached, as the benchmark's tracer reads it
+        for n in (1, 2):
+            _, tr = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=n))
+            assert tr.order == len(tr.z) == n
 
     def test_duplicate_candidate_scores_zero(self):
         c = duplicated_ctx()

@@ -55,6 +55,18 @@ class TestRunSfs:
         best_rel = max(ctx.mutual_information([j], [TARGET]) for j in range(5))
         assert res.scores[0] == pytest.approx(best_rel, abs=1e-12)
 
+    @pytest.mark.parametrize("K", [2.5, True, np.True_, "2"],
+                             ids=["float", "bool", "numpy-bool", "string"])
+    def test_k_that_is_not_an_int_rejected(self, K):
+        # 2.5 once selected 3 features, since the loop ran while fewer than K
+        # were picked, and True selected 1
+        with pytest.raises(ValueError, match=f"^K must be an int, got {K!r}$"):
+            run_sfs(toy_dataset(), parse_criterion("mim"), K)
+
+    def test_numpy_integer_k_accepted(self):
+        got = run_sfs(toy_dataset(), parse_criterion("mim"), np.int64(3))
+        assert got.order == run_sfs(toy_dataset(), parse_criterion("mim"), 3).order
+
     def test_row_restriction(self):
         ds = toy_dataset()
         res = run_sfs(ds.restrict(np.arange(6)), parse_criterion("mim"), 2)
@@ -140,6 +152,24 @@ class TestPredictedCalls:
             predicted_mi_calls(parse_criterion("mim"), 0, 5)
         with pytest.raises(ValueError):
             predicted_mi_calls(parse_criterion("mim"), 6, 5)
+
+    @pytest.mark.parametrize("K, D, message", [
+        (2.5, 5, "K must be an int, got 2.5"),
+        (True, 5, "K must be an int, got True"),
+        (2, 5.0, "D must be an int, got 5.0"),
+    ], ids=["float-k", "bool-k", "float-d"])
+    def test_count_that_is_not_an_int_rejected(self, K, D, message):
+        # 2.5 once raised a bare TypeError from range
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            predicted_mi_calls(parse_criterion("cmim"), K, D)
+
+    def test_numpy_integer_counts_accepted(self):
+        crit = parse_criterion("cmim")
+        assert predicted_mi_calls(crit, np.int64(3), np.int32(5)) == predicted_mi_calls(crit, 3, 5)
+
+    def test_criterion_without_kind_rejected(self):
+        with pytest.raises(ValueError, match="no call model for criterion"):
+            predicted_mi_calls(object(), 2, 5)
 
 
 class _Recording:

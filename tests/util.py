@@ -2,10 +2,15 @@
 
 import csv
 from itertools import combinations, permutations
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
-from infosel.data import DataError, DiscreteDataset, RawTable, equal_width_edges, raw_bins
+from infosel import evaluate
+from infosel.criteria import parse_criterion
+from infosel.data import (DataError, DiscreteDataset, RawTable, SplitSpec, equal_width_edges,
+                          raw_bins)
 from infosel.estimators import TARGET, TARGET_BIT, EstimatorContext, cell_terms, profile_entropy
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD, ZERO_RELEVANCE,
                             RedundancyTrace)
@@ -342,3 +347,20 @@ class RefCriterion:
 
     def score(self, ctx, k, S):
         return REF_SCORERS[self.kind](self.criterion, ctx, k, S)
+
+
+def fixed_order_benchmark(table, order, splits, **kwargs):
+    """``evaluate.benchmark`` of two criteria over ``splits``, each of which
+    selects ``order``: the report and the training datasets selected on, in
+    call order."""
+    seen = []
+
+    def select(ds, criterion, k_max, estimator):
+        seen.append(ds)
+        return SimpleNamespace(order=order)
+
+    with mock.patch.object(evaluate, "make_splits", return_value=splits), \
+            mock.patch.object(evaluate, "run_sfs", select):
+        report = evaluate.benchmark(table, [parse_criterion("mim"), parse_criterion("cmim")],
+                                    SplitSpec(0.5, 0, len(splits)), len(order), **kwargs)
+    return report, seen
