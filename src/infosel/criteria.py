@@ -24,6 +24,7 @@ from math import comb, perm
 from operator import or_
 from typing import Callable
 
+from .data import _int_at_least, _is_real
 from .estimators import TARGET_BIT, EstimatorContext
 from .hocmim import hocmim_score
 
@@ -167,11 +168,13 @@ KINDS = tuple(CRITERIA)
 class Criterion:
     """A criterion kind from ``CRITERIA`` plus its parameters.
 
-    ``beta`` is the MIFS weight (1 when None), finite and at least 0.
-    ``n`` fixes the order of the high-order search; without it the search is
-    adaptive and stops at the relative threshold ``epsilon_star`` or at
-    ``n_max``.  Kinds reject a ``beta`` or ``n`` they do not take;
-    ``epsilon_star`` and ``n_max`` are range-checked for every kind.
+    ``beta`` is the MIFS weight (1 when None), a finite real number of at
+    least 0.  ``n`` fixes the order of the high-order search; without it the
+    search is adaptive and stops at the relative threshold ``epsilon_star``
+    or at ``n_max``.  ``n`` and ``n_max`` are ints (numpy integers too, kept
+    as ints; bools not) and ``epsilon_star`` a real number in [0, 1].  Kinds
+    reject a ``beta`` or ``n`` they do not take; ``epsilon_star`` and
+    ``n_max`` are checked for every kind.
     """
 
     kind: str
@@ -186,16 +189,24 @@ class Criterion:
             raise CriterionError(f"unknown criterion {self.kind!r} (choose from {', '.join(KINDS)})")
         if self.beta is not None and row.takes != "beta":
             raise CriterionError(f"{self.kind} does not take beta")
+        if self.beta is not None and not _is_real(self.beta):
+            raise CriterionError(f"beta must be a real number, got {self.beta!r}")
         if self.beta is not None and not 0.0 <= self.beta < float("inf"):
             raise CriterionError("beta must be finite and >= 0")
         if row.takes != "n" and self.n is not None:
             raise CriterionError(f"{self.kind} does not take order parameters")
+        if not _is_real(self.epsilon_star):
+            raise CriterionError(f"epsilon_star must be a real number, got {self.epsilon_star!r}")
         if not 0.0 <= self.epsilon_star <= 1.0:
             raise CriterionError("epsilon must be in [0, 1]")
+        # plain ints from here on, so labels, counts and json see no numpy integer
+        object.__setattr__(self, "n_max", _int_at_least(self.n_max, "n_max", None, CriterionError))
         if self.n_max < 1:
             raise CriterionError("nmax must be >= 1")
-        if self.n is not None and not 1 <= self.n <= self.n_max:
-            raise CriterionError(f"fixed order must be in [1, {self.n_max}]")
+        if self.n is not None:
+            object.__setattr__(self, "n", _int_at_least(self.n, "n", None, CriterionError))
+            if not 1 <= self.n <= self.n_max:
+                raise CriterionError(f"fixed order must be in [1, {self.n_max}]")
 
     @property
     def adaptive(self) -> bool:

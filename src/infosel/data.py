@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -40,6 +41,11 @@ def _int_at_least(value, name: str, low: int | None = 1, error=ValueError) -> in
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int, float or numpy number, a bool not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
@@ -519,8 +525,9 @@ def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarr
     """Seeded random train/test index pairs, one per repeat.
 
     ``n_repeats`` must be an int of at least 1 and ``seed`` one of at least 0
-    (numpy integers too, bools not), and ``train_fraction`` must leave rows on
-    both sides; anything else raises ``DataError`` naming the field.
+    (numpy integers too, bools not), and ``train_fraction`` a real number (a
+    bool not) that leaves rows on both sides; anything else raises
+    ``DataError`` naming the field.
     """
     if n_rows < 2:
         raise DataError("need at least 2 rows to split")
@@ -528,6 +535,8 @@ def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarr
     if n_repeats < 1:
         raise DataError(f"need at least one repeat, got {n_repeats}")
     seed = _int_at_least(spec.seed, "seed", 0, DataError)
+    if not _is_real(spec.train_fraction):
+        raise DataError(f"train_fraction must be a real number, got {spec.train_fraction!r}")
     if not math.isfinite(spec.train_fraction):
         raise DataError(f"train fraction {spec.train_fraction} is not finite")
     cut = math.floor(spec.train_fraction * n_rows)

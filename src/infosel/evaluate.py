@@ -15,18 +15,19 @@ rows equal on the columns seen so far form contiguous runs, and ranks each
 run once: equal rows have equal distances, hence equal neighbours and votes.
 It goes through the sorted rows in blocks of ``_BLOCK`` rows, so no array
 larger than ``_BLOCK x n_train`` is made.  Squared distances are exact
-integers: each column is shifted to start at 0, and the distances are held in
-int16 when ``reach``, the sum of the squared column spans, fits in it, in
-int64 otherwise.  The k nearest rows of a run are its k smallest distances in
-(distance, row) order, so a distance tie goes to the lower training index; two
-paths pick them, and ``_by_argmin`` chooses one per call.  For k up to 4 on
-enough training rows, k ``argmin`` passes each take the first minimum and set
-it to the dtype's maximum, which exceeds every distance while ``reach`` is
-below it.  Otherwise each distance becomes the unique key
-``distance * n_train + row`` and a partition keeps the k smallest keys, at
-O(n_train) per run whatever k.  The keys are int32 when the largest one,
-``(reach + 1) * n_train - 1``, fits in it, int64 otherwise; beyond int64 the
-input is rejected on either path.  A vote tie keeps the lowest class label.
+integers, held in int16 while ``reach``, the sum of the squared maximum codes
+of the order's columns, is below the int16 maximum, in int64 otherwise.  The
+k nearest rows of a run are its k smallest distances in (distance, row)
+order, so a distance tie goes to the lower training index; two paths pick
+them, and ``_plan`` chooses one per call along with the dtypes.  For k up to 4
+on enough training rows, k ``argmin`` passes each take the first minimum and
+set it to the dtype's maximum, which exceeds every distance.  Otherwise each
+distance becomes the unique key ``distance * n_train + row`` and a partition
+keeps the k smallest keys, at O(n_train) per run whatever k.  The keys are
+int32 when the largest one, ``(reach + 1) * n_train - 1``, fits in it, int64
+otherwise; beyond int64 the input is rejected on either path.  A vote tie
+keeps the lowest class label.  The kernel takes ``benchmark``'s binned codes
+as they are: at least 0, labels in [0, n_classes), no empty side.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ _BLOCK = 256
 _INT16_MAX = int(np.iinfo(np.int16).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-#: the measured rule of ``_by_argmin``
+#: the measured rule of ``_plan``
 _MAX_PASSES = 4
 _ROWS_PER_PASS = 300
 
@@ -55,63 +56,27 @@ _ROWS_PER_PASS = 300
 _HELD_SPLIT_BYTES = 64 << 20
 
 
-def _shift_and_narrow(train_codes, test_codes, columns):
-    """The listed columns as (len(columns), n) arrays, shifted to start at 0,
-    and ``reach``, the sum of their squared spans.
+def _plan(reach: int, n_train: int, k: int):
+    """(distance dtype, key dtype) for ``_knn_predict``, the key dtype None
+    when the k nearest rows are picked by argmin passes.
 
-    Each column is shifted by its minimum over train and test, so its codes
-    lie in [0, span].  A squared distance summed over the columns is then at
-    most ``reach``: int16 holds every intermediate value exactly when it fits
-    in it, int64 otherwise.
-    """
-    lows, spans = [], []
-    for j in columns:
-        a, b = train_codes[:, j], test_codes[:, j]
-        low = min(int(a.min()), int(b.min()))
-        lows.append(low)
-        spans.append(max(int(a.max()), int(b.max())) - low)
-    reach = sum(s * s for s in spans)
-    if reach > _INT64_MAX:
-        raise ValueError("code spans too wide for exact int64 distances")
-    dtype = np.int16 if reach <= _INT16_MAX else np.int64
-
-    def shifted(codes):
-        out = np.empty((len(columns), len(codes)), dtype=dtype)
-        for c, (j, low) in enumerate(zip(columns, lows)):
-            # exact modulo 2**64 for any integer dtype, and the result lies in [0, span]
-            out[c] = codes[:, j].astype(np.uint64) - np.uint64(low % 2**64)
-        return out
-
-    return shifted(train_codes), shifted(test_codes), reach
-
-
-def _key_dtype(reach: int, n_train: int):
-    """The dtype that holds every key ``distance * n_train + row`` exactly.
-
-    ``reach`` bounds the squared distance, so the largest key is
-    ``(reach + 1) * n_train - 1``: int32 when that fits in it, int64 when only
-    that does; wider input raises ``ValueError``.
+    ``reach`` bounds every squared distance, so int16 holds them exactly
+    while it is below the int16 maximum, and int64 otherwise; the dtype's
+    maximum, the mark of an argmin pass, then lies above every distance.
+    Timed on the selection step alone, one pass beats the key partition at
+    any size; k passes cost O(k * n_train) per run, and beat it for k up to
+    ``_MAX_PASSES`` once each pass covers ``_ROWS_PER_PASS`` training rows.
+    The keys ``distance * n_train + row`` reach ``(reach + 1) * n_train - 1``:
+    int32 when that fits in it, int64 when only that does.  Beyond int64 the
+    input raises ``ValueError`` on either path.
     """
     top = (reach + 1) * n_train - 1
-    if top <= _INT32_MAX:
-        return np.int32
-    if top <= _INT64_MAX:
-        return np.int64
-    raise ValueError("code spans too wide for exact int64 distance keys")
-
-
-def _by_argmin(k: int, n_train: int, reach: int, dtype) -> bool:
-    """Whether ``_knn_predict`` picks the k nearest rows by argmin passes.
-
-    A pass marks its picks with the largest value of the distance ``dtype``,
-    so the passes are exact only while ``reach`` is below it.  Timed on the
-    selection step alone, one pass beats the key partition at any size; k
-    passes cost O(k * n_train) per run, and beat it for k up to
-    ``_MAX_PASSES`` once each pass covers ``_ROWS_PER_PASS`` training rows.
-    """
-    if reach >= np.iinfo(dtype).max:
-        return False
-    return k <= _MAX_PASSES and (k == 1 or n_train >= _ROWS_PER_PASS * k)
+    if top > _INT64_MAX:
+        raise ValueError("codes too wide for exact int64 distance keys")
+    dtype = np.int16 if reach < _INT16_MAX else np.int64
+    if k <= _MAX_PASSES and (k == 1 or n_train >= _ROWS_PER_PASS * k):
+        return dtype, None
+    return dtype, np.int32 if top <= _INT32_MAX else np.int64
 
 
 def _nearest(dist, k, keys):
@@ -160,40 +125,43 @@ def _knn_predict(train_codes, train_labels, test_codes, order, k, n_classes):
     every row would; the sort only makes the runs long, and any row order
     predicts the same.
 
-    The k nearest rows of a run are the first k in (distance, row) order,
-    so a distance tie keeps the lower training index, as a stable sort would,
-    without sorting the other n_train - k rows; ``_nearest`` picks them.
-    When ``_by_argmin`` allows it (small k on enough training rows, ``reach``
-    below the distance dtype's maximum), it takes k ``argmin`` passes over
-    the run's distance row: ``argmin`` returns the first minimum, which is
-    the lower row on a tie, and a picked row is set to the dtype's maximum,
-    above every real distance, until the passes end; the distances are put
-    back in place, which costs less than passing over a copy.  Otherwise each
-    distance becomes the unique key ``distance * n_train + row`` (dtype from
-    ``_key_dtype``), which sorts in (distance, row) order, a partition at
-    k - 1 puts the k smallest keys first, and ``key % n_train`` gives back
-    their rows; that costs O(n_train) per run whatever k, where the passes
-    cost O(k * n_train).  ``_key_dtype`` runs on both paths, so the same
-    inputs are rejected whichever picks.  ``argmax`` over the vote counts
-    keeps the lowest label on a vote tie.  Labels must lie in [0, n_classes).
+    Squared distances are exact integers: ``reach``, the sum over ``order``
+    of each column's squared maximum code, bounds them, and ``_plan`` picks
+    their dtype from it.  The k nearest rows of a run are the first k in
+    (distance, row) order, so a distance tie keeps the lower training index,
+    as a stable sort would, without sorting the other n_train - k rows;
+    ``_nearest`` picks them.  When ``_plan`` allows it (small k on enough
+    training rows), it takes k ``argmin`` passes over the run's distance row:
+    ``argmin`` returns the first minimum, which is the lower row on a tie, and
+    a picked row is set to the dtype's maximum, above every real distance,
+    until the passes end; the distances are put back in place, which costs
+    less than passing over a copy.  Otherwise each distance becomes the unique
+    key ``distance * n_train + row``, which sorts in (distance, row) order, a
+    partition at k - 1 puts the k smallest keys first, and ``key % n_train``
+    gives back their rows; that costs O(n_train) per run whatever k, where
+    the passes cost O(k * n_train).  ``argmax`` over the vote counts keeps the
+    lowest label on a vote tie.
+
+    Preconditions, which ``benchmark``'s binned datasets meet and which are
+    not checked: codes are integers of at least 0, labels lie in
+    [0, n_classes), and there is at least one training and one test row.
     """
     n_train, n_test = len(train_labels), len(test_codes)
-    if train_labels.min() < 0 or train_labels.max() >= n_classes:
-        raise ValueError(f"training labels must lie in [0, {n_classes})")
     k = min(k, n_train)
-    preds = np.empty((len(order), n_test), dtype=np.int64)
-    if n_test == 0:
-        return preds
-    train, test, reach = _shift_and_narrow(train_codes, test_codes, order)
-    key_dtype = _key_dtype(reach, n_train)
+    tops = np.maximum(train_codes.max(axis=0), test_codes.max(axis=0))
+    reach = sum(int(tops[j]) ** 2 for j in order)
+    dtype, key_dtype = _plan(reach, n_train, k)
+    # (len(order), n) rows, one per column of the order
+    train = np.ascontiguousarray(train_codes.T[order], dtype)
+    test = np.ascontiguousarray(test_codes.T[order], dtype)
     # lexsort takes its last key as the primary one
     rows = np.lexsort(test[::-1])
     test = test[:, rows]
+    preds = np.empty((len(order), n_test), dtype=np.int64)
     block = min(_BLOCK, n_test)
-    dist = np.empty((block, n_train), dtype=train.dtype)
+    dist = np.empty((block, n_train), dtype=dtype)
     spare, sq = np.empty_like(dist), np.empty_like(dist)
-    keys = None if _by_argmin(k, n_train, reach, train.dtype) \
-        else np.empty((block, n_train), dtype=key_dtype)
+    keys = None if key_dtype is None else np.empty((block, n_train), dtype=key_dtype)
     offsets = np.arange(block)[:, None] * n_classes
     for start in range(0, n_test, block):
         stop = min(start + block, n_test)
@@ -321,13 +289,17 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
     binned once, when the first criterion reaches it, and the same datasets go
     to every later criterion while the held pairs fit in ``_HELD_SPLIT_BYTES``;
     a split past that bound is binned again for each criterion.  ``k_max`` and
-    ``knn_k`` must be ints of at least 1 (numpy integers too, bools not); they
-    are checked before any split is binned.
+    ``knn_k`` must be ints of at least 1 (numpy integers too, bools not), and
+    ``k_max`` at most the feature count; they are checked before any split is
+    binned.
     """
     criteria = list(criteria)
     if len(criteria) < 2:
         raise ValueError("benchmark needs at least two criteria")
     k_max = _int_at_least(k_max, "k_max")
+    n_features = len(table.feature_names)
+    if k_max > n_features:
+        raise ValueError(f"k_max must be <= {n_features}, the feature count, got {k_max}")
     knn_k = _int_at_least(knn_k, "knn_k")
     splits = make_splits(table.n_rows, split_spec)
     held = {}
@@ -348,9 +320,9 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
                                  knn_k, test_ds.n_classes)
             errs[c, r] = np.count_nonzero(preds != test_ds.target, axis=1) / len(test_rows)
     labels = [c.label for c in criteria]
-    # the checks above passed numpy integers; json writes only ints
+    # the checks above passed numpy numbers; json writes only ints and floats
     meta = {"dataset": dataset_label, "n_rows": table.n_rows,
             "seed": int(split_spec.seed), "repeats": len(splits),
-            "train_fraction": split_spec.train_fraction, "k_max": k_max,
+            "train_fraction": float(split_spec.train_fraction), "k_max": k_max,
             "bins": int(n_bins), "knn_k": knn_k, "estimator": estimator}
     return EvalReport(labels, errs, meta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import Criterion, score_cmim
-from .data import DiscreteDataset
+from .data import DiscreteDataset, _int_at_least
 from .estimators import TARGET, EstimatorContext
 from .hocmim import (greedy_representative_set, hocmim_score, hocmim_score_exhaustive,
                      total_redundancy)
@@ -182,9 +182,13 @@ def check_statement_cases(report: OracleReport, seed: int = 7) -> None:
 
 
 def run_oracle_checks(n_instances: int = 100, seed: int = 0) -> OracleReport:
-    """The identities are exact plug-in facts, so the suite always runs plug-in."""
-    if n_instances < 0:
-        raise ValueError(f"n_instances must be >= 0, got {n_instances}")
+    """The identities are exact plug-in facts, so the suite always runs plug-in.
+
+    ``n_instances`` and ``seed`` must be ints of at least 0 (numpy integers
+    too, bools not); anything else raises ``ValueError`` naming the field.
+    """
+    n_instances = _int_at_least(n_instances, "n_instances", 0)
+    seed = _int_at_least(seed, "seed", 0)
     report = OracleReport()
     rng = np.random.default_rng(seed)
     for _ in range(n_instances):

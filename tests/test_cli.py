@@ -320,6 +320,18 @@ class TestOracleCheck:
         assert main(["oracle-check", "--instances", "0"]) == 0
         assert "0 failed" in capsys.readouterr().out.splitlines()[-1]
 
+    @pytest.mark.parametrize("args, message", [
+        ({"n_instances": 2.5}, "^n_instances must be an int, got 2.5$"),
+        ({"n_instances": True}, "^n_instances must be an int, got True$"),
+        ({"n_instances": 0, "seed": 1.5}, "^seed must be an int, got 1.5$"),
+        ({"n_instances": 0, "seed": -1}, "^seed must be >= 0, got -1$"),
+    ], ids=["float-instances", "bool-instances", "float-seed", "negative-seed"])
+    def test_counts_that_are_not_ints_rejected(self, args, message):
+        # 2.5 instances once raised a bare TypeError from range, and seed -1
+        # numpy's SeedSequence error
+        with pytest.raises(ValueError, match=message):
+            run_oracle_checks(**args)
+
 
 @pytest.mark.parametrize("argv, stage", [
     (["select", "--xor"], "load"),

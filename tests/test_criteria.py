@@ -210,6 +210,37 @@ class TestCriterionObject:
             with pytest.raises(CriterionError, match="nmax"):
                 Criterion(kind=kind, n_max=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", True, "^n must be an int, got True$"),
+        ("n", 2.5, "^n must be an int, got 2.5$"),
+        ("n", "2", "^n must be an int, got '2'$"),
+        ("n_max", True, "^n_max must be an int, got True$"),
+        ("n_max", 2.5, "^n_max must be an int, got 2.5$"),
+        ("epsilon_star", "0.1", "^epsilon_star must be a real number, got '0.1'$"),
+        ("epsilon_star", None, "^epsilon_star must be a real number, got None$"),
+        ("epsilon_star", True, "^epsilon_star must be a real number, got True$"),
+    ], ids=["bool-n", "float-n", "string-n", "bool-n_max", "float-n_max", "string-epsilon",
+            "none-epsilon", "bool-epsilon"])
+    def test_order_parameter_of_the_wrong_type_rejected(self, field, value, message):
+        # n = True once ran as n = 1 under the label hocmim-nTrue, n = 2.5 and
+        # n_max = 2.5 failed inside selection, and epsilon_star "0.1" raised a
+        # bare TypeError from the range check
+        with pytest.raises(CriterionError, match=message):
+            Criterion(kind="hocmim", **{field: value})
+
+    @pytest.mark.parametrize("beta", ["1", True, np.True_], ids=["string", "bool", "numpy-bool"])
+    def test_beta_that_is_not_a_real_number_rejected(self, beta):
+        with pytest.raises(CriterionError, match=f"^beta must be a real number, got {beta!r}$"):
+            Criterion(kind="mifs", beta=beta)
+
+    def test_numpy_numbers_accepted_as_plain_values(self):
+        c = Criterion(kind="hocmim", n=np.int64(2), n_max=np.int32(4),
+                      epsilon_star=np.float64(0.1))
+        assert type(c.n) is int and type(c.n_max) is int
+        assert c == Criterion(kind="hocmim", n=2, n_max=4, epsilon_star=0.1)
+        assert c.label == "hocmim-n2"
+        assert Criterion(kind="mifs", beta=np.float32(0.5)).label == "mifs-b0.5"
+
     def test_inline_order_conflicts_with_n(self):
         with pytest.raises(CriterionError, match="fixes the order"):
             parse_criterion("hocmim-n2", n=3)

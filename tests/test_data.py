@@ -783,16 +783,29 @@ class TestSplits:
         (SplitSpec(0.5, seed=True, n_repeats=2), "^seed must be an int, got True$"),
         (SplitSpec(0.5, seed=None, n_repeats=2), "^seed must be an int, got None$"),
         (SplitSpec(0.5, seed=-1, n_repeats=2), "^seed must be >= 0, got -1$"),
+        (SplitSpec("0.5", seed=0, n_repeats=2),
+         "^train_fraction must be a real number, got '0.5'$"),
+        (SplitSpec(None, seed=0, n_repeats=2), "^train_fraction must be a real number, got None$"),
+        (SplitSpec(True, seed=0, n_repeats=2), "^train_fraction must be a real number, got True$"),
+        (SplitSpec(np.True_, seed=0, n_repeats=2),
+         "^train_fraction must be a real number, got np.True_$"),
     ], ids=["zero-repeats", "negative-repeats", "nan-fraction", "inf-fraction",
             "float-repeats", "bool-repeats", "float-seed", "bool-seed", "none-seed",
-            "negative-seed"])
+            "negative-seed", "string-fraction", "none-fraction", "bool-fraction",
+            "numpy-bool-fraction"])
     def test_degenerate_spec_rejected(self, spec, message):
         # no repeats once gave an empty split list, and a non-finite fraction
         # a bare conversion error from math.floor; 2.5 repeats raised a bare
         # TypeError from range, seed 1.5 and -1 numpy's SeedSequence errors,
-        # seed True ran as seed 1, and seed None drew fresh entropy each call
+        # seed True ran as seed 1, and seed None drew fresh entropy each call;
+        # a fraction "0.5" or None raised a bare TypeError from math.isfinite
         with pytest.raises(DataError, match=message):
             make_splits(10, spec)
+
+    def test_numpy_float_fraction_accepted(self):
+        got = make_splits(20, SplitSpec(np.float64(0.5), seed=9, n_repeats=2))
+        want = make_splits(20, SplitSpec(0.5, seed=9, n_repeats=2))
+        assert all(np.array_equal(a, b) for pair in zip(got, want) for a, b in zip(*pair))
 
     def test_numpy_integer_fields_accepted(self):
         got = make_splits(20, SplitSpec(0.5, seed=np.int64(9), n_repeats=np.int32(3)))

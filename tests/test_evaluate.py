@@ -67,17 +67,6 @@ class TestKnn:
         assert errs[(4,)] == pytest.approx(0.8)
         assert errs[(0, 1, 2, 3)] < errs[(4,)]
 
-    @pytest.mark.parametrize("change, message", [
-        ({"train_labels": np.array([0, -1]), "n_classes": 2},
-         r"training labels must lie in \[0, 2\)"),
-        ({"n_classes": 1}, r"training labels must lie in \[0, 1\)"),
-    ], ids=["negative-label", "label-above-classes"])
-    def test_malformed_input_rejected(self, change, message):
-        args = {"train_codes": np.array([[0, 0], [2, 1]]), "train_labels": np.array([0, 1]),
-                "test_codes": np.array([[1, 0]]), "order": [0, 1], "k": 1, "n_classes": 2}
-        with pytest.raises(ValueError, match=message):
-            evaluate._knn_predict(**{**args, **change})
-
 
 def brute_knn(train, labels, test, k, n_classes):
     """Float squared distances, (distance, index) order by lexsort, one vote per row."""
@@ -90,9 +79,14 @@ def brute_knn(train, labels, test, k, n_classes):
     return np.array(preds, dtype=np.int64)
 
 
-#: column spans: 181**2 is the largest square within int16 and 182**2 the
-#: smallest above it; 2**20 sends any column set to the int64 path
+#: column spans: 181**2 is the largest square below the int16 maximum and
+#: 182**2 the smallest above it; 2**20 sends any column set to int64 distances
 SPANS = (0, 1, 2, 3, 181, 182, 2 ** 20)
+
+
+def reach_of(train, test):
+    """The sum of each column's squared maximum code over both sides."""
+    return sum(int(top) ** 2 for top in np.vstack([train, test]).max(axis=0))
 
 
 @st.composite
@@ -103,8 +97,10 @@ def knn_cases(draw):
     n_classes = draw(st.integers(2, 5))
     train_cols, test_cols = [], []
     for _ in range(draw(st.integers(1, 4))):
-        low = draw(st.integers(-1000, 1000))
         span = draw(st.sampled_from(SPANS))
+        # codes are at least 0; the 181 and 182 spans start there, so their
+        # squared maxima fall on either side of the int16 maximum
+        low = 0 if span in (181, 182) else draw(st.integers(0, 1000))
         values = st.integers(low, low + span)
         train_cols.append(draw(st.lists(values, min_size=n_train, max_size=n_train)))
         test_cols.append(draw(st.lists(values, min_size=n_test, max_size=n_test)))
@@ -119,10 +115,11 @@ def _case(train_cols, test_cols, labels, k, n_classes=2):
             np.array(test_cols, np.int64).T, k, n_classes)
 
 
-#: the sum of squared spans (181, 2, 1, 1) is the int16 maximum, 32,767, and
-#: the three rows after the first lie at that distance from the test row: a
-#: pass that marked its pick with a sentinel equal to a real distance would
-#: pick the first row again and vote 1, where the nearest rows vote 0
+#: the sum of the squared maxima (181, 2, 1, 1) is the int16 maximum, 32,767,
+#: so the distances are int64, and the three rows after the first lie at that
+#: distance from the test row: a pass that marked its pick with int16's
+#: maximum would pick the first row again and vote 1, where the nearest rows
+#: vote 0
 AT_INT16_MAX = [[0, 181, 181, 181], [0, 2, 2, 2], [0, 1, 1, 1], [0, 1, 1, 1]]
 
 
@@ -140,24 +137,24 @@ def kernel_examples(test):
 
 
 def selection_path(path):
-    """Patch the kernel onto one way of picking the k nearest rows: "argmin"
-    wherever its sentinel is exact (at any k and n_train), "partition" always."""
+    """Patch the kernel onto one way of picking the k nearest rows at any k
+    and n_train: "argmin" or "partition"."""
     if path == "argmin":
         return mock.patch.multiple(evaluate, _MAX_PASSES=10 ** 9, _ROWS_PER_PASS=0)
     return mock.patch.multiple(evaluate, _MAX_PASSES=0)
 
 
 def check_kernel(case):
-    """Every prefix of ``_knn_predict`` against brute force."""
+    """Every prefix of ``_knn_predict`` against brute force, and the ``reach``
+    it plans with and the distance dtype that gives."""
     train, labels, test, k, n_classes = case
     d = train.shape[1]
-    both = np.vstack([train, test])
-    reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
-    narrowed, _, got_reach = evaluate._shift_and_narrow(train, test, list(range(d)))
-    assert narrowed.dtype == (np.int16 if reach <= 32767 else np.int64)
-    assert got_reach == reach
-    with mock.patch.object(evaluate, "_BLOCK", 3):
+    with mock.patch.object(evaluate, "_BLOCK", 3), \
+            mock.patch.object(evaluate, "_plan", wraps=evaluate._plan) as plan:
         prefixes = evaluate._knn_predict(train, labels, test, list(range(d)), k, n_classes)
+    reach = reach_of(train, test)
+    assert plan.call_args.args == (reach, len(train), min(k, len(train)))
+    assert evaluate._plan(*plan.call_args.args)[0] is (np.int16 if reach < 32767 else np.int64)
     assert prefixes.shape == (d, len(test))
     for size in range(1, d + 1):
         want = brute_knn(train[:, :size], labels, test[:, :size], k, n_classes)
@@ -181,11 +178,8 @@ class TestKnnKernel:
         # n_train <= 40 seldom takes the argmin path on its own
         train, _, test, k, _ = case
         with selection_path(path):
-            both = np.vstack([train, test])
-            reach = int(((both.max(axis=0) - both.min(axis=0)) ** 2).sum())
-            dtype = np.int16 if reach <= 32767 else np.int64
-            assert evaluate._by_argmin(min(k, len(train)), len(train), reach, dtype) == \
-                (path == "argmin" and reach < np.iinfo(dtype).max)
+            _, keys = evaluate._plan(reach_of(train, test), len(train), min(k, len(train)))
+            assert (keys is None) == (path == "argmin")
             check_kernel(case)
 
     @pytest.mark.parametrize("k, n_train, reach, dtype, argmin", [
@@ -198,11 +192,12 @@ class TestKnnKernel:
         (4, 1200, 2 ** 40, np.int64, True),
         (5, 10 ** 6, 96, np.int16, False),
         (1, 1000, 32766, np.int16, True),
-        (1, 1000, 32767, np.int16, False),       # the sentinel would equal a distance
-        (3, 1000, 32767, np.int16, False),
+        (1, 1000, 32767, np.int64, True),        # int16's maximum would equal a distance
+        (3, 1000, 32767, np.int64, True),
     ])
     def test_selection_path_rule(self, k, n_train, reach, dtype, argmin):
-        assert evaluate._by_argmin(k, n_train, reach, dtype) is argmin
+        distances, keys = evaluate._plan(reach, n_train, k)
+        assert distances is dtype and (keys is None) is argmin
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_small_k_on_many_rows_takes_argmin(self, k):
@@ -253,30 +248,29 @@ class TestKnnKernel:
         (2 ** 62 - 1, 2, np.int64),        # largest key 2**63 - 1
     ])
     def test_key_dtype_boundary(self, reach, n_train, dtype):
-        assert evaluate._key_dtype(reach, n_train) is dtype
+        # k = 5 takes the partition, which keys the distances
+        assert evaluate._plan(reach, n_train, 5)[1] is dtype
 
     @pytest.mark.parametrize("reach, n_train", [(2 ** 62, 2), (2 ** 63 - 1, 2)])
     def test_key_beyond_int64_rejected(self, reach, n_train):
-        with pytest.raises(ValueError, match="too wide"):
-            evaluate._key_dtype(reach, n_train)
-
-    def test_empty_test_set(self):
-        preds = knn(np.array([[0], [1]]), np.array([0, 1]), np.zeros((0, 1), int), k=1)
-        assert preds.shape == (0,)
+        for k in (1, 5):                   # argmin passes, then the partition
+            with pytest.raises(ValueError, match="too wide"):
+                evaluate._plan(reach, n_train, k)
 
     def test_narrow_dtype_codes(self):
-        # int8 codes whose differences leave the int8 range
-        train = np.array([[-100], [100]], np.int8)
-        preds = knn(train, np.array([0, 1]), np.array([[99]], np.int8), k=1)
+        # uint8 codes whose differences leave the uint8 range
+        train = np.array([[0], [150]], np.uint8)
+        preds = knn(train, np.array([0, 1]), np.array([[149]], np.uint8), k=1)
         assert preds.tolist() == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_key_beyond_int64_rejected_on_argmin_path(self, k):
-        # the distances fit in int64 and the rule would pick argmin passes,
-        # which need no keys, yet the input is rejected as on the partition path
+        # the distances fit in int64, and at this k on 1,200 rows the rule
+        # picks argmin passes, which need no keys; yet the input is rejected
+        # as on the partition path
         train = np.zeros((1200, 1), np.int64)
         train[0] = 2 ** 31
-        assert evaluate._by_argmin(k, 1200, 2 ** 62, np.int64)
+        assert evaluate._plan(0, 1200, k)[1] is None
         with pytest.raises(ValueError, match="too wide for exact int64 distance keys"):
             knn(train, np.arange(1200) % 2, np.array([[1]]), k=k)
 
@@ -635,11 +629,23 @@ class TestBenchmark:
             benchmark(toy_table(), [parse_criterion("mim"), parse_criterion("cmim")],
                       SplitSpec(0.5, seed=0, n_repeats=2), k_max=k_max)
 
-    def test_numpy_integers_reported_as_ints(self):
-        # a numpy k_max, seed, repeat count or bin count once stayed in the
-        # meta, which json cannot write
+    def test_k_max_above_feature_count_rejected_before_binning(self, monkeypatch):
+        # 6 on the five toy features once binned a split, then failed inside
+        # selection as "K must be in [1, 5], got 6"
         criteria = [parse_criterion("mim"), parse_criterion("cmim")]
-        got = benchmark(toy_table(), criteria, SplitSpec(0.5, np.int64(3), np.int32(2)),
+        spec = SplitSpec(0.5, seed=0, n_repeats=2)
+        monkeypatch.setattr(evaluate, "_fit", mock.Mock(side_effect=AssertionError("binned")))
+        with pytest.raises(ValueError, match=r"^k_max must be <= 5, the feature count, got 6$"):
+            benchmark(toy_table(), criteria, spec, k_max=6)
+        monkeypatch.undo()
+        assert benchmark(toy_table(), criteria, spec, k_max=5).errors.shape == (2, 2, 5)
+
+    def test_numpy_integers_reported_as_ints(self):
+        # a numpy k_max, seed, repeat count, bin count or float32 train
+        # fraction once stayed in the meta, which json cannot write
+        criteria = [parse_criterion("mim"), parse_criterion("cmim")]
+        got = benchmark(toy_table(), criteria,
+                        SplitSpec(np.float32(0.5), np.int64(3), np.int32(2)),
                         k_max=np.int64(2), n_bins=np.int64(4))
         want = benchmark(toy_table(), criteria, SplitSpec(0.5, 3, 2), k_max=2, n_bins=4)
         assert got.to_json() == want.to_json()
