@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
@@ -60,27 +61,95 @@ def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
     return rows.astype(np.int64, copy=False)
 
 
+class _Codes(dict):
+    """label -> code, numbered in order of first appearance as labels are looked up."""
+
+    def __missing__(self, label):
+        code = self[label] = len(self)
+        return code
+
+
+@dataclass(frozen=True, eq=False)
+class LabelColumn:
+    """A categorical column: each row's int32 code and the labels in code order.
+
+    Codes are numbered in order of first appearance down the rows, so code c
+    first appears before code c + 1, and every label is on some row.
+    ``load_csv`` builds one from its coders; ``of`` codes a list of labels.
+    Its length is the number of rows; iterating gives each row's label.
+    """
+
+    codes: np.ndarray                   # (n_rows,) int32
+    labels: tuple[str, ...]
+
+    @classmethod
+    def of(cls, labels) -> "LabelColumn":
+        """The labels, as given, numbered in order of first appearance."""
+        seen = _Codes()
+        codes = np.fromiter(map(seen.__getitem__, labels), np.int32)
+        return cls(codes, tuple(seen))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.labels.__getitem__, self.codes.tolist())
+
+    def __sizeof__(self) -> int:
+        # the codes and the label tuple; the label strings are shared, not owned
+        return object.__sizeof__(self) + self.codes.nbytes + sys.getsizeof(self.labels)
+
+    def first_appearance(self, rows=None) -> tuple[dict, np.ndarray]:
+        """label -> code in order of first appearance on ``rows`` (all when
+        None), and the codes of those rows.
+
+        On all rows the codes already are those codes.  On a subset, one
+        ``np.unique`` finds where each code first appears and renumbers the
+        codes in that order; ``rows`` may be unsorted or repeat.
+        """
+        if rows is None:
+            return dict(zip(self.labels, range(len(self.labels)))), self.codes
+        codes = self.codes[rows]
+        present, first = np.unique(codes, return_index=True)
+        present = present[np.argsort(first)]
+        renumber = np.empty(len(self.labels), np.int32)
+        renumber[present] = np.arange(len(present), dtype=np.int32)
+        labels = map(self.labels.__getitem__, present.tolist())
+        return dict(zip(labels, range(len(present)))), renumber[codes]
+
+
 @dataclass(frozen=True)
 class RawTable:
     """A loaded table: named columns, each numeric or categorical.
 
-    ``numeric`` columns hold float arrays, ``categorical`` columns hold lists
-    of string labels.  The target column is kept alongside the features and
-    must be categorical or integer-valued numeric.
+    ``numeric`` columns hold float arrays, ``categorical`` columns a
+    ``LabelColumn``: each row's code and the labels in code order.  Any other
+    sequence of labels given for a categorical column is coded here, once.
+    The target column is kept alongside the features and must be categorical
+    or integer-valued numeric.
     """
 
     names: tuple[str, ...]
     kinds: tuple[str, ...]              # "numeric" | "categorical", per column
-    columns: tuple[object, ...]         # np.ndarray (float) or list[str]
+    columns: tuple[object, ...]         # np.ndarray (float) or LabelColumn
     target_name: str
     n_rows: int
+
+    def __post_init__(self):
+        if len(self.kinds) != len(self.columns):
+            raise DataError(f"{len(self.kinds)} kinds for {len(self.columns)} columns")
+        object.__setattr__(self, "columns", tuple(
+            LabelColumn.of(col) if kind == "categorical" and not isinstance(col, LabelColumn)
+            else col for kind, col in zip(self.kinds, self.columns)))
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.names if n != self.target_name)
 
     def column(self, name: str):
-        return self.columns[self.names.index(name)]
+        """A numeric column's float array, or a categorical column's labels as a list."""
+        col = self.columns[self.names.index(name)]
+        return list(col) if isinstance(col, LabelColumn) else col
 
     def kind(self, name: str) -> str:
         return self.kinds[self.names.index(name)]
@@ -95,8 +164,8 @@ class ColumnSpec:
     rows, of the occupied bin nearest to raw bin r, the lower one on a tie
     (arity = number of occupied bins), held in ``_narrow_dtype(arity)`` so
     that a lookup gives narrow codes.  Categorical columns carry a label ->
-    code map in first-appearance order, with one extra code reserved for
-    labels unseen at fit time.
+    code map in first-appearance order on the fitting rows, with one extra
+    code reserved for labels unseen at fit time.
     """
 
     kind: str
@@ -105,12 +174,21 @@ class ColumnSpec:
     labels: dict[str, int] | None = None          # categorical: label -> code
     arity: int = 1
 
-    def encode(self, values) -> np.ndarray:
+    def encode(self, column, rows=None) -> np.ndarray:
+        """The codes of ``column`` (a float array, or a ``LabelColumn``) on
+        ``rows`` (all when None); a categorical column's labels go through
+        ``labels`` once each, as a lookup table for its codes."""
         if self.kind == "numeric":
-            return self.codes[raw_bins(np.asarray(values, dtype=float), self.edges)]
-        unknown = len(self.labels)
-        return np.fromiter(map(self.labels.get, values, repeat(unknown)),
-                           _narrow_dtype(self.arity), len(values))
+            values = np.asarray(column, dtype=float)
+            return self.codes[raw_bins(values if rows is None else values[rows], self.edges)]
+        table = _label_table(column.labels, self.labels, _narrow_dtype(self.arity))
+        return table[column.codes if rows is None else column.codes[rows]]
+
+
+def _label_table(labels, codes: dict, dtype) -> np.ndarray:
+    """Each of ``labels``' code in ``codes``, or ``len(codes)`` for one not in it."""
+    unseen = len(codes)
+    return np.fromiter(map(codes.get, labels, repeat(unseen)), dtype, len(labels))
 
 
 @dataclass(frozen=True)
@@ -213,17 +291,21 @@ def load_csv(path, target_name: str) -> RawTable:
     The first ``_CHUNK_ROWS`` rows are parsed by ``csv``, and fix each
     column's kind.  The rows after them go to numpy's C reader in blocks of
     whole lines, about ``_BLOCK_CHARS`` characters each, with float64 fields
-    for numeric columns and ``object`` fields for labels.  A block is kept
-    only when the C reader can vouch that ``csv`` would read it the same way
-    and that it holds no error (see ``_parse_block``).  The first block that
-    fails a check, and everything after it, is parsed by ``csv`` again,
+    for numeric columns and int32 fields for labels, which each label
+    column's coder fills as a converter.  A block is kept only when the C
+    reader can vouch that ``csv`` would read it the same way and that it
+    holds no error (see ``_parse_block``).  The first block that fails a
+    check, and everything after it, is parsed by ``csv`` again,
     ``_CHUNK_ROWS`` rows at a time, so every error is ``csv``'s.  No row list
     is kept, so memory is bounded by one block or chunk plus the typed
     columns.  A chunk is kept cache-sized: turning thousands of rows of cells
-    into columns misses the cache and is slower, not faster.  A numeric
-    column grows by one float64 array per block or chunk.  A categorical
-    column holds its stripped labels, one shared ``str`` per distinct label,
-    looked up by raw cell so that a cell seen before is not stripped again.
+    into columns misses the cache and is slower, not faster.  Each column
+    grows by one array per block or chunk: float64 values for a numeric
+    column, int32 codes for a categorical one.  A categorical column's cells,
+    on both paths, go through one ``_Coder``, which numbers stripped labels
+    in order of first appearance and looks them up by raw cell, so that a
+    cell seen before is not stripped again; the column comes out as a
+    ``LabelColumn`` of those codes and its labels in code order.
     Each column's kind is fixed for a whole pass over the text: a column that
     turns categorical after the first chunk ends the pass, and the text is
     parsed again from the top with that column read as labels from row 1, so
@@ -257,25 +339,27 @@ def _read_table(fh, target_name: str, late: set) -> RawTable | None:
     if target_name not in header:
         _fail(reader, f"target column {target_name!r} not in header {header}")
     numeric = [j not in late for j in range(len(header))]
-    parts = [[] for _ in header]        # numeric: one array per chunk; categorical: labels
-    interned = [_Labels() for _ in header]
+    parts = [[] for _ in header]        # one float64 or int32 code array per chunk or block
+    coders = [_Coder() for _ in header]
     n_rows = 0
     while chunk:
-        converted, error = _convert_chunk(chunk, header, numeric, n_rows, interned)
+        converted, error = _convert_chunk(chunk, header, numeric, n_rows, coders)
         if error:
             _fail(reader, error)
-        turned = [j for j, col in enumerate(converted) if numeric[j] and isinstance(col, list)]
+        turned = [j for j, col in enumerate(converted) if numeric[j] and col.dtype == np.int32]
         if turned and n_rows:
             late.update(turned)
             return None
         for j in turned:
             numeric[j] = False
-        _append(parts, numeric, converted)
+        _append(parts, converted)
+        first = not n_rows
         n_rows += len(chunk)
-        if n_rows == len(chunk):
+        del chunk                       # its cell strings go before more rows are read
+        if first:
             # the first chunk fixed the kinds: the rows after it go through
             # numpy's C reader while it can vouch for each block, then back here
-            n_fast, rest = _read_blocks(fh, numeric, parts, interned)
+            n_fast, rest = _read_blocks(fh, numeric, parts, coders)
             n_rows += n_fast
             reader = csv.reader(chain(rest, fh))
         # chunks keep to multiples of _CHUNK_ROWS, so a late column ends the same pass
@@ -283,7 +367,8 @@ def _read_table(fh, target_name: str, late: set) -> RawTable | None:
 
     columns = []
     for j, is_numeric in enumerate(numeric):
-        columns.append(np.concatenate(parts[j]) if is_numeric else parts[j])
+        col = np.concatenate(parts[j])
+        columns.append(col if is_numeric else LabelColumn(col, tuple(coders[j].labels)))
         parts[j] = None                 # its chunk arrays go before the next column is joined
     kinds = tuple("numeric" if is_numeric else "categorical" for is_numeric in numeric)
     return RawTable(tuple(header), kinds, tuple(columns), target_name, n_rows)
@@ -297,97 +382,118 @@ def _fail(reader, message: str):
     raise DataError(message)
 
 
-def _append(parts, numeric, columns):
-    """Add one piece of rows to ``parts``: a numeric column's float64 array as
-    one more array, a categorical column's labels to its list."""
-    for j, col in enumerate(columns):
-        if numeric[j]:
-            parts[j].append(col)
-        else:
-            parts[j].extend(col)
+def _append(parts, columns):
+    """Add one piece of rows to ``parts``, one array per column."""
+    for part, col in zip(parts, columns):
+        part.append(col)
 
 
-def _read_blocks(fh, numeric, parts, interned):
+def _read_blocks(fh, numeric, parts, coders):
     """Read ``fh`` on in blocks of whole lines, each about ``_BLOCK_CHARS``
     characters, and add each block's columns to ``parts`` while
     ``_parse_block`` vouches for it.  Returns the number of rows added and
     the lines of the first block it did not vouch for (none at the end of
     the text), which the caller parses again with ``csv``."""
-    dtype = np.dtype([(f"c{j}", float if is_numeric else object)
+    dtype = np.dtype([(f"c{j}", float if is_numeric else np.int32)
                       for j, is_numeric in enumerate(numeric)])
+    labels = {j: coder for j, coder in enumerate(coders) if not numeric[j]}
     n_rows = 0
     # readlines gives the lines that iterating over fh gives, read in the same
     # pieces, so a decoding error reads as it would from csv
     while lines := fh.readlines(_BLOCK_CHARS):
-        columns = _parse_block(lines, dtype, interned)
+        columns = _parse_block(lines, dtype, labels)
         if columns is None:
             return n_rows, lines
-        _append(parts, numeric, columns)
+        _append(parts, columns)
         n_rows += len(lines)
     return n_rows, []
 
 
-def _parse_block(lines, dtype, interned):
+def _parse_block(lines, dtype, labels):
     """The block's columns, as ``_convert_chunk`` gives them for the same rows
     when each column's kind is the one in ``dtype`` (float64 for numeric,
-    object for labels); or None unless every check below holds.
+    int32 codes for labels); or None unless every check below holds.
 
     ``np.loadtxt`` splits on commas only, and accepts a subset of the cells
-    that ``float`` accepts, at the same values.  The checks leave it the
-    blocks on which that matches ``csv``: no quote, carriage return or NUL;
-    no line so long that ``csv`` would refuse a cell; no blank line, which
+    that ``float`` accepts, at the same values.  ``labels`` maps each label
+    column's index to its coder, which ``loadtxt`` calls as a converter with
+    the raw cell, for the code of its stripped label.  The checks leave it the
+    blocks on which that matches ``csv``: no quote or NUL; no carriage return
+    but in a CRLF line end, which both readers end a row at; no line
+    so long that ``csv`` would refuse a cell; no blank line, which
     ``loadtxt`` would skip where ``csv`` reports a ragged row, and one row
     per line; numbers that are all finite and labels none empty.
+
+    A block refused after ``loadtxt`` has coded some of its labels leaves
+    them in the coders.  They keep their codes: they were met in row order,
+    on the rows that ``csv`` reads next, with the same cells.
     """
     block = "".join(lines)
-    if '"' in block or "\r" in block or "\0" in block or block[0] == "\n" \
-            or "\n\n" in block or len(block) > csv.field_size_limit():
+    # readlines ends a line at a bare "\r" too, so every "\r" ends a line
+    if "\r" in block and any(line[-1] == "\r" for line in lines):
+        return None
+    # a blank line is a line of "\n" or "\r\n" alone (finding "\n\n" in the
+    # block took some ten times as long)
+    if '"' in block or "\0" in block or "\n" in lines or "\r\n" in lines \
+            or len(block) > csv.field_size_limit():
         return None
     try:
-        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        # encoding=None hands the converters str cells; before numpy 2.0 the
+        # default, "bytes", handed them latin1-encoded bytes
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                           encoding=None,
+                           converters={j: coder.__getitem__ for j, coder in labels.items()})
     except ValueError:
         return None
-    if len(table) != len(lines):
+    # a cell that strips to nothing puts "" among a coder's keys, and any
+    # earlier one has already raised its missing value
+    if len(table) != len(lines) or any("" in coder for coder in labels.values()):
         return None
     columns = []
-    for name, labels in zip(dtype.names, interned):
-        col = table[name]
-        if col.dtype == object:
-            col = list(map(labels.__getitem__, col.tolist()))
-            # a cell that strips to nothing puts "" among the keys, and any
-            # earlier one has already raised its missing value
-            if "" in labels:
-                return None
-        else:
-            col = col.copy()            # one contiguous array per column
-            if not np.isfinite(col).all():
-                return None
+    for j, name in enumerate(dtype.names):
+        col = table[name].copy()        # one contiguous array per column
+        if j not in labels and not np.isfinite(col).all():
+            return None
         columns.append(col)
     return columns
 
 
-class _Labels(dict):
-    """One column's raw cell -> its stripped label, one shared ``str`` per label.
+class _Coder(dict):
+    """One label column's raw cell -> the code of its stripped label, codes
+    numbered in order of first appearance; ``labels`` holds the labels in
+    code order.
 
-    A hit is one dict lookup; only a cell not seen before is stripped.
+    A hit is one dict lookup; only a cell not seen before is stripped.  The
+    stripped form is a key of its own, so every raw form of a label shares
+    its code.  ``load_csv``'s ``csv`` chunks and C-reader blocks number a
+    column's cells through the same coder.
     """
+
+    __slots__ = ("labels",)
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
 
     def __missing__(self, cell):
         label = cell.strip()
         if label != cell:
-            label = self[label]         # the shared str of the stripped form
-        self[cell] = label
-        return label
+            code = self[label]
+        else:
+            code = len(self.labels)
+            self.labels.append(label)
+        self[cell] = code
+        return code
 
 
-def _convert_chunk(chunk, header, numeric, first_row, interned):
+def _convert_chunk(chunk, header, numeric, first_row, coders):
     """One chunk's columns, or its first ragged row or missing cell.
 
     Returns ``(columns, None)``: a column whose ``numeric`` flag is set and
     whose cells all parse as finite floats becomes a float64 array, any other
-    a list of its labels from ``interned``.  Or returns ``(None, message)``
-    for the first ragged row or missing cell in row-major order.
-    ``first_row`` is the chunk's offset among the data rows.
+    the int32 codes of its labels from ``coders``.  Or returns
+    ``(None, message)`` for the first ragged row or missing cell in row-major
+    order.  ``first_row`` is the chunk's offset among the data rows.
     """
     width = len(header)
     good = len(chunk)
@@ -398,16 +504,19 @@ def _convert_chunk(chunk, header, numeric, first_row, interned):
         # float() ignores surrounding whitespace and rejects a blank cell
         values = _finite_floats(cells) if numeric[j] else None
         if values is None:
-            cells = list(map(interned[j].__getitem__, cells))
+            coder = coders[j]
+            codes = np.fromiter(map(coder.__getitem__, cells), np.int32, len(cells))
+            blank = coder.get("")
             # str.strip() also removes the separators \x1c-\x1f, which float() rejects
-            if numeric[j] and "" not in cells:
-                values = _finite_floats(cells)
+            if numeric[j] and blank is None:
+                values = _finite_floats([coder.labels[c] for c in codes.tolist()])
         if values is not None:
             columns.append(values)
             continue
-        if "" in cells and (missing is None or cells.index("") < missing[0]):
-            missing = (cells.index(""), j)
-        columns.append(cells)
+        at = np.flatnonzero(codes == blank) if blank is not None else ()
+        if len(at) and (missing is None or at[0] < missing[0]):
+            missing = (int(at[0]), j)
+        columns.append(codes)
     if missing is not None:
         row, j = missing
         return None, f"missing value at row {first_row + row + 2}, column {header[j]!r}"
@@ -454,36 +563,31 @@ def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def _integer_target(values) -> np.ndarray:
-    """Numeric target values as floats, checked to be integer-valued."""
+    """Numeric target values as floats, checked to be finite and integer-valued."""
     values = np.asarray(values, dtype=float)
-    if not np.all(values == np.round(values)):
+    if not (np.isfinite(values).all() and np.all(values == np.round(values))):
         raise BinningError("target column must be categorical or integer-valued")
     return values
 
 
-class _Codes(dict):
-    """label -> code, numbered in order of first appearance as labels are looked up."""
-
-    def __missing__(self, label):
-        code = self[label] = len(self)
-        return code
-
-
-def _first_appearance(labels, rows=None) -> tuple[dict, np.ndarray]:
-    """label -> code in order of first appearance on ``rows`` (all when None),
-    and the int64 codes of those rows, from one dict pass."""
-    n = len(labels) if rows is None else len(rows)
-    if rows is not None:
-        labels = map(labels.__getitem__, rows.tolist())
-    seen = _Codes()
-    codes = np.fromiter(map(seen.__getitem__, labels), np.int64, n)
-    return dict(seen), codes
+def _class_codes(values: np.ndarray, target_labels: dict) -> np.ndarray:
+    """Integer-valued target values' int64 codes in ``target_labels`` (class
+    value -> code), or ``len(target_labels)`` for a class not in it, by one
+    ``searchsorted`` over the fitted classes.  A spec fit on a categorical
+    target has no numbers among its classes, so every value is unseen."""
+    fitted = sorted((k, v) for k, v in target_labels.items() if _is_real(k))
+    # the NaN after the fitted classes equals no value, so a value above them all is unseen
+    classes = np.array([k for k, _ in fitted] + [np.nan])
+    codes = np.array([v for _, v in fitted] + [len(target_labels)], dtype=np.int64)
+    pos = np.searchsorted(classes[:-1], values)
+    return codes[np.where(classes[pos] == values, pos, len(fitted))]
 
 
 def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, np.ndarray]:
     """One feature column's transform, fit on ``rows`` (all when None), and the
-    codes of those rows in ``_narrow_dtype(arity)``: the fit's own raw bins or
-    label numbers, looked up once."""
+    codes of those rows in ``_narrow_dtype(arity)``: the fit's own raw bins,
+    looked up once, or the column's codes renumbered by first appearance on
+    ``rows``."""
     if kind == "numeric":
         values = np.asarray(values, dtype=float)
         if rows is not None:
@@ -498,7 +602,7 @@ def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, 
         codes = np.searchsorted(occupied[:-1] + occupied[1:],
                                 2 * np.arange(len(edges) + 1)).astype(_narrow_dtype(arity))
         return ColumnSpec("numeric", edges=edges, codes=codes, arity=arity), codes[raw]
-    labels, codes = _first_appearance(values, rows)
+    labels, codes = values.first_appearance(rows)
     # reserve one shared code for labels unseen at fit time
     arity = len(labels) + 1
     return (ColumnSpec("categorical", labels=labels, arity=arity),
@@ -552,14 +656,14 @@ def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, Discrete
         codes = _put_codes(codes, len(specs), col_codes)
         specs.append(spec)
 
-    tcol = table.column(table.target_name)
+    tcol = table.columns[table.names.index(table.target_name)]
     if table.kind(table.target_name) == "numeric":
         tvals = _integer_target(tcol if rows is None else np.asarray(tcol)[rows])
         classes, target = np.unique(tvals, return_inverse=True)
         target_labels = dict(zip(map(int, classes.tolist()), range(len(classes))))
-        target = target.astype(np.int64, copy=False)
     else:
-        target_labels, target = _first_appearance(tcol, rows)
+        target_labels, target = tcol.first_appearance(rows)
+    target = target.astype(np.int64, copy=False)
     spec = BinningSpec(n_bins, table.feature_names, tuple(specs), table.target_name,
                        target_labels)
     return spec, _dataset(spec, codes, target, len(target_labels))
@@ -594,19 +698,14 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     for j, (name, cspec) in enumerate(zip(spec.feature_names, spec.feature_specs)):
         if table.kind(name) != cspec.kind:
             raise BinningError(f"column {name!r} changed type since fitting")
-        col = table.column(name)
-        if rows is not None:
-            col = np.asarray(col)[rows] if cspec.kind == "numeric" else \
-                list(map(col.__getitem__, rows.tolist()))
-        codes = _put_codes(codes, j, cspec.encode(col))
+        codes = _put_codes(codes, j, cspec.encode(table.columns[table.names.index(name)], rows))
 
-    tcol = table.column(spec.target_name)
+    tcol = table.columns[table.names.index(spec.target_name)]
     if table.kind(spec.target_name) == "numeric":
-        raw = [int(v) for v in _integer_target(tcol)]
+        target = _class_codes(_integer_target(tcol), spec.target_labels)
     else:
-        raw = list(tcol)
+        target = _label_table(tcol.labels, spec.target_labels, np.int64)[tcol.codes]
     n_fit = len(spec.target_labels)
-    target = np.fromiter(map(spec.target_labels.get, raw, repeat(n_fit)), np.int64, len(raw))
     n_classes = n_fit + (1 if target.max(initial=-1) >= n_fit else 0)
     return _dataset(spec, codes, target if rows is None else target[rows], n_classes)
 
@@ -616,8 +715,9 @@ def discretize(table: RawTable, n_bins: int = 5) -> DiscreteDataset:
 
     Equal to ``apply_binning(table, fit_binning(table, n_bins))``, but each
     column is read once: the raw bins that fit a numeric column, looked up in
-    its code table, are its codes, and a categorical column's first-appearance
-    pass numbers its labels and its rows together.
+    its code table, are its codes, and a categorical column's codes, numbered
+    in order of first appearance as the column was loaded or built, already
+    are its codes, narrowed.
     """
     return _fit(table, n_bins)[1]
 

@@ -128,11 +128,15 @@ def _assert_same(got, want):
         return
     assert (got.names, got.kinds, got.target_name, got.n_rows) == \
         (want.names, want.kinds, want.target_name, want.n_rows)
-    for kind, a, b in zip(want.kinds, got.columns, want.columns):
+    for name, kind, a, b in zip(want.names, want.kinds, got.columns, want.columns):
         if kind == "numeric":
             assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
         else:
-            assert type(a) is list and a == b
+            labels = got.column(name)
+            assert type(labels) is list and labels == want.column(name)
+            # the codes are the labels' first-appearance codes, every label on some row
+            assert a.codes.dtype == np.int32 and len(a.labels) == len(set(labels))
+            assert a.codes.tolist() == ref_first_appearance(labels)
 
 
 NUMBERS = ("0", "1", "-2.5", " 3 ", "1_000", "1e3", "\t7", "0.1", "\x1c4")
@@ -413,15 +417,43 @@ class TestBlockReader:
         _assert_same(got, _error_or_table(ref_load_csv, p, "Y"))
 
     def test_crlf_line_ends_past_the_first_block(self, tmp_path):
+        # "\r\n" ends on every line, or from row 6,000 on, inside the second
+        # block: every row after the first chunk goes through the C reader
+        for start in (0, TRAP_ROW + 1):
+            lines = ["A,B,L,Y\n"] + [_plain_line(i) for i in range(PLAIN_ROWS)]
+            lines[start:] = [line[:-1] + "\r\n" for line in lines[start:]]
+            p = tmp_path / "crlf.csv"
+            p.write_bytes("".join(lines).encode())
+            calls = []
+            with _spy_blocks(calls):
+                got = load_csv(p, "Y")
+            assert [vouched for _, vouched in calls] == [True, True, True]
+            assert sum(len(block) for block, _ in calls) == PLAIN_ROWS - data._CHUNK_ROWS
+            _assert_same(got, ref_load_csv(p, "Y"))
+
+    @pytest.mark.parametrize("refusal", ["quoted label", "number loadtxt rejects"])
+    def test_label_codes_across_chunks_blocks_and_a_refusal(self, tmp_path, refusal):
+        # label L first shows new labels in the first chunk, in the first block,
+        # in the second block before the cell it is refused for (which loadtxt
+        # reaches only in the second case, after it has coded "new2"), and in
+        # csv chunks after that; each must take its first-appearance code
         lines = ["A,B,L,Y\n"] + [_plain_line(i) for i in range(PLAIN_ROWS)]
-        lines[TRAP_ROW + 1:] = [line[:-1] + "\r\n" for line in lines[TRAP_ROW + 1:]]
-        p = tmp_path / "crlf.csv"
+        for row, label in ((10, " pad"), (11, "pad"), (1_000, "new1 "), (1_001, "new1"),
+                           (5_000, "new2"), (5_300, "new3 "), (5_301, " red"), (8_000, "new4")):
+            lines[row + 1] = _set_cell(lines[row + 1], 2, label)
+        lines[5_101] = _set_cell(lines[5_101], *((2, '"new5"') if refusal == "quoted label"
+                                                 else (0, "1_000")))
+        p = tmp_path / "labels.csv"
         p.write_bytes("".join(lines).encode())
         calls = []
         with _spy_blocks(calls):
             got = load_csv(p, "Y")
         assert [vouched for _, vouched in calls] == [True, False]
-        _assert_same(got, ref_load_csv(p, "Y"))
+        want = ref_load_csv(p, "Y")
+        assert {"pad", "new1", "new2", "new3", "new4"} <= set(want.column("L"))
+        _assert_same(got, want)
+        col = got.columns[got.names.index("L")]
+        assert col.codes.tolist() == ref_first_appearance(want.column("L"))
 
     def test_quoted_newline_across_a_block_boundary(self, tmp_path):
         # row 8,449 opens its quote on the last line of the second block and
@@ -438,6 +470,33 @@ class TestBlockReader:
         want = ref_load_csv(p, "Y")
         assert want.column("L")[8_449] == "a\nb" and want.n_rows == PLAIN_ROWS
         _assert_same(got, want)
+
+    def test_coders_get_str_cells_under_the_numpy_1_loadtxt_default(self, tmp_path):
+        # before numpy 2.0, loadtxt defaults to encoding="bytes", which hands
+        # each converter latin1-encoded bytes unless the call asks for str
+        real_loadtxt, real_missing = np.loadtxt, data._Coder.__missing__
+        keys = []
+
+        def loadtxt(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return real_loadtxt(*args, **kwargs)
+
+        def missing(coder, cell):
+            keys.append(cell)
+            return real_missing(coder, cell)
+        lines = ["A,B,L,Y\n"] + [_plain_line(i) for i in range(PLAIN_ROWS)]
+        for row, label in ((10, "pad"), (1_000, " pad"), (5_000, "new "), (5_001, "é")):
+            lines[row + 1] = _set_cell(lines[row + 1], 2, label)
+        p = tmp_path / "plain.csv"
+        p.write_bytes("".join(lines).encode())
+        calls = []
+        with mock.patch.object(np, "loadtxt", loadtxt), _spy_blocks(calls), \
+                mock.patch.object(data._Coder, "__missing__", missing):
+            got = load_csv(p, "Y")
+        assert [vouched for _, vouched in calls] == [True, True, True]
+        assert {" pad", "new ", "é"} <= set(keys) and {type(key) for key in keys} == {str}
+        _assert_same(got, ref_load_csv(p, "Y"))
+        assert len(got.columns[got.names.index("L")]) == got.n_rows == PLAIN_ROWS
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=csv_files(), chunk_rows=st.integers(1, 3), block_chars=st.integers(1, 64),
@@ -864,6 +923,105 @@ class TestApplyToRows:
         table = RawTable(("A", "Y"), ("categorical", "numeric"),
                          (["0", "1", "2", "3"], np.zeros(4)), "Y", 4)
         with pytest.raises(BinningError, match="^column 'A' changed type since fitting$"):
+            apply_binning(table, fit_binning(fitted, 2))
+
+
+def _ref_fit(values, fit_rows):
+    """Per-cell reference for one column of labels or integer classes:
+    value -> code (labels in order of first appearance on ``fit_rows``,
+    integer classes in sorted order), and each value's code, the next code
+    for one not seen on ``fit_rows``."""
+    fit = [values[i] for i in fit_rows]
+    if isinstance(values, np.ndarray):
+        classes = sorted({int(v) for v in fit})
+        codes = dict(zip(classes, range(len(classes))))
+        return codes, [codes.get(int(v), len(codes)) for v in values]
+    codes = dict(zip(fit, ref_first_appearance(fit)))
+    return codes, [codes.get(v, len(codes)) for v in values]
+
+
+@st.composite
+def label_tables(draw):
+    """A table of label columns and a label or integer-valued target, fit
+    rows in any order with repeats (often missing some labels), and rows to
+    apply to.  In one table of four a column holds 256 to 300 labels, so its
+    codes need uint16."""
+    wide = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(256, 320)) if wide else draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        pool = LABELS[:draw(st.integers(1, len(LABELS)))]
+        cols.append([pool[i] for i in rng.integers(0, len(pool), n)])
+    if wide:
+        cols.insert(draw(st.integers(0, len(cols))), [f"w{i % 300}" for i in rng.permutation(n)])
+    kinds = ["categorical"] * len(cols)
+    if draw(st.booleans()):
+        kinds.append("numeric")
+        cols.append(rng.integers(-3, 4, n).astype(float))
+    else:
+        kinds.append("categorical")
+        cols.append([LABELS[i] for i in rng.integers(0, 3, n)])
+    names = tuple(f"F{j}" for j in range(len(cols) - 1)) + ("Y",)
+    fit_rows = rng.integers(0, n, draw(st.integers(1, 2 * n)))
+    rows = rng.integers(0, n, draw(st.integers(0, 2 * n)))
+    return RawTable(names, tuple(kinds), tuple(cols), "Y", n), fit_rows, rows
+
+
+class TestLabelBinning:
+    """discretize, fit_binning and apply_binning on label columns against a
+    per-cell first-appearance reference."""
+
+    @given(label_tables())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_per_cell_reference(self, case):
+        table, fit_rows, rows = case
+        n_features = len(table.feature_names)
+        ys = table.columns[-1]
+        ys = ys if isinstance(ys, np.ndarray) else table.column("Y")
+        for fit in (None, fit_rows):
+            fit_list = range(table.n_rows) if fit is None else fit.tolist()
+            want = [_ref_fit(table.column(name), fit_list) for name in table.feature_names]
+            arities = tuple(len(labels) + 1 for labels, _ in want)
+            target_labels, target = _ref_fit(ys, fit_list)
+            n_fit = len(target_labels)
+            spec = fit_binning(table, 5, fit)
+            for cspec, (labels, _) in zip(spec.feature_specs, want):
+                assert list(cspec.labels.items()) == list(labels.items())
+            assert list(spec.target_labels.items()) == list(target_labels.items())
+            got = [apply_binning(table, spec), apply_binning(table, spec, rows)]
+            if fit is None:
+                got.append(discretize(table, 5))
+            for ds, on in zip(got, (range(table.n_rows), rows.tolist(), range(table.n_rows))):
+                assert ds.codes.shape == (len(on), n_features)
+                assert ds.codes.dtype == narrow_dtype(arities) and ds.arities == arities
+                for j, (_, codes) in enumerate(want):
+                    assert ds.codes[:, j].tolist() == [codes[i] for i in on]
+                assert ds.target.dtype == np.int64
+                assert ds.target.tolist() == [target[i] for i in on]
+                assert ds.n_classes == n_fit + (max(target, default=0) >= n_fit)
+
+    def test_numeric_target_against_per_cell_lookup(self):
+        # classes 0 and 2 and a large one on the fit rows; -1, 1, 3 and 1e15 only outside
+        values = np.array([2.0, 0.0, 9e15, 2.0, -1.0, 1.0, 3.0, 1e15, 0.0, 9e15, -0.0])
+        table = RawTable(("A", "Y"), ("numeric",) * 2, (np.arange(11.0), values), "Y", 11)
+        spec = fit_binning(table, 2, [3, 0, 1, 2, 1])
+        assert spec.target_labels == {0: 0, 2: 1, 9_000_000_000_000_000: 2}
+        classes, want = _ref_fit(values, [3, 0, 1, 2, 1])
+        assert classes == spec.target_labels
+        ds = apply_binning(table, spec)
+        assert ds.target.dtype == np.int64 and ds.target.tolist() == want
+        assert ds.n_classes == 4
+        rows = [6, 2, 2]
+        assert apply_binning(table, spec, rows).target.tolist() == [want[i] for i in rows]
+
+    @pytest.mark.parametrize("bad", [0.5, np.inf, np.nan])
+    def test_non_integer_numeric_target_rejected_at_apply(self, bad):
+        fitted = RawTable(("A", "Y"), ("numeric",) * 2, (np.arange(3.0), np.zeros(3)), "Y", 3)
+        table = RawTable(("A", "Y"), ("numeric",) * 2,
+                         (np.arange(3.0), np.array([0.0, bad, 1.0])), "Y", 3)
+        with pytest.raises(BinningError,
+                           match="^target column must be categorical or integer-valued$"):
             apply_binning(table, fit_binning(fitted, 2))
 
 
