@@ -269,14 +269,15 @@ class SplitSpec:
     n_repeats: int = 30
 
 
-#: rows that ``load_csv`` parses with ``csv`` and converts at a time: the first
-#: chunk, which fixes each column's kind, and every chunk after a block that
-#: numpy's C reader could not vouch for.  256 rows of a few dozen columns are
-#: some 8,000 cell strings, which stay in cache while the chunk is transposed
-#: into columns (at 4,096 rows the transpose was 2.5x slower)
+#: rows that ``load_csv``'s loop parses with ``csv`` and converts at a time:
+#: the first chunk, which fixes each column's kind, and every chunk from the
+#: first block that numpy's C reader refuses on.  256 rows of a few dozen
+#: columns are some 8,000 cell strings, which stay in cache while the chunk is
+#: transposed into columns (at 4,096 rows the transpose was 2.5x slower)
 _CHUNK_ROWS = 256
-#: characters of whole lines that ``load_csv`` hands numpy's C reader at a
-#: time after the first chunk (a block ends with the line that passes this)
+#: characters of whole lines that the same loop hands numpy's C reader at a
+#: time, between the first chunk and the first block it refuses (a block ends
+#: with the line that passes this)
 _BLOCK_CHARS = 1 << 16
 
 
@@ -288,6 +289,7 @@ def load_csv(path, target_name: str) -> RawTable:
     names, and empty tables are hard errors; the first one row by row is
     reported, once the whole file has parsed as CSV.
 
+    One loop reads the text, one ``csv`` chunk or C-reader block at a time.
     The first ``_CHUNK_ROWS`` rows are parsed by ``csv``, and fix each
     column's kind.  The rows after them go to numpy's C reader in blocks of
     whole lines, about ``_BLOCK_CHARS`` characters each, with float64 fields
@@ -296,16 +298,18 @@ def load_csv(path, target_name: str) -> RawTable:
     reader can vouch that ``csv`` would read it the same way and that it
     holds no error (see ``_parse_block``).  The first block that fails a
     check, and everything after it, is parsed by ``csv`` again,
-    ``_CHUNK_ROWS`` rows at a time, so every error is ``csv``'s.  No row list
-    is kept, so memory is bounded by one block or chunk plus the typed
-    columns.  A chunk is kept cache-sized: turning thousands of rows of cells
-    into columns misses the cache and is slower, not faster.  Each column
-    grows by one array per block or chunk: float64 values for a numeric
-    column, int32 codes for a categorical one.  A categorical column's cells,
-    on both paths, go through one ``_Coder``, which numbers stripped labels
-    in order of first appearance and looks them up by raw cell, so that a
-    cell seen before is not stripped again; the column comes out as a
-    ``LabelColumn`` of those codes and its labels in code order.
+    ``_CHUNK_ROWS`` rows at a time, so every error is ``csv``'s; ``csv``
+    reads that block's lines through a list iterator, which drops them once
+    read.  No row list is kept, so memory is bounded by one block or chunk
+    plus the typed columns.  A chunk is kept cache-sized: turning thousands
+    of rows of cells into columns misses the cache and is slower, not
+    faster.  Each column grows by one array per block or chunk: float64
+    values for a numeric column, int32 codes for a categorical one.  A
+    categorical column's cells, on both paths, go through one ``_Coder``,
+    which numbers stripped labels in order of first appearance and looks
+    them up by raw cell, so that a cell seen before is not stripped again;
+    the column comes out as a ``LabelColumn`` of those codes and its labels
+    in code order.
     Each column's kind is fixed for a whole pass over the text: a column that
     turns categorical after the first chunk ends the pass, and the text is
     parsed again from the top with that column read as labels from row 1, so
@@ -342,30 +346,48 @@ def _read_table(fh, target_name: str, late: set) -> RawTable | None:
     parts = [[] for _ in header]        # one float64 or int32 code array per chunk or block
     coders = [_Coder() for _ in header]
     n_rows = 0
-    while chunk:
-        converted, error = _convert_chunk(chunk, header, numeric, n_rows, coders)
-        if error:
-            _fail(reader, error)
-        turned = [j for j, col in enumerate(converted) if numeric[j] and col.dtype == np.int32]
-        if turned and n_rows:
-            late.update(turned)
-            return None
-        for j in turned:
-            numeric[j] = False
-        _append(parts, converted)
-        first = not n_rows
-        n_rows += len(chunk)
-        del chunk                       # its cell strings go before more rows are read
-        if first:
-            # the first chunk fixed the kinds: the rows after it go through
-            # numpy's C reader while it can vouch for each block, then back here
-            n_fast, rest = _read_blocks(fh, numeric, parts, coders)
-            n_rows += n_fast
-            reader = csv.reader(chain(rest, fh))
-        # chunks keep to multiples of _CHUNK_ROWS, so a late column ends the same pass
-        chunk = list(islice(reader, _CHUNK_ROWS - n_rows % _CHUNK_ROWS))
+    dtype = None                        # the C reader's fields, while it reads the blocks
+    while True:
+        if dtype is not None:
+            # readlines gives the lines that iterating over fh gives, read in
+            # the same pieces, so a decoding error reads as it would from csv
+            lines = fh.readlines(_BLOCK_CHARS)
+            columns = _parse_block(lines, dtype, labels) if lines else None
+            if columns is None:
+                # csv reads on from the refused block (no lines at the end of
+                # the text); a list iterator drops its list once exhausted, so
+                # the block's lines go as soon as csv has read them
+                reader = csv.reader(chain(iter(lines), fh))
+                dtype = lines = None
+                continue
+            n_rows += len(lines)
+        else:
+            if n_rows:                  # the first chunk was read above
+                # chunks keep to multiples of _CHUNK_ROWS, so a late column ends the same pass
+                chunk = list(islice(reader, _CHUNK_ROWS - n_rows % _CHUNK_ROWS))
+                if not chunk:
+                    break
+            columns, error = _convert_chunk(chunk, header, numeric, n_rows, coders)
+            if error:
+                _fail(reader, error)
+            turned = [j for j, col in enumerate(columns) if numeric[j] and col.dtype == np.int32]
+            if turned and n_rows:
+                late.update(turned)
+                return None
+            if not n_rows:
+                # the first chunk fixed the kinds: the rows after it go to
+                # numpy's C reader while it can vouch for each block
+                for j in turned:
+                    numeric[j] = False
+                dtype = np.dtype([(f"c{j}", float if is_numeric else np.int32)
+                                  for j, is_numeric in enumerate(numeric)])
+                labels = {j: coder for j, coder in enumerate(coders) if not numeric[j]}
+            n_rows += len(chunk)
+            del chunk                   # its cell strings go before more rows are read
+        for part, col in zip(parts, columns):
+            part.append(col)
 
-    columns = []
+    columns = []                        # the last piece's arrays now go with their parts
     for j, is_numeric in enumerate(numeric):
         col = np.concatenate(parts[j])
         columns.append(col if is_numeric else LabelColumn(col, tuple(coders[j].labels)))
@@ -380,33 +402,6 @@ def _fail(reader, message: str):
     for _ in reader:
         pass
     raise DataError(message)
-
-
-def _append(parts, columns):
-    """Add one piece of rows to ``parts``, one array per column."""
-    for part, col in zip(parts, columns):
-        part.append(col)
-
-
-def _read_blocks(fh, numeric, parts, coders):
-    """Read ``fh`` on in blocks of whole lines, each about ``_BLOCK_CHARS``
-    characters, and add each block's columns to ``parts`` while
-    ``_parse_block`` vouches for it.  Returns the number of rows added and
-    the lines of the first block it did not vouch for (none at the end of
-    the text), which the caller parses again with ``csv``."""
-    dtype = np.dtype([(f"c{j}", float if is_numeric else np.int32)
-                      for j, is_numeric in enumerate(numeric)])
-    labels = {j: coder for j, coder in enumerate(coders) if not numeric[j]}
-    n_rows = 0
-    # readlines gives the lines that iterating over fh gives, read in the same
-    # pieces, so a decoding error reads as it would from csv
-    while lines := fh.readlines(_BLOCK_CHARS):
-        columns = _parse_block(lines, dtype, labels)
-        if columns is None:
-            return n_rows, lines
-        _append(parts, columns)
-        n_rows += len(lines)
-    return n_rows, []
 
 
 def _parse_block(lines, dtype, labels):
@@ -782,19 +777,10 @@ def toy_table() -> RawTable:
     return RawTable(names, ("numeric",) * 6, cols, "Y", len(TOY_ROWS))
 
 
-def write_toy_csv(path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TOY_FEATURES + ("Y",))
-        for row in TOY_ROWS:
-            w.writerow(row)
-
-
-def make_xor_table(seed: int, n_rows: int = 512, n_noise: int = 6,
-                   p_bias: float = 0.15) -> RawTable:
+def make_xor_table(seed: int, n_rows: int = 512, n_noise: int = 6) -> RawTable:
     """Synthetic recovery benchmark: Y = (X1 ^ X2) ^ (X3 ^ X4) plus noise.
 
-    X1 is a fair bit while X2..X4 are biased Bernoulli(p_bias), so in the
+    X1 is a fair bit while X2..X4 are biased Bernoulli(0.15), so in the
     population only X1 has nonzero marginal relevance (a fair bit inside the
     parity masks every other feature's pairwise signal).  Ranking by relevance
     alone therefore finds X1 but nothing else, while conditional scoring can
@@ -802,7 +788,7 @@ def make_xor_table(seed: int, n_rows: int = 512, n_noise: int = 6,
     """
     rng = np.random.default_rng(seed)
     x1 = rng.integers(0, 2, n_rows)
-    x234 = (rng.random((n_rows, 3)) < p_bias).astype(np.int64)
+    x234 = (rng.random((n_rows, 3)) < 0.15).astype(np.int64)
     y = x1 ^ x234[:, 0] ^ x234[:, 1] ^ x234[:, 2]
     noise = rng.integers(0, 2, (n_rows, n_noise))
     mat = np.column_stack([x1, x234, noise, y]).astype(float)

@@ -259,8 +259,8 @@ class EvalReport:
             "average_rank": self.average_rank.tolist(),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self) -> str:
         """Mean-error matrix, criteria as rows and top-K sizes as columns."""

@@ -51,8 +51,8 @@ class SelectionResult:
             d["step_traces"] = [t.to_dict() if t else None for t in self.step_traces]
         return d
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_rank_csv(self) -> str:
         """``rank,feature`` rows, a name quoted where it holds a comma, quote or newline."""
@@ -62,12 +62,12 @@ class SelectionResult:
         writer.writerows(enumerate(self.names, 1))
         return out.getvalue()
 
-    def traces_json(self, indent: int = 2) -> str:
+    def traces_json(self) -> str:
         """Full per-candidate trace dump (requires run_sfs(..., collect_traces=True))."""
         if self.all_traces is None:
             raise ValueError("run selection with collect_traces=True first")
         steps = [{str(k): tr.to_dict() for k, tr in step.items()} for step in self.all_traces]
-        return json.dumps({"criterion": self.criterion, "steps": steps}, indent=indent)
+        return json.dumps({"criterion": self.criterion, "steps": steps}, indent=2)
 
 
 def run_sfs(dataset: DiscreteDataset, criterion, K: int, estimator: str = "plugin",

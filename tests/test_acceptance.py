@@ -7,6 +7,7 @@ from printing and fails the test.
 
 import hashlib
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from infosel import hocmim
 from infosel.cli import main
 from infosel.criteria import Criterion, parse_criterion
-from infosel.data import make_xor_table, discretize, toy_dataset, write_toy_csv
+from infosel.data import make_xor_table, discretize, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.evaluate import average_ranks
 from infosel.hocmim import greedy_representative_set, hocmim_score
@@ -196,8 +197,7 @@ def test_criterion_5_xor_recovery(capsys):
 
 def test_criterion_6_harness_determinism(tmp_path, capsys):
     t0 = time.perf_counter()
-    toy_csv = tmp_path / "toy.csv"
-    write_toy_csv(toy_csv)
+    toy_csv = Path(__file__).resolve().parents[1] / "data" / "toy.csv"
     digests = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name

@@ -1,18 +1,16 @@
 import json
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from infosel.cli import main
-from infosel.data import write_toy_csv
 from infosel.oracle import run_oracle_checks
 
 
 @pytest.fixture
-def toy_csv(tmp_path):
-    path = tmp_path / "toy.csv"
-    write_toy_csv(path)
-    return str(path)
+def toy_csv():
+    return str(Path(__file__).resolve().parents[1] / "data" / "toy.csv")
 
 
 class TestSelect:

@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 from infosel import data
 from infosel.data import (BinningError, DataError, DiscreteDataset, RawTable, SplitSpec,
                           apply_binning, discretize, equal_width_edges, fit_binning, load_csv,
-                          make_splits, make_xor_table, toy_dataset, toy_table,
-                          write_toy_csv)
+                          make_splits, make_xor_table, toy_dataset, toy_table)
 
 from util import fixed_order_benchmark, ref_first_appearance, ref_load_csv, ref_numeric_codes
 
@@ -31,10 +30,8 @@ def narrow_dtype(arities):
 
 
 @pytest.fixture
-def toy_csv(tmp_path):
-    path = tmp_path / "toy.csv"
-    write_toy_csv(path)
-    return path
+def toy_csv():
+    return Path(__file__).resolve().parents[1] / "data" / "toy.csv"
 
 
 class TestLoadCsv:
@@ -43,6 +40,8 @@ class TestLoadCsv:
         assert table.n_rows == 10
         assert table.feature_names == ("X1", "X2", "X3", "X4", "X5")
         assert all(k == "numeric" for k in table.kinds)
+        # the checked-in file holds the embedded table, column for column
+        _assert_same(table, toy_table())
 
     def test_header_only_is_empty_table(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -554,6 +553,45 @@ class TestBlockReader:
         # about 1.5x here, as on csv alone (1.4x); keeping each block's parsed
         # table alive through a view of its float columns reads 3.6x
         assert peak < 2 * need
+
+    def test_refused_block_lines_go_once_csv_has_read_them(self, tmp_path):
+        # a quoted label at row 5,000 refuses the second block (rows 4,353-8,449),
+        # which csv reads again; 1,024 rows past it, no line that readlines read
+        # may still be held (keeping the block's line list reads some 300 KB)
+        lines = ["A,B,L,Y\n"] + [_plain_line(i) for i in range(30_000)]
+        lines[5_001] = _set_cell(lines[5_001], 2, '"blu"')
+        p = tmp_path / "quoted.csv"
+        p.write_bytes("".join(lines).encode())
+        source = Path(data.__file__).read_text(encoding="utf-8").splitlines()
+        at = [i for i, line in enumerate(source, 1) if "fh.readlines(_BLOCK_CHARS)" in line]
+        assert len(at) == 1
+        blocks, held = [], []
+        real_parse, real_convert = data._parse_block, data._convert_chunk
+
+        def parse(lines, *args):
+            # the block's size only: holding its lines would keep them alive
+            columns = real_parse(lines, *args)
+            blocks.append((len(lines), columns is not None))
+            return columns
+
+        def convert(chunk, header, numeric, first_row, coders):
+            past = data._CHUNK_ROWS + sum(size for size, _ in blocks) + 1_024
+            if blocks and not held and first_row >= past:
+                snapshot = tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, data.__file__, at[0])])
+                held.append(sum(stat.size for stat in snapshot.statistics("lineno")))
+            return real_convert(chunk, header, numeric, first_row, coders)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(data, "_parse_block", parse), \
+                    mock.patch.object(data, "_convert_chunk", convert):
+                got = load_csv(p, "Y")
+        finally:
+            tracemalloc.stop()
+        assert [vouched for _, vouched in blocks] == [True, False]
+        assert held == [0]
+        _assert_same(got, ref_load_csv(p, "Y"))
 
     @pytest.mark.parametrize("switch, passes", [(3000, 1), (2500, 2)])
     def test_a_quote_fails_over_once_a_pass(self, tmp_path, switch, passes):
