@@ -735,7 +735,8 @@ def make_splits(n_rows: int, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarr
         raise DataError(f"train_fraction must be a real number, got {spec.train_fraction!r}")
     if not math.isfinite(spec.train_fraction):
         raise DataError(f"train fraction {spec.train_fraction} is not finite")
-    cut = math.floor(spec.train_fraction * n_rows)
+    # outside (0, 1) a side is empty, and the product may overflow floor
+    cut = math.floor(spec.train_fraction * n_rows) if 0 < spec.train_fraction < 1 else 0
     if cut < 1 or cut >= n_rows:
         raise DataError(f"train fraction {spec.train_fraction} leaves an empty side")
     rng = np.random.default_rng(seed)

@@ -11,10 +11,10 @@ An entropy depends only on the count profile of the set's joint states:
 "fingerprint" of Valiant & Valiant, Estimating the unseen, STOC 2011).  The
 plug-in entropy ``log2 N - sum_c m[c] * c * log2(c) / N`` is summed as
 ``sum_c m[c] * c * log2(N / c) / N`` over c in a fixed order, and the
-shrinkage weight and cell masses also depend on c alone, so
-``profile_entropy`` serves both.  Two sets with the same multiset of counts
-get the same float, so neither the order of the rows, nor the labels of the
-codes, nor which sets happened to be cached can change a result.
+shrinkage weight and shrunk cell masses depend on c and the dense cell count
+alone, so ``profile_entropy`` computes both.  Two sets with the same multiset
+of counts get the same float, so neither the order of the rows, nor the
+labels of the codes, nor which sets happened to be cached can change a result.
 
 A column set A is joint-encoded to one integer code per row, with the target
 Y as its top digit: ``y * size_A + code_A``, where the code of the empty set
@@ -58,6 +58,7 @@ each table).
 
 from __future__ import annotations
 
+import operator
 import weakref
 from collections import OrderedDict
 
@@ -138,7 +139,12 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
     ``profile[c]`` cells hold c rows each (``profile[0]`` is ignored), and
     ``terms`` is ``cell_terms(N)``.  The sum runs over c in a fixed order, so
     the float depends on the multiset of counts only.  The shrinkage
-    estimator spreads mass over ``dense`` cells, the unobserved ones included.
+    estimator (Hausser & Strimmer, JMLR 10, 2009) spreads mass over all
+    ``dense`` cells m, the unobserved ones included: with p = c/N and u = 1/m,
+    a cell's mass is q = lambda * u + (1 - lambda) * p, where the James-Stein
+    weight lambda = (1 - sum p^2) / ((N-1) * sum (u - p)^2) over the m cells,
+    clipped to [0, 1], or 1 when N <= 1 or the sum is 0.  q > 0 on an occupied
+    cell, as lambda < 1 or u > 0, but for N = 1 and m = inf, whose entropy is 0.
     """
     n = len(terms) - 1
     if estimator == "plugin":
@@ -146,31 +152,21 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
     else:
         c = np.flatnonzero(profile[1:]) + 1
         mc = profile[c]
-        lam = _shrinkage_lambda(c, mc, n, dense)
-        q = lam / dense + (1.0 - lam) * (c / n)
-        pos = q > 0
-        h = float(-(mc[pos] * q[pos] * np.log2(q[pos])).sum())
-        n_empty = dense - mc.sum()
+        p = c / n
+        n_empty = dense - np.add.reduce(mc)
+        u = 1.0 / dense
+        var_target = float(np.add.reduce(mc * (u - p) ** 2) + n_empty * u ** 2)
+        if n <= 1 or var_target <= 0:
+            lam = 1.0
+        else:
+            lam = (1.0 - float(np.add.reduce(mc * p ** 2))) / ((n - 1) * var_target)
+            lam = min(1.0, max(0.0, lam))   # a nan weight (m = inf) clips to 0
+        q = lam / dense + (1.0 - lam) * p
+        h = float(-np.add.reduce(mc * q * np.log2(q)))
         if lam > 0 and n_empty > 0:
             q0 = lam / dense
             h += float(-n_empty * q0 * np.log2(q0))
     return h if h > 0.0 else 0.0
-
-
-def _shrinkage_lambda(c: np.ndarray, mc: np.ndarray, total: float, m: float) -> float:
-    """The clipped James-Stein weight of the uniform target over m cells.
-
-    ``mc[i]`` cells hold ``c[i]`` of the ``total`` rows each, and the other
-    cells none.  With p the empirical pmf and u = 1/m, lambda =
-    (1 - sum p^2) / ((N-1) * sum (u - p)^2) over all m cells, clipped to [0, 1].
-    """
-    p = c / total
-    u = 1.0 / m
-    var_target = float(np.sum(mc * (u - p) ** 2) + (m - mc.sum()) * u ** 2)
-    if total <= 1 or var_target <= 0:
-        return 1.0
-    lam = (1.0 - float(np.sum(mc * p ** 2))) / ((total - 1) * var_target)
-    return min(1.0, max(0.0, lam))
 
 
 class EstimatorContext:
@@ -182,7 +178,8 @@ class EstimatorContext:
     union); inside, every set is its mask.  An empty set is ``[]`` or ``0``:
     entropies of it are an error, and an empty conditioning set reduces a
     conditional MI to plain MI.  A mask below 0, or one with a bit above
-    feature D-1, is rejected as a malformed set.
+    feature D-1, is rejected as a malformed set, and so is an index that is
+    not an integer (a float or a string).
 
     The context reads each column in the dataset's row order.  A column in
     uint8 or uint16 whose dtype holds its arity, as binning stores it, is
@@ -240,7 +237,7 @@ class EstimatorContext:
             raise IndexError(f"column mask {cols:#x} has a bit above feature {self.n_features - 1}")
         mask = 0
         for c in cols:
-            c = int(c)
+            c = operator.index(c)             # a float or a string is no column index
             if not TARGET <= c < self.n_features:
                 raise IndexError(f"feature index {c} out of range")
             mask |= 1 << (c + 1)

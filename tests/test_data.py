@@ -1241,6 +1241,8 @@ class TestSplits:
         (SplitSpec(0.5, seed=0, n_repeats=-1), "at least one repeat, got -1"),
         (SplitSpec(float("nan"), seed=0, n_repeats=2), "train fraction nan is not finite"),
         (SplitSpec(float("inf"), seed=0, n_repeats=2), "train fraction inf is not finite"),
+        (SplitSpec(1e308, seed=0, n_repeats=2), r"^train fraction 1e\+308 leaves an empty side$"),
+        (SplitSpec(-1e308, seed=0, n_repeats=2), r"^train fraction -1e\+308 leaves an empty side$"),
         (SplitSpec(0.5, seed=0, n_repeats=2.5), "^n_repeats must be an int, got 2.5$"),
         (SplitSpec(0.5, seed=0, n_repeats=True), "^n_repeats must be an int, got True$"),
         (SplitSpec(0.5, seed=1.5, n_repeats=2), "^seed must be an int, got 1.5$"),
@@ -1254,12 +1256,14 @@ class TestSplits:
         (SplitSpec(np.True_, seed=0, n_repeats=2),
          "^train_fraction must be a real number, got np.True_$"),
     ], ids=["zero-repeats", "negative-repeats", "nan-fraction", "inf-fraction",
+            "huge-fraction", "huge-negative-fraction",
             "float-repeats", "bool-repeats", "float-seed", "bool-seed", "none-seed",
             "negative-seed", "string-fraction", "none-fraction", "bool-fraction",
             "numpy-bool-fraction"])
     def test_degenerate_spec_rejected(self, spec, message):
         # no repeats once gave an empty split list, and a non-finite fraction
-        # a bare conversion error from math.floor; 2.5 repeats raised a bare
+        # a bare conversion error from math.floor, as did a fraction of +-1e308,
+        # whose product with the rows overflows; 2.5 repeats raised a bare
         # TypeError from range, seed 1.5 and -1 numpy's SeedSequence errors,
         # seed True ran as seed 1, and seed None drew fresh entropy each call;
         # a fraction "0.5" or None raised a bare TypeError from math.isfinite

@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infosel import estimators, selection
 from infosel.data import DiscreteDataset, discretize, make_xor_table, toy_dataset
-from infosel.estimators import TARGET, EstimatorContext
+from infosel.estimators import TARGET, EstimatorContext, cell_terms, profile_entropy
+from infosel.hocmim import total_redundancy
 from infosel.oracle import _grouped_entropy
 from infosel.selection import predicted_mi_calls, run_sfs
 from infosel.criteria import parse_criterion
@@ -454,7 +455,7 @@ class TestColumnMasks:
             toy_ctx.entropy(cols)
 
     def test_bool_and_numpy_sets_as_before(self, toy_ctx):
-        # members are read with int(); a bare bool or numpy int is not a set
+        # members are read with operator.index(); a bare bool or numpy int is not a set
         assert toy_ctx.entropy([True, False]) == toy_ctx.entropy([0, 1])
         assert toy_ctx.entropy([np.int64(0), np.int32(3)]) == toy_ctx.entropy([0, 3])
         assert toy_ctx.entropy(np.array([3, 0, TARGET])) == toy_ctx.entropy([0, 3, TARGET])
@@ -463,6 +464,16 @@ class TestColumnMasks:
         for bare in (True, False, np.int64(2), np.bool_(True)):
             with pytest.raises(TypeError):
                 toy_ctx.entropy(bare)
+
+    def test_non_integer_members_rejected(self, toy_ctx):
+        # int() once truncated these silently: [2.9] and ["2"] read column 2
+        for cols in ([2.9], ["2"], [np.float64(2.0)], [0, 1.0]):
+            with pytest.raises(TypeError):
+                toy_ctx.entropy(cols)
+        with pytest.raises(TypeError):
+            toy_ctx.mutual_information([0], [2.5])
+        with pytest.raises(TypeError):
+            total_redundancy(toy_ctx, 0, [1.7, 2.2])
 
     @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -782,6 +793,71 @@ class TestShrinkage:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             EstimatorContext(toy_dataset(), estimator="knn")
+
+
+def _shrinkage_lambda_before(c, mc, total, m):
+    # verbatim, as profile_entropy called it before the weight moved into its body
+    p = c / total
+    u = 1.0 / m
+    var_target = float(np.sum(mc * (u - p) ** 2) + (m - mc.sum()) * u ** 2)
+    if total <= 1 or var_target <= 0:
+        return 1.0
+    lam = (1.0 - float(np.sum(mc * p ** 2))) / ((total - 1) * var_target)
+    return min(1.0, max(0.0, lam))
+
+
+def _shrinkage_entropy_before(profile, terms, dense):
+    # verbatim, the shrinkage branch of profile_entropy with its q > 0 mask
+    n = len(terms) - 1
+    c = np.flatnonzero(profile[1:]) + 1
+    mc = profile[c]
+    lam = _shrinkage_lambda_before(c, mc, n, dense)
+    q = lam / dense + (1.0 - lam) * (c / n)
+    pos = q > 0
+    h = float(-(mc[pos] * q[pos] * np.log2(q[pos])).sum())
+    n_empty = dense - mc.sum()
+    if lam > 0 and n_empty > 0:
+        q0 = lam / dense
+        h += float(-n_empty * q0 * np.log2(q0))
+    return h if h > 0.0 else 0.0
+
+
+@st.composite
+def shrinkage_cases(draw):
+    """Occupied-cell counts and a dense cell count of at least as many cells, or inf."""
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=24))
+    if draw(st.booleans()):
+        return counts, float("inf")
+    spare = draw(st.one_of(st.integers(0, 3), st.integers(0, 1000 * len(counts))))
+    return counts, float(len(counts) + spare)
+
+
+class TestShrinkageBitExact:
+    """The shrinkage entropy is the same float as the formula it was folded from."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(case=shrinkage_cases())
+    @example(case=([1], 1.0))                    # N = 1, one cell
+    @example(case=([1], 7.0))                    # N = 1, lambda = 1 spread over 7 cells
+    @example(case=([1], float("inf")))           # N = 1, no cell mass is left
+    @example(case=([5, 5, 5, 5], 4.0))           # full and uniform: variance 0, lambda = 1
+    @example(case=([3, 1], 2.0))                 # lambda at the clip, exactly 1
+    @example(case=([2, 1], 2.0))                 # lambda 4 before the clip to 1
+    @example(case=([3, 1], 5.0))                 # 0 < lambda < 1
+    @example(case=([12], 1.0))                   # one cell holds every row, the only cell
+    @example(case=([12], 9.0))                   # one cell holds every row: lambda = 0
+    @example(case=([4, 2, 2, 1], float("inf")))  # m = inf: lambda = 0, q = p
+    def test_equals_folded_formula(self, case):
+        counts, dense = case
+        profile = np.bincount(counts)
+        terms = cell_terms(sum(counts))
+        # m = inf reaches lambda through inf * 0 = nan, on both sides
+        quiet = dict(invalid="ignore", divide="ignore") if dense == float("inf") else {}
+        with np.errstate(**quiet):
+            got = profile_entropy(profile, terms, "shrinkage", dense)
+            want = _shrinkage_entropy_before(profile, terms, dense)
+        assert got == want
+        assert not np.isnan(got)
 
 
 class TestCallCounter:
