@@ -37,8 +37,9 @@ dtype that holds its arity, is used in place, even where the table's widest
 column made it uint16; any other column is copied into the narrowest
 unsigned dtype that holds its arity (uint8 up to 256, uint16 up to 2**16,
 int64 above), and a column of more than N values is relabelled once, up
-front.  A set's codes are int32 while their range is below 2**31 and int64
-above, and a column is widened to that dtype when it extends a set's code.
+front.  A set's codes are uint16 while their range is at most 2**16, int32
+while it is below 2**31 and int64 above, and a column is widened to that
+dtype when it extends a set's code.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -75,7 +76,8 @@ TARGET_BIT = 1
 #: joint codes kept for reuse as bases of later column sets
 _CODE_CACHE_SIZE = 64
 
-#: bytes of joint codes kept at most: 64 sets of int32 codes up to N = 131,072 rows
+#: bytes of joint codes kept at most: 64 sets of int32 codes up to N = 131,072 rows,
+#: or of uint16 codes (a range of at most 2**16) up to N = 262,144
 _CODE_CACHE_BYTES = 32 << 20
 
 #: entropies kept per context; the memo is emptied when it reaches this size
@@ -86,8 +88,25 @@ _TABLE_ROWS = 4
 
 
 def _code_dtype(size: int) -> type:
-    """The dtype of codes below ``size``: int32 while they fit, int64 above."""
+    """The dtype of codes below ``size``: uint16 while ``size <= 2**16``, int32
+    while ``size < 2**31``, int64 above.  A table's counts do not depend on
+    it, and ``np.bincount`` reads any of them as intp."""
+    if size <= 1 << 16:
+        return np.uint16
     return np.int32 if size < 1 << 31 else np.int64
+
+
+def _scaled(code: np.ndarray, factor: int, dtype) -> np.ndarray:
+    """``code * factor`` in ``dtype``, which holds every product.
+
+    The one factor past its dtype is 2**16 in uint16.  A uint16 code's range
+    of at most 2**16 leaves room for it only with one class, where the codes
+    it scales are the target's, all 0, so it is taken modulo 2**16, to 0, as
+    uint16 arithmetic would.
+    """
+    if factor == 1 << 16 and dtype == np.uint16:
+        factor = 0
+    return np.multiply(code, factor, dtype=dtype)
 
 
 def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int,
@@ -100,7 +119,7 @@ def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int,
     would wrap.
     """
     size *= arity
-    code = np.multiply(base, arity, dtype=_code_dtype(n_classes * size))
+    code = _scaled(base, arity, _code_dtype(n_classes * size))
     code += col
     return code, size
 
@@ -116,7 +135,8 @@ def _relabel(code: np.ndarray, size: int, n_rows: int) -> tuple[np.ndarray, int]
         label[cells] = np.arange(len(cells))
         return label[code], len(cells)
     uniq, dense = np.unique(code, return_inverse=True)
-    return dense, len(uniq)
+    # the inverse is intp, which ``+=`` cannot add into narrower codes
+    return dense.astype(_code_dtype(len(uniq)), copy=False), len(uniq)
 
 
 def cell_terms(n_rows: int) -> np.ndarray:
@@ -143,8 +163,9 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
     ``dense`` cells m, the unobserved ones included: with p = c/N and u = 1/m,
     a cell's mass is q = lambda * u + (1 - lambda) * p, where the James-Stein
     weight lambda = (1 - sum p^2) / ((N-1) * sum (u - p)^2) over the m cells,
-    clipped to [0, 1], or 1 when N <= 1 or the sum is 0.  q > 0 on an occupied
-    cell, as lambda < 1 or u > 0, but for N = 1 and m = inf, whose entropy is 0.
+    clipped to [0, 1], or 1 when N <= 1 or the sum is 0.  With m = inf the
+    weight is 0 and q = p, both set directly, so no ``inf * 0`` is formed.
+    So q > 0 on an occupied cell, as lambda < 1 or u > 0.
     """
     n = len(terms) - 1
     if estimator == "plugin":
@@ -154,14 +175,17 @@ def profile_entropy(profile: np.ndarray, terms: np.ndarray, estimator: str = "pl
         mc = profile[c]
         p = c / n
         n_empty = dense - np.add.reduce(mc)
-        u = 1.0 / dense
-        var_target = float(np.add.reduce(mc * (u - p) ** 2) + n_empty * u ** 2)
-        if n <= 1 or var_target <= 0:
-            lam = 1.0
+        if dense == np.inf:
+            lam, q = 0.0, p
         else:
-            lam = (1.0 - float(np.add.reduce(mc * p ** 2))) / ((n - 1) * var_target)
-            lam = min(1.0, max(0.0, lam))   # a nan weight (m = inf) clips to 0
-        q = lam / dense + (1.0 - lam) * p
+            u = 1.0 / dense
+            var_target = float(np.add.reduce(mc * (u - p) ** 2) + n_empty * u ** 2)
+            if n <= 1 or var_target <= 0:
+                lam = 1.0
+            else:
+                lam = (1.0 - float(np.add.reduce(mc * p ** 2))) / ((n - 1) * var_target)
+                lam = min(1.0, max(0.0, lam))
+            q = lam / dense + (1.0 - lam) * p
         h = float(-np.add.reduce(mc * q * np.log2(q)))
         if lam > 0 and n_empty > 0:
             q0 = lam / dense
@@ -266,7 +290,8 @@ class EstimatorContext:
         """The dense cell counts, as floats, of the set ``a`` with the target and of ``a`` alone.
 
         Only the shrinkage estimator reads them.  The target comes first in
-        the product, as in a set's bit order.
+        the product, as in a set's bit order.  A product past the float range
+        is inf, also where one arity alone is past it.
         """
         arities = self._bit_arities
         dense_a, dense_ay = 1.0, 1.0 * arities[0]
@@ -274,8 +299,11 @@ class EstimatorContext:
         while rest:
             low = rest & -rest
             arity = arities[low.bit_length() - 1]
-            dense_a *= arity
-            dense_ay *= arity
+            try:
+                dense_a *= arity
+                dense_ay *= arity
+            except OverflowError:           # an int arity too large for a float
+                return np.inf, np.inf
             rest ^= low
         return dense_ay, dense_a
 
@@ -311,14 +339,14 @@ class EstimatorContext:
         if size > self.n_rows:
             # relabel the set's own digits and put the target back on top
             low, size = _relabel(self._low_digits(code, size), size, self.n_rows)
-            code = np.multiply(self._target, size, dtype=_code_dtype(n_classes * size))
+            code = _scaled(self._target, size, _code_dtype(n_classes * size))
             code += low
         self._keep(mask, code, size)
         return code, size
 
     def _low_digits(self, code: np.ndarray, size: int) -> np.ndarray:
         """The set's own digits of its joint codes: the codes less the target's top digit."""
-        return code - np.multiply(self._target, size, dtype=code.dtype)
+        return code - _scaled(self._target, size, code.dtype)
 
     def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
         """Cache the new set's codes, least recently used out first, within both caps."""

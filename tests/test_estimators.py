@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 from itertools import combinations
 from unittest import mock
@@ -236,8 +237,9 @@ class TestPairTable:
 
 class TestNarrowCodes:
     """The context's copy keeps each column in the narrowest unsigned dtype
-    that holds its arity, and a set's codes are int32 only while their range
-    fits; every product is taken in the wider dtype."""
+    that holds its arity, and a set's codes are uint16 while their range is
+    at most 2**16 and int32 only while their range fits; every product is
+    taken in the wider dtype."""
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
@@ -261,6 +263,65 @@ class TestNarrowCodes:
                         assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
             ctx = EstimatorContext(ds)
             assert ctx.entropy([TARGET]) == ref_entropy(ds.target)
+
+    @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
+                             ids=["table", "unique"])
+    def test_uint16_up_to_a_range_of_2_pow_16(self, table_rows):
+        # two classes and arities 128, 256 and 257 on 33,000 rows: {0, 1} has
+        # a range of 2 * 128 * 256 = 2**16 codes and {0, 2} of 2 * 128 * 257,
+        # and neither has more cells than rows, so neither is relabelled;
+        # {1, 2} and {0, 1, 2} have, and come back as uint16 labels, the
+        # first through a label table unless _TABLE_ROWS is 0, the second
+        # through np.unique
+        rng = np.random.default_rng(29)
+        n, arities = 33_000, (128, 256, 257)
+        cols = np.column_stack([rng.permutation(np.resize(np.arange(a), n)) for a in arities])
+        target = rng.integers(0, 2, n)
+        # every set's codes reach the top of its range
+        cols[0], target[0] = [a - 1 for a in arities], 1
+        ds = DiscreteDataset(cols, arities, target, 2, ("a", "b", "c"))
+        relabels = []
+        relabel = estimators._relabel
+
+        def spy(code, size, n_rows):
+            dense, cells = relabel(code, size, n_rows)
+            relabels.append((size, dense.dtype))
+            return dense, cells
+
+        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
+                mock.patch.object(estimators, "_relabel", spy):
+            ctx = EstimatorContext(ds)
+            for r in range(1, 4):
+                for feats in combinations(range(3), r):
+                    for key in (list(feats), list(feats) + [TARGET]):
+                        assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+        assert ctx._code_cache[2 << 0 | 2 << 1][0].dtype == np.uint16
+        assert ctx._code_cache[2 << 0 | 2 << 2][0].dtype == np.int32
+        # {0, 1, 2} extends the relabelled {1, 2}, past the label table's reach
+        (pair, pair_dtype), (triple, triple_dtype) = relabels
+        assert pair == 256 * 257 and triple > estimators._TABLE_ROWS * n
+        assert pair_dtype == triple_dtype == np.uint16
+
+    @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
+                             ids=["table", "unique"])
+    def test_one_class_range_of_exactly_2_pow_16(self, table_rows):
+        # with one class a uint16 code's range can be 2**16 itself, and the
+        # target's digit is then scaled by 2**16: column 0 holds 2**16 values
+        # on 2**16 rows, and {0, 1} is relabelled to 2**16 cells
+        rng = np.random.default_rng(31)
+        n, arities = 1 << 16, (1 << 16, 2, 256)
+        cols = np.column_stack([rng.permutation(n), rng.integers(0, 2, n),
+                                rng.integers(0, 256, n)])
+        ds = DiscreteDataset(cols, arities, np.zeros(n, np.int64), 1, ("a", "b", "c"))
+        with mock.patch.object(estimators, "_TABLE_ROWS", table_rows):
+            ctx = EstimatorContext(ds)
+            for r in range(1, 4):
+                for feats in combinations(range(3), r):
+                    for key in (list(feats), list(feats) + [TARGET]):
+                        assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
+        for mask in (2 << 0, 2 << 0 | 2 << 1):
+            code, size = ctx._code_cache[mask]
+            assert (code.dtype, size) == (np.uint16, n)
 
     def test_code_range_past_2_pow_32_keeps_int64(self):
         # two near-unique columns of arity 70,000: a joint code is
@@ -598,19 +659,24 @@ class TestCodeCacheBytes:
     @pytest.mark.parametrize("kind", ["hocmim", "cmim4", "jmi4"])
     def test_bytes_within_budget_and_selection_unchanged(self, kind, sets):
         ds = random_ds(np.random.default_rng(26), d=9, n=200)
-        budget = int(sets * 4 * ds.n_rows)          # int32 codes: 4 bytes a row
         crit = parse_criterion(kind)
-        with mock.patch.object(estimators, "_CODE_CACHE_BYTES", 1 << 62):
-            uncapped = run_sfs(ds, crit, 6, collect_traces=True)
-        held = []
+        held, row_bytes = [], set()
         keep = EstimatorContext._keep
 
         def spy(ctx, mask, code, size):
             keep(ctx, mask, code, size)
+            row_bytes.add(code.itemsize)
             nbytes = sum(code.nbytes for code, _ in ctx._code_cache.values())
             assert nbytes == ctx._code_bytes
             held.append((nbytes, len(ctx._code_cache)))
 
+        with mock.patch.object(estimators, "_CODE_CACHE_BYTES", 1 << 62), \
+                mock.patch.object(EstimatorContext, "_keep", spy):
+            uncapped = run_sfs(ds, crit, 6, collect_traces=True)
+        # every set's codes take the same bytes a row, so a budget of whole sets is exact
+        (itemsize,) = row_bytes
+        budget = int(sets * itemsize * ds.n_rows)
+        held.clear()
         with mock.patch.object(estimators, "_CODE_CACHE_BYTES", budget), \
                 mock.patch.object(EstimatorContext, "_keep", spy):
             capped = run_sfs(ds, crit, 6, collect_traces=True)
@@ -793,6 +859,22 @@ class TestShrinkage:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             EstimatorContext(toy_dataset(), estimator="knn")
+
+    @pytest.mark.parametrize("arities", [(10 ** 400, 2), (10 ** 200, 10 ** 200)],
+                             ids=["arity-past-float", "product-past-float"])
+    def test_dense_cells_past_the_float_range(self, arities):
+        # a dense cell count past the float range is inf, which puts no
+        # weight on the uniform cell mass, so the entropy is the plug-in one,
+        # and it is reached with no overflow and no warning
+        codes = np.array([[0, 0], [1, 1], [1, 0], [2, 1]], np.int64)
+        ds = DiscreteDataset(codes, arities, np.array([0, 1, 1, 0], np.int64), 2, ("a", "b"))
+        ctx = EstimatorContext(ds, estimator="shrinkage")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for key in ([0, 1], [0, 1, TARGET]):
+                assert ctx.entropy(key) == pytest.approx(ref_entropy(*columns(ds, key)),
+                                                         abs=1e-12), key
+        assert ctx._dense_cells(2 << 0 | 2 << 1) == (np.inf, np.inf)
 
 
 def _shrinkage_lambda_before(c, mc, total, m):
