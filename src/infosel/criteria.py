@@ -232,10 +232,11 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
                     epsilon_star: float = 0.01, n_max: int = 15) -> Criterion:
     """Build a Criterion from a CLI-style name.
 
-    Accepts the plain kind names plus an inline fixed-order suffix for the
-    high-order search, e.g. ``hocmim-n2``; giving ``n`` as well is an error.
-    Dashless spellings of the high-order baselines (``cmim-3`` for
-    ``cmim3``) are normalized.
+    Accepts the plain kind names plus an inline fixed-order suffix of ASCII
+    digits for the high-order search, e.g. ``hocmim-n2``; giving ``n`` as
+    well is an error.  Six other spellings are normalized: the dashed
+    ``cmim-3``, ``cmim-4``, ``jmi-3`` and ``jmi-4`` of the high-order
+    baselines, and ``relaxmrmr`` and ``relax_mrmr`` for ``relax-mrmr``.
     """
     key = name.strip().lower()
     for alias, canon in (("cmim-3", "cmim3"), ("cmim-4", "cmim4"),
@@ -246,9 +247,10 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
     if key.startswith("hocmim-n"):
         if n is not None:
             raise CriterionError(f"{name!r} fixes the order already; n={n} given as well")
-        try:
-            n = int(key[len("hocmim-n"):])
-        except ValueError:
-            raise CriterionError(f"bad fixed-order suffix in {name!r}") from None
+        suffix = key[len("hocmim-n"):]
+        # int() would also read "1_0", "+2", " 2" and non-ASCII digits
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise CriterionError(f"bad fixed-order suffix in {name!r}")
+        n = int(suffix)
         key = "hocmim"
     return Criterion(kind=key, beta=beta, n=n, epsilon_star=epsilon_star, n_max=n_max)

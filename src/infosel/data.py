@@ -629,10 +629,19 @@ def _dataset(spec: BinningSpec, codes: np.ndarray, target: np.ndarray,
                            n_classes, spec.feature_names)
 
 
+#: the most bins a column is cut into, checked before any cut point is made:
+#: binning the toy table at 2**20 bins peaks near 60 MiB, within the
+#: package's other 64 MiB budgets; far past it numpy fails to allocate the
+#: cut points or, from 2**63 - 1 on, makes none
+_MAX_BINS = 1 << 20
+
+
 def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, DiscreteDataset]:
     """The spec fit on ``rows`` (all when None) and those rows binned by it,
     from the fit's own codes, with ``n_classes`` the classes on those rows."""
     n_bins = _int_at_least(n_bins, "n_bins", error=BinningError)
+    if n_bins > _MAX_BINS:
+        raise BinningError(f"n_bins must be <= {_MAX_BINS}, got {n_bins}")
     if rows is not None:
         rows = _row_indices(rows, table.n_rows, "fit_rows", BinningError)
     if (table.n_rows if rows is None else len(rows)) == 0:
@@ -667,7 +676,7 @@ def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, Discrete
 def fit_binning(table: RawTable, n_bins: int = 5, fit_rows=None) -> BinningSpec:
     """Fit per-column transforms on ``fit_rows`` (all rows when None).
 
-    ``n_bins`` must be an int of at least 1 (a numpy integer too, a bool
+    ``n_bins`` must be an int in [1, 2**20] (a numpy integer too, a bool
     not) and ``fit_rows`` a nonempty list of integers in [0, n_rows);
     anything else raises ``BinningError``.
     """

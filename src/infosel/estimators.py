@@ -37,9 +37,11 @@ dtype that holds its arity, is used in place, even where the table's widest
 column made it uint16; any other column is copied into the narrowest
 unsigned dtype that holds its arity (uint8 up to 256, uint16 up to 2**16,
 int64 above), and a column of more than N values is relabelled once, up
-front.  A set's codes are uint16 while their range is at most 2**16, int32
-while it is below 2**31 and int64 above, and a column is widened to that
-dtype when it extends a set's code.
+front.  A set's codes are uint16 while their range is below 2**16, int32
+while it is below 2**31 and int64 above, a dtype that holds the range
+itself, so every factor that scales a code, at most the range, fits, and
+so does every product; a column is widened to that dtype when it extends a
+set's code.
 
 The context keeps a counter of logical MI-term evaluations: one per
 mutual_information call, two per conditional_mutual_information call (its two
@@ -77,7 +79,7 @@ TARGET_BIT = 1
 _CODE_CACHE_SIZE = 64
 
 #: bytes of joint codes kept at most: 64 sets of int32 codes up to N = 131,072 rows,
-#: or of uint16 codes (a range of at most 2**16) up to N = 262,144
+#: or of uint16 codes (a range below 2**16) up to N = 262,144
 _CODE_CACHE_BYTES = 32 << 20
 
 #: entropies kept per context; the memo is emptied when it reaches this size
@@ -88,25 +90,13 @@ _TABLE_ROWS = 4
 
 
 def _code_dtype(size: int) -> type:
-    """The dtype of codes below ``size``: uint16 while ``size <= 2**16``, int32
-    while ``size < 2**31``, int64 above.  A table's counts do not depend on
-    it, and ``np.bincount`` reads any of them as intp."""
-    if size <= 1 << 16:
+    """The dtype that holds ``size``: uint16 while ``size < 2**16``, int32
+    while ``size < 2**31``, int64 above.  It holds every code below ``size``
+    and every product of one with a factor of at most ``size``; a table's
+    counts do not depend on it, and ``np.bincount`` reads any of them as intp."""
+    if size < 1 << 16:
         return np.uint16
     return np.int32 if size < 1 << 31 else np.int64
-
-
-def _scaled(code: np.ndarray, factor: int, dtype) -> np.ndarray:
-    """``code * factor`` in ``dtype``, which holds every product.
-
-    The one factor past its dtype is 2**16 in uint16.  A uint16 code's range
-    of at most 2**16 leaves room for it only with one class, where the codes
-    it scales are the target's, all 0, so it is taken modulo 2**16, to 0, as
-    uint16 arithmetic would.
-    """
-    if factor == 1 << 16 and dtype == np.uint16:
-        factor = 0
-    return np.multiply(code, factor, dtype=dtype)
 
 
 def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int,
@@ -119,7 +109,7 @@ def _extend(base: np.ndarray, size: int, col: np.ndarray, arity: int,
     would wrap.
     """
     size *= arity
-    code = _scaled(base, arity, _code_dtype(n_classes * size))
+    code = np.multiply(base, arity, dtype=_code_dtype(n_classes * size))
     code += col
     return code, size
 
@@ -339,14 +329,14 @@ class EstimatorContext:
         if size > self.n_rows:
             # relabel the set's own digits and put the target back on top
             low, size = _relabel(self._low_digits(code, size), size, self.n_rows)
-            code = _scaled(self._target, size, _code_dtype(n_classes * size))
+            code = np.multiply(self._target, size, dtype=_code_dtype(n_classes * size))
             code += low
         self._keep(mask, code, size)
         return code, size
 
     def _low_digits(self, code: np.ndarray, size: int) -> np.ndarray:
         """The set's own digits of its joint codes: the codes less the target's top digit."""
-        return code - _scaled(self._target, size, code.dtype)
+        return code - np.multiply(self._target, size, dtype=code.dtype)
 
     def _keep(self, mask: int, code: np.ndarray, size: int) -> None:
         """Cache the new set's codes, least recently used out first, within both caps."""

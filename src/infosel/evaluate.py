@@ -223,11 +223,6 @@ def average_ranks(errors) -> np.ndarray:
     return ranks
 
 
-def _nbytes(*pairs) -> int:
-    """Bytes of the codes and targets of the (training, test) dataset pairs."""
-    return sum(ds.codes.nbytes + ds.target.nbytes for pair in pairs for ds in pair)
-
-
 @dataclass
 class EvalReport:
     """Error curves and cross-criterion ranks for one dataset."""
@@ -311,7 +306,7 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
         raise ValueError(f"k_max must be <= {n_features}, the feature count, got {k_max}")
     knn_k = _int_at_least(knn_k, "knn_k")
     splits = make_splits(table.n_rows, split_spec)
-    held = {}
+    held, held_bytes = {}, 0
     errs = np.empty((len(criteria), len(splits), k_max))
     for c, criterion in enumerate(criteria):
         for r, (train_rows, test_rows) in enumerate(splits):
@@ -321,8 +316,10 @@ def benchmark(table: RawTable, criteria, split_spec: SplitSpec, k_max: int,
                 test_ds = apply_binning(table, spec, test_rows)
                 # the class count is the whole table's, a class unseen at fit time included
                 pair = replace(train_ds, n_classes=test_ds.n_classes), test_ds
-                if _nbytes(*held.values(), pair) <= _HELD_SPLIT_BYTES:
+                nbytes = sum(ds.codes.nbytes + ds.target.nbytes for ds in pair)
+                if held_bytes + nbytes <= _HELD_SPLIT_BYTES:
                     held[r] = pair
+                    held_bytes += nbytes
             train_ds, test_ds = pair
             order = run_sfs(train_ds, criterion, k_max, estimator=estimator).order
             preds = _knn_predict(train_ds.codes, train_ds.target, test_ds.codes, order,

@@ -88,7 +88,6 @@ def run_sfs(dataset: DiscreteDataset, criterion, K: int, estimator: str = "plugi
     label = getattr(criterion, "label", kind)
 
     t0 = time.perf_counter()
-    ctx.reset_and_read_counter()
     order: list[int] = []
     scores: list[float] = []
     step_calls: list[int] = []

@@ -238,6 +238,16 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert err.startswith("infosel: binning: ") and message in err
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--criterion", "mim", "--bins", str(2**63 - 1)],
+        ["benchmark", "--criterion", "mim,cmim", "--repeats", "2", "--bins", str(10**18)],
+    ], ids=["select", "benchmark"])
+    def test_bin_count_past_the_ceiling_fails_in_binning(self, capsys, argv):
+        # each once escaped as an IndexError or a numpy allocation traceback
+        rc = main([*argv, "--dataset", "toy", "--k", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("infosel: binning: n_bins must be <= ")
+
     def test_empty_split_side_stays_in_selection(self, capsys):
         rc = main(["benchmark", "--dataset", "toy", "--criterion", "mim,cmim",
                    "--repeats", "2", "--k", "2", "--train-fraction", "0.01"])

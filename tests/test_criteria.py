@@ -258,6 +258,16 @@ class TestCriterionObject:
         with pytest.raises(CriterionError):
             parse_criterion("gini")
 
+    @pytest.mark.parametrize("name", ["hocmim-n1_0", "hocmim-n+2", "hocmim-n 2",
+                                      "hocmim-n٣"])
+    def test_suffix_of_ascii_digits_only(self, name):
+        # int() reads these as orders 10, 2, 2 and 3
+        with pytest.raises(CriterionError, match="bad fixed-order suffix"):
+            parse_criterion(name)
+
+    def test_suffix_keeps_leading_zeros(self):
+        assert parse_criterion("hocmim-n02").n == 2
+
     def test_labels(self):
         assert parse_criterion("hocmim-n2").label == "hocmim-n2"
         assert parse_criterion("mrmr").label == "mrmr"

@@ -770,6 +770,16 @@ class TestBinning:
             with pytest.raises(BinningError, match=f"^{message}$"):
                 fit(toy_table(), n_bins)
 
+    @pytest.mark.parametrize("n_bins", [data._MAX_BINS + 1, 2**63 - 1, 10**18, 10**20],
+                             ids=["ceiling+1", "int64-max", "1e18", "1e20"])
+    def test_bin_count_past_the_ceiling_rejected(self, n_bins):
+        # past 2**63 - 1 numpy made no cut points and edges[0] raised
+        # IndexError; below it the cut points failed to allocate
+        for fit in (fit_binning, discretize):
+            with pytest.raises(BinningError,
+                               match=f"^n_bins must be <= {data._MAX_BINS}, got {n_bins}$"):
+                fit(toy_table(), n_bins)
+
     def test_numpy_integer_bin_count_accepted(self):
         table = make_xor_table(seed=1, n_rows=50)
         got = fit_binning(table, np.int64(3))

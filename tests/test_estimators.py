@@ -238,8 +238,8 @@ class TestPairTable:
 class TestNarrowCodes:
     """The context's copy keeps each column in the narrowest unsigned dtype
     that holds its arity, and a set's codes are uint16 while their range is
-    at most 2**16 and int32 only while their range fits; every product is
-    taken in the wider dtype."""
+    below 2**16 and int32 only while it is below 2**31, a dtype that holds
+    the range itself; every product is taken in the wider dtype."""
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
@@ -266,20 +266,20 @@ class TestNarrowCodes:
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
-    def test_uint16_up_to_a_range_of_2_pow_16(self, table_rows):
-        # two classes and arities 128, 256 and 257 on 33,000 rows: {0, 1} has
-        # a range of 2 * 128 * 256 = 2**16 codes and {0, 2} of 2 * 128 * 257,
-        # and neither has more cells than rows, so neither is relabelled;
-        # {1, 2} and {0, 1, 2} have, and come back as uint16 labels, the
-        # first through a label table unless _TABLE_ROWS is 0, the second
-        # through np.unique
+    def test_uint16_below_a_range_of_2_pow_16(self, table_rows):
+        # two classes and arities 127, 128, 256 and 258 on 33,000 rows: {0, 3}
+        # has a range of 2 * 127 * 258 = 65,532 codes, just below 2**16, and
+        # {1, 2} of 2 * 128 * 256 = 2**16 itself, and neither has more cells
+        # than rows, so neither is relabelled; {1, 3} and {2, 3} have, and
+        # come back as uint16 labels through a label table unless _TABLE_ROWS
+        # is 0, and every triple through np.unique
         rng = np.random.default_rng(29)
-        n, arities = 33_000, (128, 256, 257)
+        n, arities = 33_000, (127, 128, 256, 258)
         cols = np.column_stack([rng.permutation(np.resize(np.arange(a), n)) for a in arities])
         target = rng.integers(0, 2, n)
         # every set's codes reach the top of its range
         cols[0], target[0] = [a - 1 for a in arities], 1
-        ds = DiscreteDataset(cols, arities, target, 2, ("a", "b", "c"))
+        ds = DiscreteDataset(cols, arities, target, 2, ("a", "b", "c", "d"))
         relabels = []
         relabel = estimators._relabel
 
@@ -291,23 +291,24 @@ class TestNarrowCodes:
         with mock.patch.object(estimators, "_TABLE_ROWS", table_rows), \
                 mock.patch.object(estimators, "_relabel", spy):
             ctx = EstimatorContext(ds)
-            for r in range(1, 4):
-                for feats in combinations(range(3), r):
+            for r in range(1, 5):
+                for feats in combinations(range(4), r):
                     for key in (list(feats), list(feats) + [TARGET]):
                         assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
-        assert ctx._code_cache[2 << 0 | 2 << 1][0].dtype == np.uint16
-        assert ctx._code_cache[2 << 0 | 2 << 2][0].dtype == np.int32
-        # {0, 1, 2} extends the relabelled {1, 2}, past the label table's reach
-        (pair, pair_dtype), (triple, triple_dtype) = relabels
-        assert pair == 256 * 257 and triple > estimators._TABLE_ROWS * n
-        assert pair_dtype == triple_dtype == np.uint16
+        assert ctx._code_cache[2 << 0 | 2 << 3][0].dtype == np.uint16
+        assert ctx._code_cache[2 << 1 | 2 << 2][0].dtype == np.int32
+        # the pairs are relabelled within the label table's reach, the triples past it
+        sizes = sorted(size for size, _ in relabels)
+        assert sizes[:2] == [128 * 258, 256 * 258] and sizes[2] > estimators._TABLE_ROWS * n
+        assert {dtype for _, dtype in relabels} == {np.dtype(np.uint16)}
 
     @pytest.mark.parametrize("table_rows", [estimators._TABLE_ROWS, 0],
                              ids=["table", "unique"])
     def test_one_class_range_of_exactly_2_pow_16(self, table_rows):
-        # with one class a uint16 code's range can be 2**16 itself, and the
-        # target's digit is then scaled by 2**16: column 0 holds 2**16 values
-        # on 2**16 rows, and {0, 1} is relabelled to 2**16 cells
+        # with one class a code's range can be 2**16 itself, and the target's
+        # digit is then scaled by 2**16: column 0 holds 2**16 values on 2**16
+        # rows, and {0, 1} is relabelled to 2**16 cells; int32 holds that
+        # range, so the factor needs no special case
         rng = np.random.default_rng(31)
         n, arities = 1 << 16, (1 << 16, 2, 256)
         cols = np.column_stack([rng.permutation(n), rng.integers(0, 2, n),
@@ -321,7 +322,7 @@ class TestNarrowCodes:
                         assert ctx.entropy(key) == ref_entropy(*columns(ds, key)), key
         for mask in (2 << 0, 2 << 0 | 2 << 1):
             code, size = ctx._code_cache[mask]
-            assert (code.dtype, size) == (np.uint16, n)
+            assert (code.dtype, size) == (np.int32, n)
 
     def test_code_range_past_2_pow_32_keeps_int64(self):
         # two near-unique columns of arity 70,000: a joint code is

@@ -613,6 +613,28 @@ class TestBenchmark:
         assert len(calls) == len(splits) * len(criteria)
         assert rebinned == held
 
+    def test_split_past_the_bound_fit_again_per_criterion(self, monkeypatch):
+        # each training half is fit once while it is held, and once for each
+        # criterion when nothing is; the errors are the same to the bit
+        table = make_xor_table(seed=3)
+        spec = SplitSpec(0.5, 1, 4)
+        criteria = [parse_criterion(name) for name in ("mim", "hocmim", "cmim4")]
+        fits = []
+        fit = evaluate._fit
+
+        def spy(*args):
+            fits.append(1)
+            return fit(*args)
+
+        monkeypatch.setattr(evaluate, "_fit", spy)
+        held = benchmark(table, criteria, spec, k_max=4).errors
+        assert len(fits) == 4
+        fits.clear()
+        monkeypatch.setattr(evaluate, "_HELD_SPLIT_BYTES", 0)
+        refit = benchmark(table, criteria, spec, k_max=4).errors
+        assert len(fits) == 4 * 3
+        assert refit.tobytes() == held.tobytes()
+
     def test_held_splits_bounded_in_bytes(self, monkeypatch):
         # a bound that holds exactly two splits' pairs keeps those two and
         # bins the rest again for each later criterion
