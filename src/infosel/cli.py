@@ -12,7 +12,7 @@ from .data import (BinningError, DataError, SplitSpec, discretize, fit_binning, 
                    make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import benchmark
-from .hocmim import greedy_representative_set, hocmim_score
+from .hocmim import hocmim_score
 from .oracle import run_oracle_checks
 from .selection import run_sfs
 
@@ -192,21 +192,18 @@ def _toy_computed() -> dict[str, float]:
     for j in range(5):
         vals[f"I(X{j + 1};Y)"] = ctx.mutual_information([j], [TARGET])
 
-    def greedy(k, S, n):
-        return greedy_representative_set(ctx, k, S, Criterion("hocmim", n=n))
-
-    def score(k, S, n):
-        return hocmim_score(ctx, k, S, Criterion("hocmim", n=n))[0]
+    def search(k, S, n):
+        return hocmim_score(ctx, k, S, Criterion("hocmim", n=n))
 
     for k in (0, 1, 3, 4):
-        vals[f"R1(X{k + 1}|{{X3}})"] = greedy(k, [2], 1).redundancy
-    vals["score(X2|{X3})"] = score(1, [2], 1)
-    vals["score_n1(X4|{X2,X3})"] = score(3, [1, 2], 1)
-    vals["R2(X4|{X2,X3})"] = greedy(3, [1, 2], 2).redundancy
-    vals["score_n2(X4|{X2,X3})"] = score(3, [1, 2], 2)
+        vals[f"R1(X{k + 1}|{{X3}})"] = search(k, [2], 1)[1].redundancy
+    vals["score(X2|{X3})"] = search(1, [2], 1)[0]
+    vals["score_n1(X4|{X2,X3})"] = search(3, [1, 2], 1)[0]
+    vals["R2(X4|{X2,X3})"] = search(3, [1, 2], 2)[1].redundancy
+    vals["score_n2(X4|{X2,X3})"] = search(3, [1, 2], 2)[0]
     for k, tag in ((0, "X1"), (4, "X5")):
         for n in (1, 2):
-            vals[f"score_n{n}({tag}|{{X2,X3,X4}})"] = score(k, [1, 2, 3], n)
+            vals[f"score_n{n}({tag}|{{X2,X3,X4}})"] = search(k, [1, 2, 3], n)[0]
     return vals
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb, perm
-from operator import or_
+from operator import index, or_
 from typing import Callable
 
 from .data import _int_at_least, _is_real
@@ -222,7 +222,11 @@ class Criterion:
         return self.kind
 
     def score(self, ctx: EstimatorContext, k: int, S) -> tuple:
-        """(score, RedundancyTrace or None) of candidate k against the selected set S."""
+        """(score, RedundancyTrace or None) of candidate k against the selected set S.
+
+        k and the members of S may be numpy integers; they are read as ints.
+        """
+        k, S = index(k), list(map(index, S))
         if k in S:
             raise ValueError(f"candidate {k} already selected")
         return CRITERIA[self.kind].score(self, ctx, k, S)

@@ -126,7 +126,9 @@ class RawTable:
     ``LabelColumn``: each row's code and the labels in code order.  Any other
     sequence of labels given for a categorical column is coded here, once.
     The target column is kept alongside the features and must be categorical
-    or integer-valued numeric.
+    or integer-valued numeric.  Names, kinds and columns come one per column;
+    a duplicate name, a target not among the names or a column whose length
+    is not ``n_rows`` raises ``DataError``.
     """
 
     names: tuple[str, ...]
@@ -136,11 +138,20 @@ class RawTable:
     n_rows: int
 
     def __post_init__(self):
-        if len(self.kinds) != len(self.columns):
-            raise DataError(f"{len(self.kinds)} kinds for {len(self.columns)} columns")
+        if not len(self.names) == len(self.kinds) == len(self.columns):
+            raise DataError(f"{len(self.names)} names, {len(self.kinds)} kinds and "
+                            f"{len(self.columns)} columns")
+        if len(set(self.names)) != len(self.names):
+            dup = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+            raise DataError(f"duplicate column name {dup!r}")
+        if self.target_name not in self.names:
+            raise DataError(f"target column {self.target_name!r} is not among the columns")
         object.__setattr__(self, "columns", tuple(
             LabelColumn.of(col) if kind == "categorical" and not isinstance(col, LabelColumn)
             else col for kind, col in zip(self.kinds, self.columns)))
+        for name, col in zip(self.names, self.columns):
+            if len(col) != self.n_rows:
+                raise DataError(f"column {name!r} has {len(col)} rows, not {self.n_rows}")
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -199,6 +210,7 @@ class BinningSpec:
     feature_names: tuple[str, ...]
     feature_specs: tuple[ColumnSpec, ...]
     target_name: str
+    target_kind: str                    # "numeric" | "categorical", as fitted
     target_labels: dict = field(default_factory=dict)   # class value -> code
 
 
@@ -568,9 +580,8 @@ def _integer_target(values) -> np.ndarray:
 def _class_codes(values: np.ndarray, target_labels: dict) -> np.ndarray:
     """Integer-valued target values' int64 codes in ``target_labels`` (class
     value -> code), or ``len(target_labels)`` for a class not in it, by one
-    ``searchsorted`` over the fitted classes.  A spec fit on a categorical
-    target has no numbers among its classes, so every value is unseen."""
-    fitted = sorted((k, v) for k, v in target_labels.items() if _is_real(k))
+    ``searchsorted`` over the fitted classes."""
+    fitted = sorted(target_labels.items())
     # the NaN after the fitted classes equals no value, so a value above them all is unseen
     classes = np.array([k for k, _ in fitted] + [np.nan])
     codes = np.array([v for _, v in fitted] + [len(target_labels)], dtype=np.int64)
@@ -669,7 +680,7 @@ def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, Discrete
         target_labels, target = tcol.first_appearance(rows)
     target = target.astype(np.int64, copy=False)
     spec = BinningSpec(n_bins, table.feature_names, tuple(specs), table.target_name,
-                       target_labels)
+                       table.kind(table.target_name), target_labels)
     return spec, _dataset(spec, codes, target, len(target_labels))
 
 
@@ -704,8 +715,10 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
             raise BinningError(f"column {name!r} changed type since fitting")
         codes = _put_codes(codes, j, cspec.encode(table.columns[table.names.index(name)], rows))
 
+    if table.kind(spec.target_name) != spec.target_kind:
+        raise BinningError(f"target column {spec.target_name!r} changed type since fitting")
     tcol = table.columns[table.names.index(spec.target_name)]
-    if table.kind(spec.target_name) == "numeric":
+    if spec.target_kind == "numeric":
         target = _class_codes(_integer_target(tcol), spec.target_labels)
     else:
         target = _label_table(tcol.labels, spec.target_labels, np.int64)[tcol.codes]

@@ -16,8 +16,9 @@ S is exhausted.
 Fixed-order mode doubles as the instrumented mode for complexity accounting:
 every one of its n sweeps evaluates the increment for all of S (elements
 already in Z contribute exactly zero and are excluded from the argmax), so
-per candidate it costs exactly 4*n*|S| MI terms plus one relevance term and
-the counter matches the closed-form prediction in selection.predicted_mi_calls.
+one ``hocmim_score`` call costs exactly 1 + 4*n*|S| MI terms, the relevance
+and the sweeps, and the counter matches the closed-form prediction in
+selection.predicted_mi_calls.
 Adaptive mode only evaluates the fresh pool and stops early, so its counts
 are bounded by the fixed-mode formula at n_max.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import index
 
 from .estimators import TARGET, TARGET_BIT, EstimatorContext
 
@@ -81,24 +83,27 @@ def _increment(ctx, kb, jb, zm) -> float:
             - ctx.conditional_mutual_information(kb, jb, zm | TARGET_BIT))
 
 
-def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
-                              relevance: float | None = None) -> RedundancyTrace:
-    """Build the representative set for candidate k by greedy increments.
+def hocmim_score(ctx: EstimatorContext, k: int, S,
+                 criterion) -> tuple[float, RedundancyTrace]:
+    """Score = I(Xk;Y) - R(Xk,Z,Y) of candidate k, and the trace of the greedy
+    search that built its representative set Z from S.
 
     ``criterion`` (a ``hocmim`` Criterion) sets the order: its fixed ``n``,
     or adaptive when ``n`` is None, with ``epsilon_star`` and ``n_max``.
-    Ties in the argmax go to the lowest feature index.  Increments may be
-    negative once the positive ones are exhausted; they are accepted as-is.
+    The relevance is asked for first, then the increments.  Ties in the
+    argmax go to the lowest feature index.  Increments may be negative once
+    the positive ones are exhausted; they are accepted as-is.  An empty S
+    needs no case of its own: adaptive mode runs no sweep and fixed mode n
+    sweeps over an empty pool, so the score is the relevance and the trace
+    is empty, stopped as ``s_exhausted``.
     """
-    S = sorted(S)
+    k = index(k)
+    S = sorted(map(index, S))
     if k in S:
         raise ValueError(f"candidate {k} already selected")
-    if not S:
-        raise ValueError("selected set is empty")
-    adaptive = criterion.adaptive
     kb = 2 << k
-    if adaptive and relevance is None:
-        relevance = ctx.mutual_information(kb, TARGET_BIT)
+    relevance = ctx.mutual_information(kb, TARGET_BIT)
+    adaptive = criterion.adaptive
 
     z: list[int] = []
     z_mask = 0
@@ -124,22 +129,11 @@ def greedy_representative_set(ctx: EstimatorContext, k: int, S, criterion,
         redundancy += best_d
         if adaptive and relevance > ZERO_RELEVANCE:
             if 1.0 - redundancy / relevance < criterion.epsilon_star:
-                return RedundancyTrace(k, z, increments, redundancy, STOP_THRESHOLD)
-    stop = STOP_EXHAUSTED if len(z) == len(S) else STOP_ORDER_LIMIT
-    return RedundancyTrace(k, z, increments, redundancy, stop)
-
-
-def hocmim_score(ctx: EstimatorContext, k: int, S,
-                 criterion) -> tuple[float, RedundancyTrace]:
-    """Score = I(Xk;Y) - R_m from the greedy trace; plain relevance when S is empty."""
-    S = list(S)
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    relevance = ctx.mutual_information(2 << k, TARGET_BIT)
-    if not S:
-        return relevance, RedundancyTrace(k, [], [], 0.0, STOP_EXHAUSTED)
-    trace = greedy_representative_set(ctx, k, S, criterion, relevance=relevance)
-    return relevance - trace.redundancy, trace
+                stop = STOP_THRESHOLD
+                break
+    else:
+        stop = STOP_EXHAUSTED if len(z) == len(S) else STOP_ORDER_LIMIT
+    return relevance - redundancy, RedundancyTrace(k, z, increments, redundancy, stop)
 
 
 def hocmim_score_exhaustive(ctx: EstimatorContext, k: int, S, n: int) -> float:

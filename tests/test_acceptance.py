@@ -19,7 +19,7 @@ from infosel.criteria import Criterion, parse_criterion
 from infosel.data import make_xor_table, discretize, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.evaluate import average_ranks
-from infosel.hocmim import greedy_representative_set, hocmim_score
+from infosel.hocmim import hocmim_score
 from infosel.oracle import random_dataset, run_oracle_checks
 from infosel.selection import predicted_mi_calls, run_sfs
 
@@ -79,11 +79,11 @@ def _toy_values() -> dict[str, float]:
     vals = {f"I(X{j + 1};Y)": ctx.mutual_information([j], [TARGET]) for j in range(5)}
     for k in (0, 1, 3, 4):
         vals[f"R1(X{k + 1}|{{X3}})"] = \
-            greedy_representative_set(ctx, k, [2], Criterion("hocmim", n=1)).redundancy
+            hocmim_score(ctx, k, [2], Criterion("hocmim", n=1))[1].redundancy
     vals["score(X2|{X3})"] = hocmim_score(ctx, 1, [2], Criterion("hocmim", n=1))[0]
     vals["score_n1(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=1))[0]
     vals["R2(X4|{X2,X3})"] = \
-        greedy_representative_set(ctx, 3, [1, 2], Criterion("hocmim", n=2)).redundancy
+        hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))[1].redundancy
     vals["score_n2(X4|{X2,X3})"] = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))[0]
     for k, tag in ((0, "X1"), (4, "X5")):
         for n in (1, 2):

@@ -26,6 +26,19 @@ def jmi_score(ctx, k, S):
     return Criterion("jmi").score(ctx, k, S)[0]
 
 
+@pytest.mark.parametrize("name", KINDS + ("hocmim-n2",))
+def test_numpy_integer_indices_score_as_ints(name):
+    # on toy, and on 70 features, where a mask bit past feature 62 would
+    # wrap in an int64
+    criterion = parse_criterion(name)
+    wide = random_ds(np.random.default_rng(11), d=70, n=24)
+    for ds, k, S in ((toy_dataset(), 3, [1, 2]), (wide, 66, [5, 63, 64, 69])):
+        want, want_tr = criterion.score(EstimatorContext(ds), k, S)
+        got, got_tr = criterion.score(EstimatorContext(ds), np.int64(k), list(np.array(S)))
+        assert got == want
+        assert (got_tr and got_tr.to_dict()) == (want_tr and want_tr.to_dict())
+
+
 class TestGeneric:
     def test_empty_s_is_relevance(self, ctx):
         for beta, gamma in ((0, 0), (1, 0), (0.5, 2)):

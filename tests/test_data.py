@@ -973,6 +973,19 @@ class TestApplyToRows:
         with pytest.raises(BinningError, match="^column 'A' changed type since fitting$"):
             apply_binning(table, fit_binning(fitted, 2))
 
+    @pytest.mark.parametrize("fitted_kind,applied_kind", [
+        ("numeric", "categorical"), ("categorical", "numeric")])
+    def test_target_that_changed_type_rejected(self, fitted_kind, applied_kind):
+        # the classes 0/1 as numbers and as the labels "0"/"1" once read as
+        # unseen classes, a third class code on every row
+        def table(kind):
+            y = np.array([0.0, 1.0, 1.0, 0.0]) if kind == "numeric" else ["0", "1", "1", "0"]
+            return RawTable(("A", "Y"), ("numeric", kind), (np.arange(4.0), y), "Y", 4)
+        spec = fit_binning(table(fitted_kind), 2)
+        assert apply_binning(table(fitted_kind), spec).n_classes == 2
+        with pytest.raises(BinningError, match="^target column 'Y' changed type since fitting$"):
+            apply_binning(table(applied_kind), spec)
+
 
 def _ref_fit(values, fit_rows):
     """Per-cell reference for one column of labels or integer classes:
@@ -1401,6 +1414,28 @@ class TestDiscreteDataset:
     def test_restrict_to_no_rows(self):
         ds = self._make([[0, 1], [1, 0]])
         assert ds.restrict([]).n_rows == 0
+
+
+@pytest.mark.parametrize("names,kinds,columns,target,n_rows,message", [
+    (("a", "b", "Y"), ("numeric",) * 2, (np.zeros(3),) * 2, "Y", 3,
+     "^3 names, 2 kinds and 2 columns$"),
+    (("a", "Y"), ("numeric",) * 3, (np.zeros(3),) * 2, "Y", 3,
+     "^2 names, 3 kinds and 2 columns$"),
+    (("a", "Y"), ("numeric",) * 2, (np.zeros(3),) * 3, "Y", 3,
+     "^2 names, 2 kinds and 3 columns$"),
+    (("a", "a", "Y"), ("numeric",) * 3, (np.zeros(3),) * 3, "Y", 3,
+     "^duplicate column name 'a'$"),
+    (("a", "b"), ("numeric",) * 2, (np.zeros(3),) * 2, "Y", 3,
+     "^target column 'Y' is not among the columns$"),
+    (("a", "Y"), ("numeric",) * 2, (np.zeros(3), np.zeros(4)), "Y", 4,
+     "^column 'a' has 3 rows, not 4$"),
+    (("a", "Y"), ("categorical", "numeric"), (["x", "y"], np.zeros(3)), "Y", 3,
+     "^column 'a' has 2 rows, not 3$"),
+], ids=["names", "kinds", "columns", "duplicate", "target", "numeric-rows", "label-rows"])
+def test_raw_table_that_does_not_fit_together_rejected(names, kinds, columns, target,
+                                                        n_rows, message):
+    with pytest.raises(DataError, match=message):
+        RawTable(names, kinds, columns, target, n_rows)
 
 
 def test_toy_dataset_matches_table_path():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from infosel.criteria import Criterion, score_cmim
+import infosel
+from infosel.criteria import CRITERIA, Criterion, score_cmim
 from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD,
-                            greedy_representative_set, hocmim_score,
-                            hocmim_score_exhaustive, total_redundancy)
+                            hocmim_score, hocmim_score_exhaustive,
+                            total_redundancy)
+from infosel.oracle import random_dataset
 from infosel.selection import run_sfs
 
 from util import columns, random_ds, ref_cmi, ref_mi
@@ -69,7 +72,7 @@ class TestTotalRedundancy:
 
 class TestGreedySearch:
     def test_toy_pair_exhausts_s(self, ctx):
-        tr = greedy_representative_set(ctx, 3, [1, 2], Criterion("hocmim", n=2))
+        tr = hocmim_score(ctx, 3, [1, 2], Criterion("hocmim", n=2))[1]
         assert sorted(tr.z) == [1, 2]
         assert tr.redundancy == pytest.approx(-0.243220, abs=1e-5)
         assert tr.redundancy == pytest.approx(-0.24, abs=0.005)
@@ -78,7 +81,7 @@ class TestGreedySearch:
     def test_duplicate_stops_at_threshold(self):
         c = duplicated_ctx()
         rel = c.mutual_information([0], [TARGET])
-        tr = greedy_representative_set(c, 0, [1, 2], Criterion("hocmim"))
+        tr = hocmim_score(c, 0, [1, 2], Criterion("hocmim"))[1]
         assert tr.stop_reason == STOP_THRESHOLD
         assert tr.z == [1]
         assert tr.redundancy == pytest.approx(rel, abs=TOL)
@@ -89,35 +92,32 @@ class TestGreedySearch:
         for _ in range(15):
             c = random_ctx(rng, d=int(rng.integers(3, 7)))
             S = list(range(1, c.n_features))
-            tr = greedy_representative_set(c, 0, S, Criterion("hocmim", n=len(S)))
+            tr = hocmim_score(c, 0, S, Criterion("hocmim", n=len(S)))[1]
             assert tr.redundancy == pytest.approx(total_redundancy(c, 0, S), abs=TOL)
 
     def test_chain_sum_consistency(self):
         rng = np.random.default_rng(3)
         for _ in range(15):
             c = random_ctx(rng)
-            tr = greedy_representative_set(c, 0, [1, 2, 3], Criterion("hocmim", n=2))
+            tr = hocmim_score(c, 0, [1, 2, 3], Criterion("hocmim", n=2))[1]
             assert sum(tr.increments) == pytest.approx(tr.redundancy, abs=TOL)
             # the telescoped increments against the redundancy of Z computed in one go
             assert sum(tr.increments) == pytest.approx(total_redundancy(c, 0, tr.z), abs=TOL)
             assert len(tr.z) == len(set(tr.z)) == len(tr.increments)
 
-    def test_empty_s_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            greedy_representative_set(ctx, 0, [], Criterion("hocmim", n=1))
-
     def test_order_limit_stop(self, ctx):
-        tr = greedy_representative_set(ctx, 0, [1, 2, 3], Criterion("hocmim", n=2))
+        tr = hocmim_score(ctx, 0, [1, 2, 3], Criterion("hocmim", n=2))[1]
         assert tr.stop_reason == STOP_ORDER_LIMIT
         assert len(tr.z) == 2
 
     def test_fixed_order_above_s_size_exhausts(self, ctx):
         ctx.reset_and_read_counter()
-        tr = greedy_representative_set(ctx, 0, [1, 2], Criterion("hocmim", n=4))
+        tr = hocmim_score(ctx, 0, [1, 2], Criterion("hocmim", n=4))[1]
         assert sorted(tr.z) == [1, 2]
         assert tr.stop_reason == STOP_EXHAUSTED
-        # fixed mode always performs n sweeps over all of S: 4 * 4 * 2 terms
-        assert ctx.reset_and_read_counter() == 32
+        # fixed mode always performs n sweeps over all of S: the relevance
+        # term plus 4 * 4 * 2 terms, the row's 1 + 4 * n * |S|
+        assert ctx.reset_and_read_counter() == 33
 
     def test_zero_relevance_runs_to_exhaustion(self):
         # constant candidate: relevance is exactly 0, the normalized stopping
@@ -132,13 +132,13 @@ class TestGreedySearch:
                              ("z", "a", "b"))
         c = EstimatorContext(ds)
         assert c.mutual_information([0], [TARGET]) == 0.0
-        tr = greedy_representative_set(c, 0, [1, 2], Criterion("hocmim"))
+        tr = hocmim_score(c, 0, [1, 2], Criterion("hocmim"))[1]
         assert tr.stop_reason == STOP_EXHAUSTED
         assert sorted(tr.z) == [1, 2]
 
 
 @pytest.mark.parametrize("search", [
-    lambda c, k, S: greedy_representative_set(c, k, S, Criterion("hocmim", n=1)),
+    lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim", n=1)),
     lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim")),
     lambda c, k, S: hocmim_score_exhaustive(c, k, S, 1),
 ], ids=["greedy", "score", "exhaustive"])
@@ -162,9 +162,14 @@ class TestScores:
         assert s1 > s5
 
     def test_empty_s_gives_relevance_and_empty_trace(self, ctx):
-        score, tr = hocmim_score(ctx, 2, [], Criterion("hocmim"))
-        assert score == pytest.approx(0.256426, abs=1e-5)
-        assert tr.z == [] and tr.redundancy == 0.0 and tr.order == 0
+        # adaptive mode runs no sweep, fixed mode n sweeps over an empty pool:
+        # either way the relevance is the one MI term asked for
+        for criterion in (Criterion("hocmim"), Criterion("hocmim", n=3)):
+            score, tr = hocmim_score(ctx, 2, [], criterion)
+            assert ctx.reset_and_read_counter() == 1
+            assert score == pytest.approx(0.256426, abs=1e-5)
+            assert tr.z == [] and tr.redundancy == 0.0 and tr.order == 0
+            assert tr.stop_reason == STOP_EXHAUSTED
 
     def test_trace_order_is_the_representative_set_size(self, ctx):
         # the order the search reached, as the benchmark's tracer reads it
@@ -176,6 +181,26 @@ class TestScores:
         c = duplicated_ctx()
         score, _ = hocmim_score(c, 0, [1, 2], Criterion("hocmim"))
         assert abs(score) <= TOL
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5, None]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_call_costs_the_rows_mi_terms(seed, n):
+    """One hocmim_score call asks for exactly the criterion row's ``calls`` MI
+    terms in fixed mode, and at most that many in adaptive mode, S empty too."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng)
+    k = int(rng.integers(0, ds.n_features))
+    rest = [j for j in range(ds.n_features) if j != k]
+    S = rng.permutation(rest)[:rng.integers(0, len(rest) + 1)].tolist()
+    c = EstimatorContext(ds)
+    criterion = Criterion("hocmim", n=n)
+    hocmim_score(c, k, S, criterion)
+    used, row = c.reset_and_read_counter(), CRITERIA["hocmim"].calls(criterion, len(S))
+    if criterion.adaptive:
+        assert used <= row
+    else:
+        assert used == row
 
 
 class TestExhaustive:
@@ -254,3 +279,8 @@ def test_params_validation():
     assert not Criterion("hocmim", n=3).adaptive
     with pytest.raises(TypeError):
         Criterion("hocmim", adaptive=True)     # derived from n, not a field
+
+
+def test_every_public_name_resolves():
+    for name in infosel.__all__:
+        assert getattr(infosel, name) is not None, name
