@@ -15,7 +15,7 @@ from .data import (BinningSpec, DiscreteDataset, RawTable, SplitSpec,
                    make_splits, make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import EvalReport, average_ranks, benchmark
-from .hocmim import RedundancyTrace, hocmim_score, hocmim_score_exhaustive, total_redundancy
+from .hocmim import RedundancyTrace, hocmim_score
 from .oracle import run_oracle_checks
 from .selection import SelectionResult, predicted_mi_calls, run_sfs
 
@@ -24,9 +24,7 @@ __all__ = [
     "EvalReport", "RawTable", "RedundancyTrace",
     "SelectionResult", "SplitSpec", "TARGET", "apply_binning",
     "average_ranks", "benchmark", "discretize", "fit_binning",
-    "hocmim_score", "hocmim_score_exhaustive",
-    "load_csv", "make_splits", "make_xor_table",
+    "hocmim_score", "load_csv", "make_splits", "make_xor_table",
     "parse_criterion", "predicted_mi_calls",
-    "run_oracle_checks", "run_sfs", "toy_dataset",
-    "toy_table", "total_redundancy",
+    "run_oracle_checks", "run_sfs", "toy_dataset", "toy_table",
 ]

@@ -251,9 +251,10 @@ def _add_common(p):
     p.add_argument("--bins", type=int, default=5, help="equal-width bins (default 5)")
     p.add_argument("--estimator", choices=("plugin", "shrinkage"), default="plugin")
     p.add_argument("--n", type=int, help="fixed search order (high-order criterion)")
-    p.add_argument("--epsilon", type=float, default=0.01,
-                   help="adaptive stopping threshold (default 0.01)")
-    p.add_argument("--nmax", type=int, default=15, help="order cap (default 15)")
+    p.add_argument("--epsilon", type=float, default=Criterion.epsilon_star,
+                   help="adaptive stopping threshold (default %(default)s)")
+    p.add_argument("--nmax", type=int, default=Criterion.n_max,
+                   help="order cap (default %(default)s)")
     p.add_argument("--beta", type=float, help="MIFS redundancy weight")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the result to this path")

@@ -225,15 +225,19 @@ class Criterion:
         """(score, RedundancyTrace or None) of candidate k against the selected set S.
 
         k and the members of S may be numpy integers; they are read as ints.
+        A k inside S, or an S that repeats a feature, raises ``ValueError``.
         """
         k, S = index(k), list(map(index, S))
         if k in S:
             raise ValueError(f"candidate {k} already selected")
+        if len(set(S)) < len(S):
+            raise ValueError(f"selected set {S} repeats a feature")
         return CRITERIA[self.kind].score(self, ctx, k, S)
 
 
 def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
-                    epsilon_star: float = 0.01, n_max: int = 15) -> Criterion:
+                    epsilon_star: float = Criterion.epsilon_star,
+                    n_max: int = Criterion.n_max) -> Criterion:
     """Build a Criterion from a CLI-style name.
 
     Accepts the plain kind names plus an inline fixed-order suffix of ASCII

@@ -563,9 +563,8 @@ def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Bin index per the rule edge_{i-1} <= v < edge_i, clamped at both ends."""
-    if len(edges) == 0:
-        return np.zeros(len(values), dtype=np.int64)
+    """Bin index per the rule edge_{i-1} <= v < edge_i, clamped at both ends;
+    every value is in bin 0 when there are no edges."""
     return np.searchsorted(edges, values, side="right").astype(np.int64, copy=False)
 
 

@@ -211,16 +211,9 @@ def average_ranks(errors) -> np.ndarray:
     nan = np.flatnonzero(np.isnan(errors))
     if len(nan):
         raise ValueError(f"cannot rank NaN (entry {nan[0]})")
-    order = np.argsort(errors, kind="stable")
-    ranks = np.empty(len(errors), dtype=float)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and errors[order[j + 1]] == errors[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # a run of c ties ending at sorted position e (1-based) shares rank e - (c - 1) / 2
+    _, inverse, counts = np.unique(errors, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 @dataclass

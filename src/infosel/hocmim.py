@@ -13,6 +13,11 @@ is either fixed or chosen adaptively: the search stops once the redundancy is
 within epsilon_star (relative) of its upper bound I(Xk;Y), at n_max, or when
 S is exhausted.
 
+This module holds only that greedy search.  The exhaustive search over all
+order-n subsets of S, which at n = 2 and 3 equals the ``cmim3`` and ``cmim4``
+baselines, is a yardstick rather than part of the method; it lives in
+``oracle``, which checks that equivalence and bounds the greedy score by it.
+
 Fixed-order mode doubles as the instrumented mode for complexity accounting:
 every one of its n sweeps evaluates the increment for all of S (elements
 already in Z contribute exactly zero and are excluded from the argmax), so
@@ -29,17 +34,12 @@ so each increment's conditioning sets are ``Z`` and ``Z | TARGET_BIT``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from operator import index
 
-from .estimators import TARGET, TARGET_BIT, EstimatorContext
+from .estimators import TARGET_BIT, EstimatorContext
 
 #: relevance below this is treated as zero for the normalized stopping rule
 ZERO_RELEVANCE = 1e-12
-
-#: refuse exhaustive subset scans beyond this many subsets (test oracle guard)
-EXHAUSTIVE_LIMIT = 200_000
 
 STOP_THRESHOLD = "threshold"
 STOP_ORDER_LIMIT = "order_limit"
@@ -66,17 +66,6 @@ class RedundancyTrace:
                 "redundancy": self.redundancy, "stop_reason": self.stop_reason}
 
 
-def total_redundancy(ctx: EstimatorContext, k: int, z_set) -> float:
-    """R(Xk,Z,Y) = I(Xk;Z) - I(Xk;Z|Y) on the joint encoding of Z."""
-    z_set = list(z_set)
-    if k in z_set:
-        raise ValueError(f"candidate {k} inside its own representative set")
-    if not z_set:
-        return 0.0
-    return (ctx.mutual_information([k], z_set)
-            - ctx.conditional_mutual_information([k], z_set, [TARGET]))
-
-
 def _increment(ctx, kb, jb, zm) -> float:
     """dR_j(Z*) of adding the pick jb to zm for the candidate kb, all column masks."""
     return (ctx.conditional_mutual_information(kb, jb, zm)
@@ -95,12 +84,15 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     the positive ones are exhausted; they are accepted as-is.  An empty S
     needs no case of its own: adaptive mode runs no sweep and fixed mode n
     sweeps over an empty pool, so the score is the relevance and the trace
-    is empty, stopped as ``s_exhausted``.
+    is empty, stopped as ``s_exhausted``.  A k inside S, or an S that
+    repeats a feature, raises ``ValueError``.
     """
     k = index(k)
     S = sorted(map(index, S))
     if k in S:
         raise ValueError(f"candidate {k} already selected")
+    if len(set(S)) < len(S):
+        raise ValueError(f"selected set {S} repeats a feature")
     kb = 2 << k
     relevance = ctx.mutual_information(kb, TARGET_BIT)
     adaptive = criterion.adaptive
@@ -134,22 +126,4 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     else:
         stop = STOP_EXHAUSTED if len(z) == len(S) else STOP_ORDER_LIMIT
     return relevance - redundancy, RedundancyTrace(k, z, increments, redundancy, stop)
-
-
-def hocmim_score_exhaustive(ctx: EstimatorContext, k: int, S, n: int) -> float:
-    """I(Xk;Y) minus the max of R over all size-n subsets of S (test oracle).
-
-    Equals min over those subsets of I(Xk;Y|Z).  Guarded against combinatorial
-    blowup; meant for small S.
-    """
-    S = list(S)
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    if not 1 <= n <= len(S):
-        raise ValueError("need 1 <= n <= |S|")
-    if comb(len(S), n) > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"C({len(S)},{n}) subsets exceeds the exhaustive-search guard")
-    relevance = ctx.mutual_information([k], [TARGET])
-    best = max(total_redundancy(ctx, k, list(z)) for z in combinations(S, n))
-    return relevance - best
 

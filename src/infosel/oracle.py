@@ -7,18 +7,25 @@ over the rows grouped by their B values, and ``chain_sum`` checks the greedy
 increments' sum against the total redundancy of their set computed in one go,
 so neither compares a quantity with its own definition.  Used by the
 ``oracle-check`` CLI subcommand and by the test suite.
+
+Two brute-force references live here and nowhere else: ``_total_redundancy``,
+R(Xk,Z,Y) = I(Xk;Z) - I(Xk;Z|Y) computed in one go, and ``_exhaustive_score``,
+the relevance minus the max of R over every order-n subset of S.  They take
+valid input only (a nonempty Z without k, 1 <= n <= |S|, a small S) and check
+none of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .criteria import Criterion, score_cmim
 from .data import DiscreteDataset, _int_at_least
 from .estimators import TARGET, EstimatorContext
-from .hocmim import hocmim_score, hocmim_score_exhaustive, total_redundancy
+from .hocmim import hocmim_score
 
 TOL = 1e-9
 
@@ -88,6 +95,19 @@ def _grouped_entropy(ds: DiscreteDataset, a, b) -> float:
     return h
 
 
+def _total_redundancy(ctx, k, z) -> float:
+    """R(Xk,Z,Y) = I(Xk;Z) - I(Xk;Z|Y) on the joint encoding of Z."""
+    return (ctx.mutual_information([k], z)
+            - ctx.conditional_mutual_information([k], z, [TARGET]))
+
+
+def _exhaustive_score(ctx, k, S, n) -> float:
+    """I(Xk;Y) minus the max of R over all size-n subsets of S, which equals
+    the min over those subsets Z of I(Xk;Y|Z)."""
+    relevance = ctx.mutual_information([k], [TARGET])
+    return relevance - max(_total_redundancy(ctx, k, list(z)) for z in combinations(S, n))
+
+
 def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
                    report: OracleReport) -> None:
     ctx = EstimatorContext(ds)
@@ -120,11 +140,11 @@ def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
     report.record("greedy_full_equals_cmi",
                   abs((rel - full.redundancy) - exact_cmi) < TOL,
                   f"{rel - full.redundancy} vs {exact_cmi}")
-    chain, whole = sum(full.increments), total_redundancy(ctx, k, full.z)
+    chain, whole = sum(full.increments), _total_redundancy(ctx, k, full.z)
     report.record("chain_sum", abs(chain - whole) < TOL, f"{chain} vs {whole}")
     report.record("full_redundancy_bounds",
                   -ctx.conditional_mutual_information([k], S, [TARGET]) - TOL
-                  <= total_redundancy(ctx, k, S) <= rel + TOL)
+                  <= _total_redundancy(ctx, k, S) <= rel + TOL)
 
     # fixed n=1 equals the CMIM score
     s1, _ = hocmim_score(ctx, k, S, Criterion("hocmim", n=1))
@@ -132,11 +152,11 @@ def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
 
     # exhaustive order-2/3 search equals the high-order CMIM baselines
     if len(S) >= 2:
-        e2 = hocmim_score_exhaustive(ctx, k, S, 2)
+        e2 = _exhaustive_score(ctx, k, S, 2)
         report.record("exhaustive2_equals_cmim3",
                       abs(e2 - score_cmim(ctx, k, S, 3)) < TOL)
     if len(S) >= 3:
-        e3 = hocmim_score_exhaustive(ctx, k, S, 3)
+        e3 = _exhaustive_score(ctx, k, S, 3)
         report.record("exhaustive3_equals_cmim4",
                       abs(e3 - score_cmim(ctx, k, S, 4)) < TOL)
         # greedy search cannot beat the exhaustive max-redundancy
@@ -172,7 +192,7 @@ def check_statement_cases(report: OracleReport) -> None:
                          (2, 2, 2), y.astype(np.int64), 2, ("x", "s1", "s2"))
     ctx = EstimatorContext(ds)
     S = [1, 2]
-    score = hocmim_score_exhaustive(ctx, 0, S, len(S))
+    score = _exhaustive_score(ctx, 0, S, len(S))
     expected = (ctx.mutual_information([0], [TARGET])
                 + ctx.conditional_mutual_information([0], S, [TARGET]))
     report.record("statement2_independence", abs(score - expected) < 0.02,

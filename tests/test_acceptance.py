@@ -115,9 +115,18 @@ def test_criterion_3_oracle_equivalences(capsys):
     # every equivalence family must actually have been exercised
     for check in ("greedy_full_equals_cmi", "n1_equals_cmim",
                   "exhaustive2_equals_cmim3", "exhaustive3_equals_cmim4",
-                  "cmi_forms", "chain_rule", "chain_sum", "symmetry",
-                  "statement1_zero_score", "statement2_independence"):
+                  "cmi_forms", "chain_rule", "chain_sum", "symmetry", "mi_bounds",
+                  "full_redundancy_bounds", "greedy_below_exhaustive",
+                  "statement1_zero_score", "statement1_threshold_stop",
+                  "statement2_independence"):
         assert report.passed.get(check, 0) > 0, f"{check} never ran"
+    assert len(report.passed) == 14, sorted(report.passed)
+    # the exhaustive families run only where |S| >= 2 or 3; seed 0 draws these counts
+    assert {check: report.passed[check] for check in (
+        "exhaustive2_equals_cmim3", "exhaustive3_equals_cmim4", "greedy_below_exhaustive")} == {
+        "exhaustive2_equals_cmim3": 50, "exhaustive3_equals_cmim4": 27,
+        "greedy_below_exhaustive": 27}
+    assert report.n_passed == 907
     with capsys.disabled():
         _report(3, "oracle equivalence suite", t0, budget=60.0)
 

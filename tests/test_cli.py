@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from infosel.cli import main
+from infosel.cli import build_parser, main
+from infosel.criteria import Criterion, parse_criterion
 from infosel.oracle import run_oracle_checks
 
 
@@ -358,3 +359,17 @@ def test_negative_seed_fails(capsys, argv, stage):
     captured = capsys.readouterr()
     assert captured.err == f"infosel: {stage}: --seed must be >= 0, got -1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["select", "benchmark"])
+def test_search_defaults_are_the_criterions(command, capsys):
+    # epsilon_star and n_max are written once, on Criterion
+    default = Criterion("hocmim")
+    args = build_parser().parse_args([command])
+    assert (args.epsilon, args.nmax) == (default.epsilon_star, default.n_max)
+    assert parse_criterion("hocmim") == default
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"threshold (default {default.epsilon_star})" in help_text
+    assert f"order cap (default {default.n_max})" in help_text

@@ -39,6 +39,18 @@ def test_numpy_integer_indices_score_as_ints(name):
         assert (got_tr and got_tr.to_dict()) == (want_tr and want_tr.to_dict())
 
 
+@pytest.mark.parametrize("name", KINDS + ("hocmim-n2",))
+def test_repeated_member_of_s_rejected(ctx, name):
+    # [1, 2, 2] once scored as a set other than [1, 2]: mifs counted feature
+    # 2's redundancy twice and hocmim swept it twice
+    criterion = parse_criterion(name)
+    with pytest.raises(ValueError, match=r"^selected set \[1, 2, 2\] repeats a feature$"):
+        criterion.score(ctx, 0, [1, 2, 2])
+    if criterion.kind == "hocmim":
+        with pytest.raises(ValueError, match=r"^selected set \[1, 2, 2\] repeats a feature$"):
+            hocmim_score(ctx, 0, [2, 1, np.int64(2)], criterion)
+
+
 class TestGeneric:
     def test_empty_s_is_relevance(self, ctx):
         for beta, gamma in ((0, 0), (1, 0), (0.5, 2)):

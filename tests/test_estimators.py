@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from infosel import estimators, selection
 from infosel.data import DiscreteDataset, discretize, make_xor_table, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext, cell_terms, profile_entropy
-from infosel.hocmim import total_redundancy
-from infosel.oracle import _grouped_entropy
+from infosel.oracle import _grouped_entropy, _total_redundancy
 from infosel.selection import predicted_mi_calls, run_sfs
 from infosel.criteria import parse_criterion
 
@@ -535,7 +534,7 @@ class TestColumnMasks:
         with pytest.raises(TypeError):
             toy_ctx.mutual_information([0], [2.5])
         with pytest.raises(TypeError):
-            total_redundancy(toy_ctx, 0, [1.7, 2.2])
+            _total_redundancy(toy_ctx, 0, [1.7, 2.2])
 
     @pytest.mark.parametrize("estimator", ["plugin", "shrinkage"])
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -7,9 +7,8 @@ from infosel.criteria import CRITERIA, Criterion, score_cmim
 from infosel.data import DiscreteDataset, toy_dataset
 from infosel.estimators import TARGET, EstimatorContext
 from infosel.hocmim import (STOP_EXHAUSTED, STOP_ORDER_LIMIT, STOP_THRESHOLD,
-                            hocmim_score, hocmim_score_exhaustive,
-                            total_redundancy)
-from infosel.oracle import random_dataset
+                            hocmim_score)
+from infosel.oracle import _exhaustive_score, _total_redundancy, random_dataset
 from infosel.selection import run_sfs
 
 from util import columns, random_ds, ref_cmi, ref_mi
@@ -39,25 +38,17 @@ def duplicated_ctx(seed=0, n=36):
 
 class TestTotalRedundancy:
     def test_toy_second_iteration_values(self, ctx):
-        assert total_redundancy(ctx, 1, [2]) == pytest.approx(-0.143574, abs=1e-5)
-        assert total_redundancy(ctx, 1, [2]) == pytest.approx(-0.14, abs=0.005)
+        assert _total_redundancy(ctx, 1, [2]) == pytest.approx(-0.143574, abs=1e-5)
+        assert _total_redundancy(ctx, 1, [2]) == pytest.approx(-0.14, abs=0.005)
         # the printed 0.10 for this entry is a two-decimal rounding slip in
         # the source table; the exact plug-in value rounds to 0.11
-        assert total_redundancy(ctx, 4, [2]) == pytest.approx(0.105448, abs=1e-5)
+        assert _total_redundancy(ctx, 4, [2]) == pytest.approx(0.105448, abs=1e-5)
 
     def test_duplicate_gives_relevance(self):
         c = duplicated_ctx()
         rel = c.mutual_information([0], [TARGET])
-        assert total_redundancy(c, 0, [1]) == pytest.approx(rel, abs=TOL)
-        assert total_redundancy(c, 0, [1, 2]) == pytest.approx(rel, abs=TOL)
-
-    def test_candidate_inside_z_rejected(self, ctx):
-        with pytest.raises(ValueError):
-            total_redundancy(ctx, 2, [1, 2])
-
-    def test_empty_z_is_zero(self, ctx):
-        assert total_redundancy(ctx, 2, []) == 0.0
-        assert ctx.reset_and_read_counter() == 0
+        assert _total_redundancy(c, 0, [1]) == pytest.approx(rel, abs=TOL)
+        assert _total_redundancy(c, 0, [1, 2]) == pytest.approx(rel, abs=TOL)
 
     def test_matches_reference(self):
         rng = np.random.default_rng(1)
@@ -67,7 +58,7 @@ class TestTotalRedundancy:
             z = [1, 3]
             want = ref_mi(columns(ds, [0]), columns(ds, z)) - \
                 ref_cmi(columns(ds, [0]), columns(ds, z), columns(ds, [-1]))
-            assert total_redundancy(c, 0, z) == pytest.approx(want, abs=TOL)
+            assert _total_redundancy(c, 0, z) == pytest.approx(want, abs=TOL)
 
 
 class TestGreedySearch:
@@ -93,7 +84,7 @@ class TestGreedySearch:
             c = random_ctx(rng, d=int(rng.integers(3, 7)))
             S = list(range(1, c.n_features))
             tr = hocmim_score(c, 0, S, Criterion("hocmim", n=len(S)))[1]
-            assert tr.redundancy == pytest.approx(total_redundancy(c, 0, S), abs=TOL)
+            assert tr.redundancy == pytest.approx(_total_redundancy(c, 0, S), abs=TOL)
 
     def test_chain_sum_consistency(self):
         rng = np.random.default_rng(3)
@@ -102,7 +93,7 @@ class TestGreedySearch:
             tr = hocmim_score(c, 0, [1, 2, 3], Criterion("hocmim", n=2))[1]
             assert sum(tr.increments) == pytest.approx(tr.redundancy, abs=TOL)
             # the telescoped increments against the redundancy of Z computed in one go
-            assert sum(tr.increments) == pytest.approx(total_redundancy(c, 0, tr.z), abs=TOL)
+            assert sum(tr.increments) == pytest.approx(_total_redundancy(c, 0, tr.z), abs=TOL)
             assert len(tr.z) == len(set(tr.z)) == len(tr.increments)
 
     def test_order_limit_stop(self, ctx):
@@ -140,8 +131,7 @@ class TestGreedySearch:
 @pytest.mark.parametrize("search", [
     lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim", n=1)),
     lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim")),
-    lambda c, k, S: hocmim_score_exhaustive(c, k, S, 1),
-], ids=["greedy", "score", "exhaustive"])
+], ids=["greedy", "score"])
 def test_selected_candidate_rejected(ctx, search):
     with pytest.raises(ValueError, match="^candidate 2 already selected$"):
         search(ctx, 2, [1, 2])
@@ -209,7 +199,7 @@ class TestExhaustive:
         for _ in range(10):
             c = random_ctx(rng)
             S = [1, 2, 4]
-            assert hocmim_score_exhaustive(c, 0, S, 1) == pytest.approx(
+            assert _exhaustive_score(c, 0, S, 1) == pytest.approx(
                 score_cmim(c, 0, S), abs=TOL)
 
     def test_full_order_equals_exact_cmi(self):
@@ -218,7 +208,7 @@ class TestExhaustive:
             c = random_ctx(rng)
             S = [1, 2, 3]
             want = c.conditional_mutual_information([0], [TARGET], S)
-            assert hocmim_score_exhaustive(c, 0, S, len(S)) == pytest.approx(want, abs=TOL)
+            assert _exhaustive_score(c, 0, S, len(S)) == pytest.approx(want, abs=TOL)
 
     def test_exhaustive_score_bounds_greedy_from_below(self):
         rng = np.random.default_rng(7)
@@ -226,20 +216,9 @@ class TestExhaustive:
             c = random_ctx(rng, d=int(rng.integers(4, 7)), n=48)
             S = list(range(1, c.n_features))
             n = int(rng.integers(1, len(S) + 1))
-            exh = hocmim_score_exhaustive(c, 0, S, n)
+            exh = _exhaustive_score(c, 0, S, n)
             greedy, _ = hocmim_score(c, 0, S, Criterion("hocmim", n=n))
             assert exh <= greedy + TOL
-
-    def test_combinatorial_guard(self):
-        rng = np.random.default_rng(8)
-        c = random_ctx(rng, d=5)
-        with pytest.raises(ValueError):
-            hocmim_score_exhaustive(c, 0, [1, 2], 3)   # n > |S|
-        big = DiscreteDataset(rng.integers(0, 2, (8, 50)).astype(np.int64),
-                              (2,) * 50, np.array([0, 1] * 4, np.int64), 2,
-                              tuple(f"f{i}" for i in range(50)))
-        with pytest.raises(ValueError, match="guard"):
-            hocmim_score_exhaustive(EstimatorContext(big), 0, list(range(1, 50)), 20)
 
 
 class TestRunHocmim:
