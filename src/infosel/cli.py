@@ -279,8 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pb)
     pb.add_argument("--criterion", action="append",
                     help="criterion name; repeat or comma-separate for several")
-    pb.add_argument("--repeats", type=int, default=30, help="number of splits (default 30)")
-    pb.add_argument("--train-fraction", type=float, default=0.5)
+    pb.add_argument("--repeats", type=int, default=SplitSpec.n_repeats,
+                    help="number of splits (default %(default)s)")
+    pb.add_argument("--train-fraction", type=float, default=SplitSpec.train_fraction,
+                    help="fraction of the rows in each split's training side "
+                         "(default %(default)s)")
     pb.add_argument("--knn-k", type=int, default=3)
     pb.set_defaults(func=cmd_benchmark)
 

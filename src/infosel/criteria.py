@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb, perm
-from operator import index, or_
+from operator import or_
 from typing import Callable
 
 from .data import _int_at_least, _is_real
 from .estimators import TARGET_BIT, EstimatorContext
-from .hocmim import hocmim_score
+from .hocmim import _request, hocmim_score
 
 
 class CriterionError(ValueError):
@@ -227,12 +227,7 @@ class Criterion:
         k and the members of S may be numpy integers; they are read as ints.
         A k inside S, or an S that repeats a feature, raises ``ValueError``.
         """
-        k, S = index(k), list(map(index, S))
-        if k in S:
-            raise ValueError(f"candidate {k} already selected")
-        if len(set(S)) < len(S):
-            raise ValueError(f"selected set {S} repeats a feature")
-        return CRITERIA[self.kind].score(self, ctx, k, S)
+        return CRITERIA[self.kind].score(self, ctx, *_request(k, S))
 
 
 def parse_criterion(name: str, beta: float | None = None, n: int | None = None,

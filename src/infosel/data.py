@@ -127,8 +127,10 @@ class RawTable:
     sequence of labels given for a categorical column is coded here, once.
     The target column is kept alongside the features and must be categorical
     or integer-valued numeric.  Names, kinds and columns come one per column;
-    a duplicate name, a target not among the names or a column whose length
-    is not ``n_rows`` raises ``DataError``.
+    a duplicate name, a target not among the names, a kind other than
+    ``numeric`` and ``categorical`` or a column whose length is not
+    ``n_rows`` raises ``DataError``.  A numeric feature column's values must
+    be finite to be binned (``BinningError`` otherwise).
     """
 
     names: tuple[str, ...]
@@ -149,7 +151,10 @@ class RawTable:
         object.__setattr__(self, "columns", tuple(
             LabelColumn.of(col) if kind == "categorical" and not isinstance(col, LabelColumn)
             else col for kind, col in zip(self.kinds, self.columns)))
-        for name, col in zip(self.names, self.columns):
+        for name, kind, col in zip(self.names, self.kinds, self.columns):
+            if kind not in ("numeric", "categorical"):
+                raise DataError(f"column {name!r} has kind {kind!r}, "
+                                "not 'numeric' or 'categorical'")
             if len(col) != self.n_rows:
                 raise DataError(f"column {name!r} has {len(col)} rows, not {self.n_rows}")
 
@@ -191,7 +196,8 @@ class ColumnSpec:
         ``labels`` once each, as a lookup table for its codes."""
         if self.kind == "numeric":
             values = np.asarray(column, dtype=float)
-            return self.codes[raw_bins(values if rows is None else values[rows], self.edges)]
+            values = _finite(values if rows is None else values[rows])
+            return self.codes[raw_bins(values, self.edges)]
         table = _label_table(column.labels, self.labels, _narrow_dtype(self.arity))
         return table[column.codes if rows is None else column.codes[rows]]
 
@@ -452,9 +458,9 @@ def _parse_block(lines, dtype, labels):
                            converters={j: coder.__getitem__ for j, coder in labels.items()})
     except ValueError:
         return None
-    # a cell that strips to nothing puts "" among a coder's keys, and any
+    # a cell that strips to nothing puts "" among a coder's labels, and any
     # earlier one has already raised its missing value
-    if len(table) != len(lines) or any("" in coder for coder in labels.values()):
+    if len(table) != len(lines) or any("" in coder.labels for coder in labels.values()):
         return None
     columns = []
     for j, name in enumerate(dtype.names):
@@ -466,30 +472,23 @@ def _parse_block(lines, dtype, labels):
 
 
 class _Coder(dict):
-    """One label column's raw cell -> the code of its stripped label, codes
-    numbered in order of first appearance; ``labels`` holds the labels in
-    code order.
+    """One label column's raw cell -> the code of its stripped label: a cache
+    of raw cells over ``labels``, the ``_Codes`` numbering of stripped labels
+    in order of first appearance that ``LabelColumn.of`` also uses.
 
-    A hit is one dict lookup; only a cell not seen before is stripped.  The
-    stripped form is a key of its own, so every raw form of a label shares
-    its code.  ``load_csv``'s ``csv`` chunks and C-reader blocks number a
-    column's cells through the same coder.
+    A hit is one dict lookup; only a cell not seen before is stripped, so
+    every raw form of a label shares its code.  ``load_csv``'s ``csv`` chunks
+    and C-reader blocks number a column's cells through the same coder.
     """
 
     __slots__ = ("labels",)
 
     def __init__(self):
         super().__init__()
-        self.labels = []
+        self.labels = _Codes()
 
     def __missing__(self, cell):
-        label = cell.strip()
-        if label != cell:
-            code = self[label]
-        else:
-            code = len(self.labels)
-            self.labels.append(label)
-        self[cell] = code
+        code = self[cell] = self.labels[cell.strip()]
         return code
 
 
@@ -513,10 +512,11 @@ def _convert_chunk(chunk, header, numeric, first_row, coders):
         if values is None:
             coder = coders[j]
             codes = np.fromiter(map(coder.__getitem__, cells), np.int32, len(cells))
-            blank = coder.get("")
+            blank = coder.labels.get("")
             # str.strip() also removes the separators \x1c-\x1f, which float() rejects
             if numeric[j] and blank is None:
-                values = _finite_floats([coder.labels[c] for c in codes.tolist()])
+                labels = tuple(coder.labels)
+                values = _finite_floats([labels[c] for c in codes.tolist()])
         if values is not None:
             columns.append(values)
             continue
@@ -562,6 +562,14 @@ def equal_width_edges(values: np.ndarray, n_bins: int) -> np.ndarray:
     return edges
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """A numeric feature's values, checked to be finite: NaN and infinity have
+    no equal-width bin, and would otherwise land in the top or bottom one."""
+    if not np.isfinite(values).all():
+        raise BinningError("a numeric value is NaN or infinite")
+    return values
+
+
 def raw_bins(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin index per the rule edge_{i-1} <= v < edge_i, clamped at both ends;
     every value is in bin 0 when there are no edges."""
@@ -597,7 +605,7 @@ def _fit_column(kind: str, values, n_bins: int, rows=None) -> tuple[ColumnSpec, 
         values = np.asarray(values, dtype=float)
         if rows is not None:
             values = values[rows]
-        edges = equal_width_edges(values, n_bins)
+        edges = equal_width_edges(_finite(values), n_bins)
         raw = raw_bins(values, edges)
         occupied = np.flatnonzero(np.bincount(raw, minlength=len(edges) + 1))
         # raw bin r is nearer the upper of two neighbouring occupied bins
@@ -702,8 +710,7 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     unseen at fit time) is the whole table's.  ``rows`` must be a list of
     integers in [0, n_rows); anything else raises ``BinningError``.
     """
-    if tuple(n for n in table.names if n != table.target_name) != spec.feature_names \
-            or table.target_name != spec.target_name:
+    if table.feature_names != spec.feature_names or table.target_name != spec.target_name:
         raise BinningError("column mismatch between table and binning spec")
     if rows is not None:
         rows = _row_indices(rows, table.n_rows, "rows", BinningError)
@@ -712,7 +719,11 @@ def apply_binning(table: RawTable, spec: BinningSpec, rows=None) -> DiscreteData
     for j, (name, cspec) in enumerate(zip(spec.feature_names, spec.feature_specs)):
         if table.kind(name) != cspec.kind:
             raise BinningError(f"column {name!r} changed type since fitting")
-        codes = _put_codes(codes, j, cspec.encode(table.columns[table.names.index(name)], rows))
+        try:
+            col = cspec.encode(table.columns[table.names.index(name)], rows)
+        except BinningError as e:
+            raise BinningError(f"column {name!r}: {e}") from None
+        codes = _put_codes(codes, j, col)
 
     if table.kind(spec.target_name) != spec.target_kind:
         raise BinningError(f"target column {spec.target_name!r} changed type since fitting")

@@ -19,11 +19,12 @@ baselines, is a yardstick rather than part of the method; it lives in
 ``oracle``, which checks that equivalence and bounds the greedy score by it.
 
 Fixed-order mode doubles as the instrumented mode for complexity accounting:
-every one of its n sweeps evaluates the increment for all of S (elements
-already in Z contribute exactly zero and are excluded from the argmax), so
-one ``hocmim_score`` call costs exactly 1 + 4*n*|S| MI terms, the relevance
-and the sweeps, and the counter matches the closed-form prediction in
-selection.predicted_mi_calls.
+every one of its n sweeps evaluates the increment for all of S, so one
+``hocmim_score`` call costs exactly 1 + 4*n*|S| MI terms, the relevance and
+the sweeps, and the counter matches the closed-form prediction in
+selection.predicted_mi_calls.  The increments of elements already in Z are
+zero in exact arithmetic but leave a rounding residue in floats; either way
+they are left out of the argmax.
 Adaptive mode only evaluates the fresh pool and stops early, so its counts
 are bounded by the fixed-mode formula at n_max.
 
@@ -72,6 +73,17 @@ def _increment(ctx, kb, jb, zm) -> float:
             - ctx.conditional_mutual_information(kb, jb, zm | TARGET_BIT))
 
 
+def _request(k, S) -> tuple[int, list[int]]:
+    """k and S's members as ints, in S's order, for one scoring request; a k
+    inside S, or an S that repeats a feature, raises ``ValueError``."""
+    k, S = index(k), list(map(index, S))
+    if k in S:
+        raise ValueError(f"candidate {k} already selected")
+    if len(set(S)) < len(S):
+        raise ValueError(f"selected set {S} repeats a feature")
+    return k, S
+
+
 def hocmim_score(ctx: EstimatorContext, k: int, S,
                  criterion) -> tuple[float, RedundancyTrace]:
     """Score = I(Xk;Y) - R(Xk,Z,Y) of candidate k, and the trace of the greedy
@@ -87,12 +99,7 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     is empty, stopped as ``s_exhausted``.  A k inside S, or an S that
     repeats a feature, raises ``ValueError``.
     """
-    k = index(k)
-    S = sorted(map(index, S))
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    if len(set(S)) < len(S):
-        raise ValueError(f"selected set {S} repeats a feature")
+    k, S = _request(k, sorted(S))
     kb = 2 << k
     relevance = ctx.mutual_information(kb, TARGET_BIT)
     adaptive = criterion.adaptive

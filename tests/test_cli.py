@@ -6,6 +6,7 @@ import pytest
 
 from infosel.cli import build_parser, main
 from infosel.criteria import Criterion, parse_criterion
+from infosel.data import SplitSpec
 from infosel.oracle import run_oracle_checks
 
 
@@ -373,3 +374,15 @@ def test_search_defaults_are_the_criterions(command, capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert f"threshold (default {default.epsilon_star})" in help_text
     assert f"order cap (default {default.n_max})" in help_text
+
+
+def test_split_defaults_are_the_split_specs(capsys):
+    # n_repeats and train_fraction are written once, on SplitSpec
+    default = SplitSpec()
+    args = build_parser().parse_args(["benchmark"])
+    assert (args.repeats, args.train_fraction) == (default.n_repeats, default.train_fraction)
+    with pytest.raises(SystemExit):
+        main(["benchmark", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"number of splits (default {default.n_repeats})" in help_text
+    assert f"training side (default {default.train_fraction})" in help_text

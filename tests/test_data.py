@@ -759,6 +759,32 @@ class TestBinning:
         with pytest.raises(DataError, match="column 'A': range .* too narrow"):
             fit_binning(table, n_bins)
 
+    @staticmethod
+    def _with_non_finite(bad):
+        x = np.array([0.0, 1.0, 2.0, 3.0, bad, 5.0])
+        return RawTable(("X", "Y"), ("numeric",) * 2, (x, np.array([0.0, 1.0] * 3)), "Y", 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_at_fit(self, bad):
+        # a NaN once failed as a range [nan, nan] that overflowed float64
+        table = self._with_non_finite(bad)
+        for fit in (fit_binning, discretize):
+            with pytest.raises(BinningError,
+                               match="^column 'X': a numeric value is NaN or infinite$"):
+                fit(table, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_at_apply(self, bad):
+        # fit on finite rows, a NaN or inf row was once coded as the top bin
+        # (-inf as the bottom one) without a word
+        table = self._with_non_finite(bad)
+        spec = fit_binning(table, 5, fit_rows=[0, 1, 2, 3])
+        for rows in (None, [4], [5, 4]):
+            with pytest.raises(BinningError,
+                               match="^column 'X': a numeric value is NaN or infinite$"):
+                apply_binning(table, spec, rows)
+        assert apply_binning(table, spec, [0, 5]).codes[:, 0].tolist() == [0, 3]
+
     @pytest.mark.parametrize("n_bins, message", [
         (2.5, "n_bins must be an int, got 2.5"),
         (True, "n_bins must be an int, got True"),
@@ -1431,7 +1457,13 @@ class TestDiscreteDataset:
      "^column 'a' has 3 rows, not 4$"),
     (("a", "Y"), ("categorical", "numeric"), (["x", "y"], np.zeros(3)), "Y", 3,
      "^column 'a' has 2 rows, not 3$"),
-], ids=["names", "kinds", "columns", "duplicate", "target", "numeric-rows", "label-rows"])
+    # an unknown kind once built, and discretize then raised AttributeError
+    (("a", "Y"), ("Numeric", "numeric"), (np.zeros(3),) * 2, "Y", 3,
+     "^column 'a' has kind 'Numeric', not 'numeric' or 'categorical'$"),
+    (("a", "Y"), ("numeric", "label"), (np.zeros(3),) * 2, "Y", 3,
+     "^column 'Y' has kind 'label', not 'numeric' or 'categorical'$"),
+], ids=["names", "kinds", "columns", "duplicate", "target", "numeric-rows", "label-rows",
+        "unknown-kind", "unknown-target-kind"])
 def test_raw_table_that_does_not_fit_together_rejected(names, kinds, columns, target,
                                                         n_rows, message):
     with pytest.raises(DataError, match=message):
