@@ -321,9 +321,18 @@ def load_csv(path, target_name: str) -> RawTable:
     read.  No row list is kept, so memory is bounded by one block or chunk
     plus the typed columns.  A chunk is kept cache-sized: turning thousands
     of rows of cells into columns misses the cache and is slower, not
-    faster.  Each column grows by one array per block or chunk: float64
+    faster.  Each block or chunk gives each column one piece: float64
     values for a numeric column, int32 codes for a categorical one.  A
-    categorical column's cells, on both paths, go through one ``_Coder``,
+    column's pieces are folded into one array whenever those read since the
+    last fold hold at least as many rows as that array.  The pieces then
+    never hold much more than half the rows, each fold at least doubles the
+    array, so copying stays within twice the rows, and all but the first few
+    folded arrays are large allocations, which go back to the system when
+    they are freed.  The fold is for resident memory, which tracemalloc does
+    not see: pieces joined only at the end would be freed as small heap
+    chunks scattered among each other, which the allocator keeps resident,
+    so the load's resident peak would hold the table twice.  A categorical
+    column's cells, on both paths, go through one ``_Coder``,
     which numbers stripped labels in order of first appearance and looks
     them up by raw cell, so that a cell seen before is not stripped again;
     the column comes out as a ``LabelColumn`` of those codes and its labels
@@ -361,9 +370,12 @@ def _read_table(fh, target_name: str, late: set) -> RawTable | None:
     if target_name not in header:
         _fail(reader, f"target column {target_name!r} not in header {header}")
     numeric = [j not in late for j in range(len(header))]
-    parts = [[] for _ in header]        # one float64 or int32 code array per chunk or block
+    # per column, the array folded from every piece so far, then one float64 or
+    # int32 code array per chunk or block read since that fold
+    parts = [[] for _ in header]
     coders = [_Coder() for _ in header]
     n_rows = 0
+    folded = 0                          # the rows in each column's folded array
     dtype = None                        # the C reader's fields, while it reads the blocks
     while True:
         if dtype is not None:
@@ -404,10 +416,18 @@ def _read_table(fh, target_name: str, late: set) -> RawTable | None:
             del chunk                   # its cell strings go before more rows are read
         for part, col in zip(parts, columns):
             part.append(col)
+        if 2 * folded <= n_rows:
+            # the pieces hold at least as many rows as the folded array, so
+            # each fold at least doubles it (see load_csv); the first piece,
+            # a fresh contiguous array, is folded as it is
+            if folded:
+                for j in range(len(parts)):
+                    parts[j] = [np.concatenate(parts[j])]
+            folded = n_rows
 
     columns = []                        # the last piece's arrays now go with their parts
     for j, is_numeric in enumerate(numeric):
-        col = np.concatenate(parts[j])
+        col = parts[j][0] if folded == n_rows else np.concatenate(parts[j])
         columns.append(col if is_numeric else LabelColumn(col, tuple(coders[j].labels)))
         parts[j] = None                 # its chunk arrays go before the next column is joined
     kinds = tuple("numeric" if is_numeric else "categorical" for is_numeric in numeric)
@@ -584,6 +604,22 @@ def _integer_target(values) -> np.ndarray:
     return values
 
 
+def _integer_classes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for integer-valued float
+    ``values``: by a lookup over their range when it is shorter than the
+    array, which takes two intp arrays where ``np.unique`` sorts a copy and
+    makes three."""
+    lo, hi = values.min(), values.max()
+    if hi - lo >= len(values):
+        return np.unique(values, return_inverse=True)
+    # v - lo is an integer below len(values), so the float difference is exact
+    offsets = np.subtract(values, lo, out=np.empty(len(values), np.intp), casting="unsafe")
+    present = np.zeros(int(hi - lo) + 1, bool)
+    present[offsets] = True
+    rank = np.cumsum(present) - 1
+    return np.flatnonzero(present) + lo, rank[offsets]
+
+
 def _class_codes(values: np.ndarray, target_labels: dict) -> np.ndarray:
     """Integer-valued target values' int64 codes in ``target_labels`` (class
     value -> code), or ``len(target_labels)`` for a class not in it, by one
@@ -681,7 +717,7 @@ def _fit(table: RawTable, n_bins: int, rows=None) -> tuple[BinningSpec, Discrete
     tcol = table.columns[table.names.index(table.target_name)]
     if table.kind(table.target_name) == "numeric":
         tvals = _integer_target(tcol if rows is None else np.asarray(tcol)[rows])
-        classes, target = np.unique(tvals, return_inverse=True)
+        classes, target = _integer_classes(tvals)
         target_labels = dict(zip(map(int, classes.tolist()), range(len(classes))))
     else:
         target_labels, target = tcol.first_appearance(rows)

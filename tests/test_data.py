@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -290,10 +291,45 @@ class TestStreamingLoad:
         need = sum(col.nbytes if kind == "numeric"
                    else sys.getsizeof(col) + sum(map(sys.getsizeof, set(col)))
                    for kind, col in zip(table.kinds, table.columns))
-        # about 1.16x here; keeping the abandoned pass's columns alive reads
+        # about 1.3x here; keeping the abandoned pass's columns alive reads
         # 2.1x, and concatenating every float column before freeing any chunk
         # array reads 1.6x
         assert peak < 1.35 * need
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_resident_growth_bounded_by_columns(self, tmp_path):
+        # 40,000 x 18: sixteen float columns, a label column and a class column
+        rng = np.random.default_rng(0)
+        n = 40_000
+        nums = rng.normal(size=(n, 16))
+        p = tmp_path / "resident.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"F{j}" for j in range(16)] + ["L", "Y"])
+            for i in range(n):
+                writer.writerow([f"{x:.6f}" for x in nums[i]]
+                                + [("red", "green", "blue")[i % 3], ("neg", "pos")[i % 5 < 2]])
+        # a fresh process, whose heap holds no freed chunks from other tests;
+        # its peak is VmHWM, since Linux starts a child's ru_maxrss at the
+        # parent's peak
+        script = """if True:
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from infosel.data import load_csv
+            def kib(field):
+                with open("/proc/self/status") as fh:
+                    return next(int(line.split()[1]) for line in fh if line.startswith(field))
+            before = kib("VmRSS:")
+            table = load_csv(sys.argv[2], "Y")
+            need = sum(getattr(col, "codes", col).nbytes for col in table.columns)
+            print((kib("VmHWM:") - before) * 1024 / need)
+            """
+        src = os.path.dirname(os.path.dirname(data.__file__))
+        ratio = float(subprocess.run([sys.executable, "-c", script, src, str(p)], check=True,
+                                     capture_output=True, text=True).stdout)
+        # about 1.5x here; joining the pieces only once every block is read
+        # leaves them resident beside the columns, about 2.1x
+        assert ratio < 1.75
 
     def test_one_stream_open_across_restarts(self, tmp_path):
         # at 100 rows a chunk, B turns categorical in the third chunk and C and
@@ -1102,6 +1138,22 @@ class TestLabelBinning:
         rows = [6, 2, 2]
         assert apply_binning(table, spec, rows).target.tolist() == [want[i] for i in rows]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=40),
+           st.sampled_from([1, 3, 2**40]))
+    def test_integer_target_classes_match_unique(self, ints, scale):
+        # a range below the row count is coded by lookup, a wider one by
+        # np.unique: either way the codes and labels are np.unique's
+        values = np.array(ints, dtype=float) * scale
+        n = len(values)
+        table = RawTable(("A", "Y"), ("numeric",) * 2, (np.zeros(n), values), "Y", n)
+        classes, inverse = np.unique(values, return_inverse=True)
+        assert fit_binning(table, 2).target_labels == \
+            dict(zip(map(int, classes.tolist()), range(len(classes))))
+        ds = discretize(table, 2)
+        assert ds.target.dtype == np.int64 and ds.target.tolist() == inverse.tolist()
+        assert ds.n_classes == len(classes)
+
     @pytest.mark.parametrize("bad", [0.5, np.inf, np.nan])
     def test_non_integer_numeric_target_rejected_at_apply(self, bad):
         fitted = RawTable(("A", "Y"), ("numeric",) * 2, (np.arange(3.0), np.zeros(3)), "Y", 3)
@@ -1243,6 +1295,28 @@ class TestNarrowCodes:
         # the codes are held twice, about 1.79 MB
         assert peak < ds.codes.nbytes + 3 * n * 8
         assert ds.codes.dtype == np.uint8
+
+    def test_integer_target_costs_about_what_labels_cost(self):
+        # the same 20,000 x 40 floats and classes, the target as 0/1 floats or
+        # as labels: about 1.13x; np.unique's sorted copy, argsort and inverse
+        # read 1.62x
+        rng = np.random.default_rng(0)
+        n, d = 20_000, 40
+        names = tuple(f"F{j}" for j in range(d)) + ("Y",)
+        features = tuple(rng.normal(size=n) for _ in range(d))
+        y = np.arange(n) % 3 == 1          # "neg" first, so both targets code it 0
+        peaks = []
+        for kind, target in (("categorical", [("neg", "pos")[v] for v in y.tolist()]),
+                             ("numeric", y.astype(float))):
+            table = RawTable(names, ("numeric",) * d + (kind,), features + (target,), "Y", n)
+            tracemalloc.start()
+            try:
+                ds = discretize(table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert ds.target.tolist() == y.tolist()
+        assert peaks[1] < 1.2 * peaks[0]
 
     def test_wide_column_after_narrow_ones(self):
         # L needs uint16 after G has been written in uint8; H comes after it
