@@ -12,7 +12,6 @@ from .data import (BinningError, DataError, SplitSpec, discretize, fit_binning, 
                    make_xor_table, toy_dataset, toy_table)
 from .estimators import TARGET, EstimatorContext
 from .evaluate import benchmark
-from .hocmim import hocmim_score
 from .oracle import run_oracle_checks
 from .selection import run_sfs
 
@@ -193,7 +192,7 @@ def _toy_computed() -> dict[str, float]:
         vals[f"I(X{j + 1};Y)"] = ctx.mutual_information([j], [TARGET])
 
     def search(k, S, n):
-        return hocmim_score(ctx, k, S, Criterion("hocmim", n=n))
+        return Criterion("hocmim", n=n).score(ctx, k, S)
 
     for k in (0, 1, 3, 4):
         vals[f"R1(X{k + 1}|{{X3}})"] = search(k, [2], 1)[1].redundancy

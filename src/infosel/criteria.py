@@ -21,16 +21,27 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb, perm
-from operator import or_
+from operator import index, or_
 from typing import Callable
 
 from .data import _int_at_least, _is_real
 from .estimators import TARGET_BIT, EstimatorContext
-from .hocmim import _request, hocmim_score
+from .hocmim import hocmim_score
 
 
 class CriterionError(ValueError):
     """Unknown criterion name or parameters not valid for the kind."""
+
+
+def _request(k, S) -> tuple[int, list[int]]:
+    """k and S's members as ints, in S's order, for one scoring request; a k
+    inside S, or an S that repeats a feature, raises ``ValueError``."""
+    k, S = index(k), list(map(index, S))
+    if k in S:
+        raise ValueError(f"candidate {k} already selected")
+    if len(set(S)) < len(S):
+        raise ValueError(f"selected set {S} repeats a feature")
+    return k, S
 
 
 def score_generic(ctx: EstimatorContext, k: int, S, beta: float, gamma: float) -> float:
@@ -224,10 +235,15 @@ class Criterion:
     def score(self, ctx: EstimatorContext, k: int, S) -> tuple:
         """(score, RedundancyTrace or None) of candidate k against the selected set S.
 
-        k and the members of S may be numpy integers; they are read as ints.
-        A k inside S, or an S that repeats a feature, raises ``ValueError``.
+        The one place a request is checked; the scorers trust it.  k and the
+        members of S may be numpy integers; they are read as ints.  A k inside
+        S, or an S that repeats a feature, raises ``ValueError``.
         """
         return CRITERIA[self.kind].score(self, ctx, *_request(k, S))
+
+
+_ALIASES = {"cmim-3": "cmim3", "cmim-4": "cmim4", "jmi-3": "jmi3", "jmi-4": "jmi4",
+            "relaxmrmr": "relax-mrmr", "relax_mrmr": "relax-mrmr"}
 
 
 def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
@@ -242,11 +258,7 @@ def parse_criterion(name: str, beta: float | None = None, n: int | None = None,
     baselines, and ``relaxmrmr`` and ``relax_mrmr`` for ``relax-mrmr``.
     """
     key = name.strip().lower()
-    for alias, canon in (("cmim-3", "cmim3"), ("cmim-4", "cmim4"),
-                         ("jmi-3", "jmi3"), ("jmi-4", "jmi4"),
-                         ("relaxmrmr", "relax-mrmr"), ("relax_mrmr", "relax-mrmr")):
-        if key == alias:
-            key = canon
+    key = _ALIASES.get(key, key)
     if key.startswith("hocmim-n"):
         if n is not None:
             raise CriterionError(f"{name!r} fixes the order already; n={n} given as well")

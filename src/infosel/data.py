@@ -49,6 +49,14 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _one_number_per_row(col) -> bool:
+    """Whether ``col`` reads as a 1-D float array (NaN and inf included)."""
+    try:
+        return np.asarray(col, dtype=float).ndim == 1
+    except (TypeError, ValueError):
+        return False
+
+
 def _row_indices(rows, n_rows: int, what: str, error) -> np.ndarray:
     """``rows`` as an int64 array, or ``error`` unless each is an integer in [0, n_rows)."""
     rows = np.asarray(rows)
@@ -128,9 +136,11 @@ class RawTable:
     The target column is kept alongside the features and must be categorical
     or integer-valued numeric.  Names, kinds and columns come one per column;
     a duplicate name, a target not among the names, a kind other than
-    ``numeric`` and ``categorical`` or a column whose length is not
-    ``n_rows`` raises ``DataError``.  A numeric feature column's values must
-    be finite to be binned (``BinningError`` otherwise).
+    ``numeric`` and ``categorical``, a numeric column that does not read as
+    a 1-D float array, a column whose length is not ``n_rows`` or an
+    ``n_rows`` that is not an int of at least 0 raises ``DataError``.  A
+    numeric feature column's values must be finite to be binned
+    (``BinningError`` otherwise).
     """
 
     names: tuple[str, ...]
@@ -148,6 +158,7 @@ class RawTable:
             raise DataError(f"duplicate column name {dup!r}")
         if self.target_name not in self.names:
             raise DataError(f"target column {self.target_name!r} is not among the columns")
+        object.__setattr__(self, "n_rows", _int_at_least(self.n_rows, "n_rows", 0, DataError))
         object.__setattr__(self, "columns", tuple(
             LabelColumn.of(col) if kind == "categorical" and not isinstance(col, LabelColumn)
             else col for kind, col in zip(self.kinds, self.columns)))
@@ -155,6 +166,8 @@ class RawTable:
             if kind not in ("numeric", "categorical"):
                 raise DataError(f"column {name!r} has kind {kind!r}, "
                                 "not 'numeric' or 'categorical'")
+            if kind == "numeric" and not _one_number_per_row(col):
+                raise DataError(f"numeric column {name!r} is not one number per row")
             if len(col) != self.n_rows:
                 raise DataError(f"column {name!r} has {len(col)} rows, not {self.n_rows}")
 
@@ -224,7 +237,8 @@ class BinningSpec:
 class DiscreteDataset:
     """Integer-coded table: N x D feature codes plus a class-label column.
 
-    Any integer dtype is accepted; ``_dataset`` gives the binned format.
+    ``codes`` and ``target`` are numpy arrays of any integer dtype;
+    ``_dataset`` gives the binned format.
     """
 
     codes: np.ndarray                   # (n_rows, n_features), any integer dtype
@@ -237,6 +251,9 @@ class DiscreteDataset:
         # a code outside [0, arity) would make the joint encoder merge
         # distinct states without a word, so reject it here
         codes, target = self.codes, self.target
+        if not (isinstance(codes, np.ndarray) and isinstance(target, np.ndarray)):
+            raise DataError(f"codes and target must be numpy arrays, got "
+                            f"{type(codes).__name__} and {type(target).__name__}")
         width = len(self.arities)
         if codes.ndim != 2 or codes.shape[1] != width or len(self.feature_names) != width \
                 or target.shape != (codes.shape[0],):

@@ -17,6 +17,9 @@ This module holds only that greedy search.  The exhaustive search over all
 order-n subsets of S, which at n = 2 and 3 equals the ``cmim3`` and ``cmim4``
 baselines, is a yardstick rather than part of the method; it lives in
 ``oracle``, which checks that equivalence and bounds the greedy score by it.
+Like the other scorers, ``hocmim_score`` trusts its caller: ``Criterion.score``
+checks each request.  It keeps its own name so that ``bench/tracer.py`` can
+wrap it for the ``hocmim.*`` metrics.
 
 Fixed-order mode doubles as the instrumented mode for complexity accounting:
 every one of its n sweeps evaluates the increment for all of S, so one
@@ -35,7 +38,6 @@ so each increment's conditioning sets are ``Z`` and ``Z | TARGET_BIT``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 from .estimators import TARGET_BIT, EstimatorContext
 
@@ -73,17 +75,6 @@ def _increment(ctx, kb, jb, zm) -> float:
             - ctx.conditional_mutual_information(kb, jb, zm | TARGET_BIT))
 
 
-def _request(k, S) -> tuple[int, list[int]]:
-    """k and S's members as ints, in S's order, for one scoring request; a k
-    inside S, or an S that repeats a feature, raises ``ValueError``."""
-    k, S = index(k), list(map(index, S))
-    if k in S:
-        raise ValueError(f"candidate {k} already selected")
-    if len(set(S)) < len(S):
-        raise ValueError(f"selected set {S} repeats a feature")
-    return k, S
-
-
 def hocmim_score(ctx: EstimatorContext, k: int, S,
                  criterion) -> tuple[float, RedundancyTrace]:
     """Score = I(Xk;Y) - R(Xk,Z,Y) of candidate k, and the trace of the greedy
@@ -96,10 +87,10 @@ def hocmim_score(ctx: EstimatorContext, k: int, S,
     the positive ones are exhausted; they are accepted as-is.  An empty S
     needs no case of its own: adaptive mode runs no sweep and fixed mode n
     sweeps over an empty pool, so the score is the relevance and the trace
-    is empty, stopped as ``s_exhausted``.  A k inside S, or an S that
-    repeats a feature, raises ``ValueError``.
+    is empty, stopped as ``s_exhausted``.  k and S must be a checked request
+    from ``Criterion.score``: ints, k outside S, no feature twice.
     """
-    k, S = _request(k, sorted(S))
+    S = sorted(S)
     kb = 2 << k
     relevance = ctx.mutual_information(kb, TARGET_BIT)
     adaptive = criterion.adaptive

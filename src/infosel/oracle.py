@@ -25,7 +25,6 @@ import numpy as np
 from .criteria import Criterion, score_cmim
 from .data import DiscreteDataset, _int_at_least
 from .estimators import TARGET, EstimatorContext
-from .hocmim import hocmim_score
 
 TOL = 1e-9
 
@@ -134,7 +133,7 @@ def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
                   ctx.mutual_information(a, b) <= min(ctx.entropy(a), ctx.entropy(b)) + TOL)
 
     # greedy at n=|S| telescopes to the exact CMI
-    full = hocmim_score(ctx, k, S, Criterion("hocmim", n=len(S), n_max=max(15, len(S))))[1]
+    full = Criterion("hocmim", n=len(S), n_max=max(15, len(S))).score(ctx, k, S)[1]
     exact_cmi = ctx.conditional_mutual_information([k], [TARGET], S)
     rel = ctx.mutual_information([k], [TARGET])
     report.record("greedy_full_equals_cmi",
@@ -147,7 +146,7 @@ def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
                   <= _total_redundancy(ctx, k, S) <= rel + TOL)
 
     # fixed n=1 equals the CMIM score
-    s1, _ = hocmim_score(ctx, k, S, Criterion("hocmim", n=1))
+    s1, _ = Criterion("hocmim", n=1).score(ctx, k, S)
     report.record("n1_equals_cmim", abs(s1 - score_cmim(ctx, k, S)) < TOL)
 
     # exhaustive order-2/3 search equals the high-order CMIM baselines
@@ -160,7 +159,7 @@ def check_instance(ds: DiscreteDataset, rng: np.random.Generator,
         report.record("exhaustive3_equals_cmim4",
                       abs(e3 - score_cmim(ctx, k, S, 4)) < TOL)
         # greedy search cannot beat the exhaustive max-redundancy
-        g2 = hocmim_score(ctx, k, S, Criterion("hocmim", n=2))[1]
+        g2 = Criterion("hocmim", n=2).score(ctx, k, S)[1]
         report.record("greedy_below_exhaustive",
                       rel - g2.redundancy >= e2 - TOL)
 
@@ -176,7 +175,7 @@ def check_statement_cases(report: OracleReport) -> None:
     ds = DiscreteDataset(np.column_stack([base, base, other]).astype(np.int64),
                          (2, 2, 2), target.astype(np.int64), 2, ("a", "a2", "b"))
     ctx = EstimatorContext(ds)
-    score, trace = hocmim_score(ctx, 0, [1, 2], Criterion("hocmim"))
+    score, trace = Criterion("hocmim").score(ctx, 0, [1, 2])
     report.record("statement1_zero_score", abs(score) < TOL, f"score={score}")
     report.record("statement1_threshold_stop",
                   trace.stop_reason == "threshold" and trace.redundancy <= ctx.mutual_information([0], [TARGET]) + TOL)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from infosel import criteria, hocmim
 from infosel.criteria import (KINDS, Criterion, CriterionError, parse_criterion,
                               score_cmim, score_disr,
                               score_generic, score_jmi_high, score_relax_mrmr)
@@ -46,9 +47,21 @@ def test_repeated_member_of_s_rejected(ctx, name):
     criterion = parse_criterion(name)
     with pytest.raises(ValueError, match=r"^selected set \[1, 2, 2\] repeats a feature$"):
         criterion.score(ctx, 0, [1, 2, 2])
-    if criterion.kind == "hocmim":
-        with pytest.raises(ValueError, match=r"^selected set \[1, 2, 2\] repeats a feature$"):
-            hocmim_score(ctx, 0, [2, 1, np.int64(2)], criterion)
+    # out of order, and repeated as a numpy integer
+    with pytest.raises(ValueError, match=r"^selected set \[2, 1, 2\] repeats a feature$"):
+        criterion.score(ctx, 0, [2, 1, np.int64(2)])
+
+
+def test_one_check_per_request(ctx, monkeypatch):
+    # Criterion.score checks a request and the high-order search trusts it:
+    # count the check in every module that defines one
+    calls = []
+    for module in (criteria, hocmim):
+        if hasattr(module, "_request"):
+            monkeypatch.setattr(module, "_request", lambda k, S, check=module._request:
+                                calls.append(1) or check(k, S))
+    Criterion("hocmim").score(ctx, 0, [2, 1])
+    assert len(calls) == 1
 
 
 class TestGeneric:

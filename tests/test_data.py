@@ -1464,6 +1464,15 @@ class TestDiscreteDataset:
         with pytest.raises(DataError, match="integers"):
             self._make([[0.0, 1.0], [1.0, 0.0]])
 
+    def test_list_codes_or_target_rejected(self):
+        # lists once failed on their missing .ndim or .shape with AttributeError
+        with pytest.raises(DataError, match="^codes and target must be numpy arrays, "
+                                            "got list and ndarray$"):
+            DiscreteDataset([[0, 1], [1, 0]], (2, 2), np.array([0, 1]), 2, ("f0", "f1"))
+        with pytest.raises(DataError, match="^codes and target must be numpy arrays, "
+                                            "got ndarray and list$"):
+            DiscreteDataset(np.array([[0, 1], [1, 0]]), (2, 2), [0, 1], 2, ("f0", "f1"))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="do not fit together"):
             self._make([[0, 1], [1, 0]], arities=(2, 2, 2))
@@ -1536,8 +1545,15 @@ class TestDiscreteDataset:
      "^column 'a' has kind 'Numeric', not 'numeric' or 'categorical'$"),
     (("a", "Y"), ("numeric", "label"), (np.zeros(3),) * 2, "Y", 3,
      "^column 'Y' has kind 'label', not 'numeric' or 'categorical'$"),
+    # each of the next three once built; binning then failed naming no column
+    (("a", "Y"), ("numeric",) * 2, (["x", "y", "x"], np.zeros(3)), "Y", 3,
+     "^numeric column 'a' is not one number per row$"),
+    (("a", "Y"), ("numeric",) * 2, (np.ones((3, 2)), np.zeros(3)), "Y", 3,
+     "^numeric column 'a' is not one number per row$"),
+    (("a", "Y"), ("numeric",) * 2, (np.zeros(3),) * 2, "Y", 3.0,
+     "^n_rows must be an int, got 3.0$"),
 ], ids=["names", "kinds", "columns", "duplicate", "target", "numeric-rows", "label-rows",
-        "unknown-kind", "unknown-target-kind"])
+        "unknown-kind", "unknown-target-kind", "numeric-labels", "numeric-2d", "float-n-rows"])
 def test_raw_table_that_does_not_fit_together_rejected(names, kinds, columns, target,
                                                         n_rows, message):
     with pytest.raises(DataError, match=message):

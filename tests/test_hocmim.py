@@ -129,8 +129,8 @@ class TestGreedySearch:
 
 
 @pytest.mark.parametrize("search", [
-    lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim", n=1)),
-    lambda c, k, S: hocmim_score(c, k, S, Criterion("hocmim")),
+    lambda c, k, S: Criterion("hocmim", n=1).score(c, k, S),
+    lambda c, k, S: Criterion("hocmim").score(c, k, S),
 ], ids=["greedy", "score"])
 def test_selected_candidate_rejected(ctx, search):
     with pytest.raises(ValueError, match="^candidate 2 already selected$"):
